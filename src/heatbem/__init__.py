@@ -11,7 +11,6 @@ from .galerkin import (
     DiscreteFlux,
     OperatorMatrices,
     Problem,
-    QuadratureConfig,
     assemble_all,
     assemble_D,
     assemble_K,
@@ -37,7 +36,6 @@ from .kernels import (
 )
 from .krylov import NumericalError, Preconditioner, SolveReport, direct_solve, gmres
 from .mesh import (
-    BoundaryElement,
     BoundaryMesh,
     Side,
     quasi_uniformity_constant,

@@ -10,16 +10,19 @@ import numpy as np
 
 from .galerkin import DiscreteFlux
 from .krylov import NumericalError
-from .mesh import Side
+from .mesh import BoundaryMesh
 from .reference import SineSeries
 
 __all__ = [
     "StudyRecord",
     "condition_number",
+    "element_means",
     "l2_error",
     "eoc",
     "ellipticity_margin",
 ]
+
+L2_GAUSS_ORDER = 8  # Gauss points per element of the L2 flux error
 
 
 @dataclass
@@ -71,18 +74,30 @@ def condition_number(A, method: str = "sv") -> float:
     raise ValueError(f"unknown convention {method!r}")
 
 
-def l2_error(flux: DiscreteFlux, reference: SineSeries, gauss_order: int = 8) -> float:
+def element_means(mesh: BoundaryMesh, fn, gauss_order: int) -> np.ndarray:
+    """Gauss-rule mean of fn(i, ts) over each element i at its quadrature times ts."""
+    xi, wt = np.polynomial.legendre.leggauss(gauss_order)
+    out = np.empty(mesh.n_elements)
+    for i in range(mesh.n_elements):
+        ts = mesh.t_begin_all[i] + 0.5 * (xi + 1.0) * mesh.element_sizes[i]
+        out[i] = 0.5 * float(np.dot(wt, fn(i, ts)))
+    return out
+
+
+def l2_error(
+    flux: DiscreteFlux, reference: SineSeries, gauss_order: int = L2_GAUSS_ORDER
+) -> float:
     """Element-wise Gauss quadrature of ||w_ref - w_h||_{L2(Sigma)}."""
     mesh = flux.mesh
-    xi, wt = np.polynomial.legendre.leggauss(gauss_order)
+
+    def squared_error(i, ts):
+        diff = reference.flux(mesh.side_of(i), ts) - flux.coefficients[i]
+        return diff * diff
+
+    means = element_means(mesh, squared_error, gauss_order)
     total = 0.0
-    nl = mesh.n_left
-    for i in range(mesh.n_elements):
-        side = Side.LEFT if i < nl else Side.RIGHT
-        h = mesh.element_sizes[i]
-        ts = mesh.t_begin_all[i] + 0.5 * (xi + 1.0) * h
-        diff = reference.flux(side, ts) - flux.coefficients[i]
-        total += 0.5 * h * float(np.dot(wt, diff * diff))
+    for h, mean in zip(mesh.element_sizes, means):  # sequential: keeps table digits
+        total += h * mean
     return math.sqrt(total)
 
 

@@ -105,7 +105,7 @@ _CONFIG_KEYS = {
     "levels": int,
     "tol": float,
     "precond": str,
-    "theta": str,
+    "theta": float,
     "kappa": str,
     "max_kappa_n": int,
     "target_n": int,
@@ -135,17 +135,21 @@ def _build_config(args: argparse.Namespace, adaptive: bool) -> ExperimentConfig:
 
     precond = pick(args.precond, "precond", "all")
     preconds = PRECOND_CHOICES if precond == "all" else (precond,)
+    max_steps = 80
+    if adaptive:  # levels count the adaptive steps and win over max_steps
+        flag = args.levels if args.levels is not None else args.max_steps
+        max_steps = pick(flag, "levels", base.get("max_steps", max_steps))
     cfg = ExperimentConfig(
         example=pick(args.example, "example", 1),
         alpha=pick(args.alpha, "alpha", 1.0),
         max_level=pick(args.levels, "levels", 8),
         tol=pick(args.tol, "tol", 1e-8),
         preconds=preconds,
-        theta=float(pick(args.theta, "theta", 0.5)),
+        theta=pick(args.theta, "theta", 0.5),
         kappa_convention=pick(args.kappa, "kappa", "sv"),
         max_kappa_n=pick(args.max_kappa_n, "max_kappa_n", 1024),
         target_n=pick(getattr(args, "target_n", None), "target_n", 278),
-        max_steps=pick(getattr(args, "max_steps", None), "max_steps", 80),
+        max_steps=max_steps,
     )
     cfg.validate(adaptive=adaptive)
     return cfg
@@ -164,41 +168,28 @@ def _dump_level(out: Path, mesh, problem, tag: str) -> None:
     write_matrix_text(out / f"rhs_{tag}.txt", assemble_rhs(mesh, problem))
 
 
-def _write_study(out, cfg, records, meshes, style, table_name, command, dump, problem):
-    (out / f"{table_name}.csv").write_text(records_to_csv(records))
+def _cmd_study(args) -> int:
+    adaptive = args.command == "study-adaptive"
+    cfg = _build_config(args, adaptive=adaptive)
+    out = _out_dir(args)
+    problem, _ = build_problem(cfg)
+    if adaptive:
+        records, meshes = run_adaptive_study(cfg)
+        style, table = "adaptive", "table2"
+    else:
+        records, meshes = run_uniform_study(cfg)
+        style, table = "uniform", "table1"
+    (out / f"{table}.csv").write_text(records_to_csv(records))
     convention = "eig" if cfg.kappa_convention == "eig" else "sv"
-    (out / f"{table_name}.md").write_text(
+    (out / f"{table}.md").write_text(
         records_to_markdown(records, style=style, convention=convention)
     )
-    (out / "meta.txt").write_text(meta_text(cfg, command))
+    (out / "meta.txt").write_text(meta_text(cfg, args.command))
     for rec, m in zip(records, meshes):
         (out / f"mesh_L{rec.level}.txt").write_text(mesh_mod.dumps(m))
-        if dump:
+        if args.dump_matrices:
             _dump_level(out, m, problem, f"L{rec.level}")
-
-
-def _cmd_study_uniform(args) -> int:
-    cfg = _build_config(args, adaptive=False)
-    out = _out_dir(args)
-    problem, _ = build_problem(cfg)
-    records, meshes = run_uniform_study(cfg)
-    _write_study(out, cfg, records, meshes, "uniform", "table1",
-                 "study-uniform", args.dump_matrices, problem)
-    sys.stdout.write(records_to_markdown(records, style="uniform"))
-    return EXIT_OK
-
-
-def _cmd_study_adaptive(args) -> int:
-    cfg = _build_config(args, adaptive=True)
-    if args.levels is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "max_steps": args.levels})
-        cfg.validate(adaptive=True)
-    out = _out_dir(args)
-    problem, _ = build_problem(cfg)
-    records, meshes = run_adaptive_study(cfg)
-    _write_study(out, cfg, records, meshes, "adaptive", "table2",
-                 "study-adaptive", args.dump_matrices, problem)
-    sys.stdout.write(records_to_markdown(records, style="adaptive"))
+    sys.stdout.write(records_to_markdown(records, style=style))
     return EXIT_OK
 
 
@@ -226,11 +217,11 @@ def _cmd_solve(args) -> int:
     out = _out_dir(args)
     result = run_single_solve(cfg, args.level, points)
     tag = f"L{args.level}"
-    (out / f"mesh_{tag}.txt").write_text(mesh_mod.dumps(result.mesh))
+    mesh_text = mesh_mod.dumps(result.mesh)
+    (out / f"mesh_{tag}.txt").write_text(mesh_text)
     flux_lines = [
-        f"{el.side.value} {el.t_begin:.17g} {el.t_end:.17g} "
-        f"{result.flux.coefficients[el.index]:.17g}"
-        for el in result.mesh.elements()
+        f"{line} {w:.17g}"
+        for line, w in zip(mesh_text.splitlines(), result.flux.coefficients.tolist())
     ]
     (out / f"flux_{tag}.txt").write_text("\n".join(flux_lines) + "\n")
     (out / "meta.txt").write_text(meta_text(cfg, "solve"))
@@ -271,8 +262,8 @@ def _cmd_check_invariants(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handlers = {
-        "study-uniform": _cmd_study_uniform,
-        "study-adaptive": _cmd_study_adaptive,
+        "study-uniform": _cmd_study,
+        "study-adaptive": _cmd_study,
         "solve": _cmd_solve,
         "check-invariants": _cmd_check_invariants,
     }

@@ -28,6 +28,7 @@ import numpy as np
 from .kernels import (
     KernelParams,
     QuadratureError,
+    _vectorize_integrand,
     adaptive_quadrature,
     kernel_dx,
     heat_kernel,
@@ -40,7 +41,6 @@ from .mesh import BoundaryMesh
 
 __all__ = [
     "Problem",
-    "QuadratureConfig",
     "DiscreteFlux",
     "OperatorMatrices",
     "assemble_V",
@@ -57,6 +57,12 @@ __all__ = [
     "project_element_means",
     "write_matrix_text",
 ]
+
+# accuracy of the right-hand-side and potential integrals
+QUAD_TOL = 1e-10
+QUAD_ORDER = 8  # first composite Gauss order of the initial-datum moments
+QUAD_MAX_ORDER = 64
+GRADING_DEPTH = 40  # geometric panels toward each interval endpoint
 
 
 @dataclass(frozen=True)
@@ -104,16 +110,6 @@ class Problem:
     def check_mesh(self, mesh: BoundaryMesh) -> None:
         if mesh.interval != (self.a, self.b) or mesh.horizon != self.horizon:
             raise ValueError("mesh geometry does not match the problem data")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy knobs for the right-hand-side and potential integrals."""
-
-    tol: float = 1e-10
-    order: int = 8
-    max_order: int = 64
-    grading_depth: int = 40  # geometric panels toward each interval endpoint
 
 
 @dataclass(frozen=True)
@@ -224,27 +220,13 @@ def assemble_all(mesh: BoundaryMesh, params) -> OperatorMatrices:
 # right-hand side and potential evaluation
 
 
-def _vectorized_handle(f):
-    def fv(xs):
-        xs = np.asarray(xs, dtype=float)
-        try:
-            out = np.asarray(f(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([float(f(x)) for x in np.atleast_1d(xs)], dtype=float)
-
-    return fv
-
-
 @lru_cache(maxsize=32)
-def _graded_breaks(a: float, b: float, depth: int) -> tuple[float, ...]:
+def _graded_breaks(a: float, b: float) -> tuple[float, ...]:
     # geometric grading toward both endpoints: resolves kernel layers of
-    # width down to (b - a) * 2^-depth
+    # width down to (b - a) * 2^-GRADING_DEPTH
     w = b - a
-    left = [a + w * 2.0 ** (-j) for j in range(depth, 0, -1)]
-    right = [b - w * 2.0 ** (-j) for j in range(depth, 0, -1)]
+    left = [a + w * 2.0 ** (-j) for j in range(GRADING_DEPTH, 0, -1)]
+    right = [b - w * 2.0 ** (-j) for j in range(GRADING_DEPTH, 0, -1)]
     pts = np.unique(np.concatenate([[a], left, right, [b]]))
     return tuple(pts.tolist())
 
@@ -260,18 +242,16 @@ def _composite_nodes(breaks: np.ndarray, order: int):
     return ys, ws
 
 
-def _spatial_moments(mesh, problem, quad, primitive):
+def _spatial_moments(mesh, problem, primitive):
     """int_a^b u0(y) [F(x_l - y, t_l2) - F(x_l - y, t_l1)] dy for every element.
 
     The time integral is exact (F is the kernel's time antiderivative); the
     y-integral uses a composite Gauss rule graded toward both endpoints, with
     order doubling until the moments stabilize.
     """
-    u0 = _vectorized_handle(problem.u0)
+    u0 = _vectorize_integrand(problem.u0)
     alpha = problem.alpha
-    breaks = np.asarray(
-        _graded_breaks(problem.a, problem.b, quad.grading_depth)
-    )
+    breaks = np.asarray(_graded_breaks(problem.a, problem.b))
     t1 = mesh.t_begin_all
     t2 = mesh.t_end_all
     x = mesh.x_all
@@ -282,41 +262,38 @@ def _spatial_moments(mesh, problem, quad, primitive):
         win = primitive(d, t2[:, None], alpha) - primitive(d, t1[:, None], alpha)
         return win @ (ws * u0(ys))
 
-    order = quad.order
+    order = QUAD_ORDER
     prev = compute(order)
     while True:
         order *= 2
         cur = compute(order)
         diff = np.abs(cur - prev)
-        if diff.max() <= quad.tol:
+        if diff.max() <= QUAD_TOL:
             return cur
-        if order >= quad.max_order:
+        if order >= QUAD_MAX_ORDER:
             worst = int(np.argmax(diff))
             raise QuadratureError(
                 f"initial-datum moment for element {worst} did not stabilize "
-                f"to {quad.tol:g} (last change {diff[worst]:g})"
+                f"to {QUAD_TOL:g} (last change {diff[worst]:g})"
             )
         prev = cur
 
 
-def initial_dirichlet_moments(mesh, problem, quad=None) -> np.ndarray:
+def initial_dirichlet_moments(mesh, problem) -> np.ndarray:
     """<M0 u0, phi_l>: time-integrated initial heat potential on the boundary."""
     if problem.u0 is None:
         return np.zeros(mesh.n_elements)
-    quad = quad or QuadratureConfig()
-    return _spatial_moments(mesh, problem, quad, primitive_I0)
+    return _spatial_moments(mesh, problem, primitive_I0)
 
 
-def initial_neumann_moments(mesh, problem, quad=None) -> np.ndarray:
+def initial_neumann_moments(mesh, problem) -> np.ndarray:
     """<M1 u0, phi_l>: moments of the normal derivative of the initial potential."""
     if problem.u0 is None:
         return np.zeros(mesh.n_elements)
-    quad = quad or QuadratureConfig()
-    raw = _spatial_moments(mesh, problem, quad, primitive_I1)
-    return mesh.normal_all * raw
+    return mesh.normal_all * _spatial_moments(mesh, problem, primitive_I1)
 
 
-def _g_moments(mesh, problem, quad) -> np.ndarray:
+def _g_moments(mesh, problem) -> np.ndarray:
     """<(I/2 + K) g, phi_l> for a general boundary datum handle."""
     alpha = problem.alpha
     g = problem.g
@@ -328,10 +305,7 @@ def _g_moments(mesh, problem, quad) -> np.ndarray:
     sides = [(problem.a, -1.0), (problem.b, 1.0)]
     for ell in range(mesh.n_elements):
         out[ell] += 0.5 * adaptive_quadrature(
-            lambda t: np.asarray(g(x[ell], t), dtype=float) + 0.0 * np.asarray(t),
-            t1[ell],
-            t2[ell],
-            tol=quad.tol,
+            lambda t: g(x[ell], t), t1[ell], t2[ell], tol=QUAD_TOL
         )
         for y0, ny in sides:
             if y0 == x[ell]:
@@ -346,32 +320,28 @@ def _g_moments(mesh, problem, quad) -> np.ndarray:
                 return np.asarray(g(y0, s), dtype=float) * win
 
             out[ell] += (-ny / alpha) * adaptive_quadrature(
-                integrand, 0.0, t2[ell], tol=quad.tol
+                integrand, 0.0, t2[ell], tol=QUAD_TOL
             )
     return out
 
 
-def assemble_rhs(mesh: BoundaryMesh, problem: Problem, quad=None) -> np.ndarray:
+def assemble_rhs(mesh: BoundaryMesh, problem: Problem) -> np.ndarray:
     """Right-hand side <(I/2 + K) g, phi_l> - <M0 u0, phi_l>."""
     problem.check_mesh(mesh)
-    quad = quad or QuadratureConfig()
     f = np.zeros(mesh.n_elements)
     if problem.g is not None:
-        f += _g_moments(mesh, problem, quad)
+        f += _g_moments(mesh, problem)
     if problem.u0 is not None:
-        f -= initial_dirichlet_moments(mesh, problem, quad)
+        f -= initial_dirichlet_moments(mesh, problem)
     return f
 
 
-def evaluate_interior(
-    x: float, t: float, flux: DiscreteFlux, problem: Problem, quad=None
-) -> float:
+def evaluate_interior(x: float, t: float, flux: DiscreteFlux, problem: Problem) -> float:
     """Representation formula: initial potential + single layer - double layer."""
     if not problem.a < x < problem.b:
         raise ValueError(f"x={x} is not inside ({problem.a}, {problem.b})")
     if not 0.0 < t <= problem.horizon:
         raise ValueError(f"t={t} is not inside (0, {problem.horizon}]")
-    quad = quad or QuadratureConfig()
     mesh = flux.mesh
     alpha = problem.alpha
 
@@ -388,15 +358,15 @@ def evaluate_interior(
 
     initial = 0.0
     if problem.u0 is not None:
-        u0 = _vectorized_handle(problem.u0)
+        u0 = _vectorize_integrand(problem.u0)
 
         def m0_integrand(y):
             return u0(y) * heat_kernel(x - np.asarray(y, dtype=float), t, alpha)
 
         # the kernel peaks at y = x; split there so each panel is one-sided
         initial = adaptive_quadrature(
-            m0_integrand, problem.a, x, tol=quad.tol
-        ) + adaptive_quadrature(m0_integrand, x, problem.b, tol=quad.tol)
+            m0_integrand, problem.a, x, tol=QUAD_TOL
+        ) + adaptive_quadrature(m0_integrand, x, problem.b, tol=QUAD_TOL)
 
     double = 0.0
     if problem.g is not None:
@@ -410,23 +380,22 @@ def evaluate_interior(
 
             # -(1/alpha) int dG/dn_y g = +(n_y/alpha) int dG/dd g
             double += (ny / alpha) * adaptive_quadrature(
-                dl_integrand, 0.0, t, tol=quad.tol
+                dl_integrand, 0.0, t, tol=QUAD_TOL
             )
 
     return initial + single - double
 
 
-def project_element_means(mesh: BoundaryMesh, handle, tol: float = 1e-10) -> np.ndarray:
+def project_element_means(mesh: BoundaryMesh, handle) -> np.ndarray:
     """Element means of a boundary function handle(x, t); used to discretize g."""
     out = np.empty(mesh.n_elements)
     for ell in range(mesh.n_elements):
         h = mesh.element_sizes[ell]
         out[ell] = adaptive_quadrature(
-            lambda t: np.asarray(handle(mesh.x_all[ell], t), dtype=float)
-            + 0.0 * np.asarray(t),
+            lambda t: handle(mesh.x_all[ell], t),
             mesh.t_begin_all[ell],
             mesh.t_end_all[ell],
-            tol=tol * max(h, 1e-3),
+            tol=QUAD_TOL * max(h, 1e-3),
         ) / h
     return out
 
@@ -436,7 +405,6 @@ def second_bie_residual(
     problem: Problem,
     flux: DiscreteFlux,
     matrices: OperatorMatrices | None = None,
-    quad=None,
 ) -> np.ndarray:
     """Galerkin residual of the Neumann-trace identity.
 
@@ -447,16 +415,14 @@ def second_bie_residual(
     problem.check_mesh(mesh)
     if mesh is not flux.mesh:
         raise ValueError("flux does not live on the given mesh")
-    quad = quad or QuadratureConfig()
     if matrices is None:
         matrices = assemble_all(mesh, problem.params)
     w = flux.coefficients
     mass = matrices.mass
     r = 0.5 * mass * w - matrices.K.T @ w
-    r -= initial_neumann_moments(mesh, problem, quad)
+    r -= initial_neumann_moments(mesh, problem)
     if problem.g is not None:
-        g_h = project_element_means(mesh, problem.g, tol=quad.tol)
-        r -= matrices.D @ g_h
+        r -= matrices.D @ project_element_means(mesh, problem.g)
     return r
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Side",
-    "BoundaryElement",
     "BoundaryMesh",
     "uniform_mesh",
     "refine_uniform",
@@ -38,26 +37,6 @@ class Side(Enum):
     @property
     def outward_normal(self) -> float:
         return -1.0 if self is Side.LEFT else 1.0
-
-
-@dataclass(frozen=True)
-class BoundaryElement:
-    """One time segment on one side of the space-time boundary."""
-
-    side: Side
-    t_begin: float
-    t_end: float
-    index: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.t_begin < self.t_end):
-            raise ValueError(
-                f"element needs 0 <= t_begin < t_end, got [{self.t_begin}, {self.t_end}]"
-            )
-
-    @property
-    def size(self) -> float:
-        return self.t_end - self.t_begin
 
 
 def _check_breaks(breaks: np.ndarray, horizon: float, side: str) -> None:
@@ -135,19 +114,6 @@ class BoundaryMesh:
 
     def side_of(self, index: int) -> Side:
         return Side.LEFT if index < self.n_left else Side.RIGHT
-
-    def elements(self) -> list[BoundaryElement]:
-        out = []
-        for i in range(self.n_elements):
-            out.append(
-                BoundaryElement(
-                    side=self.side_of(i),
-                    t_begin=float(self.t_begin_all[i]),
-                    t_end=float(self.t_end_all[i]),
-                    index=i,
-                )
-            )
-        return out
 
 
 def uniform_mesh(
@@ -256,16 +222,15 @@ def quasi_uniformity_constant(mesh: BoundaryMesh) -> float:
 
 def dumps(mesh: BoundaryMesh) -> str:
     """One line per element: ``side t_begin t_end`` with 17 significant digits."""
-    lines = []
-    for el in mesh.elements():
-        lines.append(f"{el.side.value} {el.t_begin:.17g} {el.t_end:.17g}")
+    spans = zip(mesh.t_begin_all.tolist(), mesh.t_end_all.tolist())
+    lines = [
+        f"{mesh.side_of(i).value} {t0:.17g} {t1:.17g}" for i, (t0, t1) in enumerate(spans)
+    ]
     return "\n".join(lines) + "\n"
 
 
-def loads(
-    text: str, interval: tuple[float, float] = (0.0, 1.0), level: int = 0
-) -> BoundaryMesh:
-    """Parse the ``dumps`` format back into a mesh."""
+def loads(text: str, level: int = 0) -> BoundaryMesh:
+    """Parse the ``dumps`` format back into a mesh on the interval (0, 1)."""
     per_side: dict[str, list[tuple[float, float]]] = {"L": [], "R": []}
     for raw in text.splitlines():
         raw = raw.strip()
@@ -288,7 +253,7 @@ def loads(
         horizon = max(horizon, pts[-1])
     return BoundaryMesh(
         horizon=horizon,
-        interval=interval,
+        interval=(0.0, 1.0),
         left_breaks=breaks["L"],
         right_breaks=breaks["R"],
         level=level,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import StudyRecord, condition_number, eoc, l2_error
+from .analysis import L2_GAUSS_ORDER, StudyRecord, condition_number, l2_error
 from .galerkin import (
     DiscreteFlux,
     Problem,
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 PRECOND_CHOICES = ("none", "diag", "calderon")
+# cylinder of every study; the reference series exist only on (0, 1), so
+# another interval would report wrong errors
+HORIZON = 1.0
+INTERVAL = (0.0, 1.0)
 
 
 class ConfigError(ValueError):
@@ -65,8 +69,6 @@ class ExperimentConfig:
 
     example: int = 1
     alpha: float = 1.0
-    horizon: float = 1.0
-    interval: tuple[float, float] = (0.0, 1.0)
     max_level: int = 8
     tol: float = 1e-8
     preconds: tuple[str, ...] = PRECOND_CHOICES
@@ -75,8 +77,6 @@ class ExperimentConfig:
     max_kappa_n: int = 1024
     target_n: int = 278
     max_steps: int = 80
-    gauss_order: int = 8
-    n_max_series: int | None = None
     custom_u0: object = None
 
     def validate(self, adaptive: bool = False) -> None:
@@ -105,22 +105,15 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Problem, SineSeries]:
     """Problem data plus the matching flux reference series."""
     if cfg.custom_u0 is not None:
         u0 = cfg.custom_u0
-        series = expand(u0, n_max=cfg.n_max_series or 200, alpha=cfg.alpha)
+        series = expand(u0, alpha=cfg.alpha)
     elif cfg.example == 1:
         u0 = example1_initial_datum
-        series = example1_series(alpha=cfg.alpha, n_max=cfg.n_max_series or 8)
+        series = example1_series(alpha=cfg.alpha)
     else:
         u0 = example2_initial_datum
-        series = example2_series(alpha=cfg.alpha, n_max=cfg.n_max_series or 2048)
-    problem = Problem(
-        alpha=cfg.alpha,
-        a=cfg.interval[0],
-        b=cfg.interval[1],
-        horizon=cfg.horizon,
-        g=None,
-        u0=u0,
-    )
-    return problem, series
+        series = example2_series(alpha=cfg.alpha)
+    a, b = INTERVAL
+    return Problem(alpha=cfg.alpha, a=a, b=b, horizon=HORIZON, u0=u0), series
 
 
 def _preconditioner(name: str, mats) -> Preconditioner:
@@ -151,7 +144,7 @@ def _level_record(
     f = assemble_rhs(mesh, problem)
     w = direct_solve(mats.V, f)
     flux = DiscreteFlux(coefficients=w, mesh=mesh)
-    err = l2_error(flux, series, gauss_order=cfg.gauss_order)
+    err = l2_error(flux, series)
 
     rec = StudyRecord(level=level, n_elements=mesh.n_elements, l2_error=err)
     if prev_error is not None and prev_error > 0.0 and err > 0.0:
@@ -172,14 +165,8 @@ def _level_record(
         report = gmres(
             mats.V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats)
         )
-        its = report.iterations
-        if name == "none":
-            rec.iters_none = its
-        elif name == "diag":
-            rec.iters_diag = its
-        else:
-            rec.iters_calderon = its
-    return rec, flux, mats
+        setattr(rec, f"iters_{name}", report.iterations)
+    return rec, flux
 
 
 def run_uniform_study(cfg: ExperimentConfig):
@@ -188,10 +175,10 @@ def run_uniform_study(cfg: ExperimentConfig):
     problem, series = build_problem(cfg)
     records: list[StudyRecord] = []
     meshes: list[BoundaryMesh] = []
-    mesh = uniform_mesh(cfg.horizon, 0, cfg.interval)
+    mesh = uniform_mesh(HORIZON, 0, INTERVAL)
     prev_err = None
     for level in range(cfg.max_level + 1):
-        rec, _, _ = _level_record(mesh, problem, series, cfg, level, prev_err)
+        rec, _ = _level_record(mesh, problem, series, cfg, level, prev_err)
         records.append(rec)
         meshes.append(mesh)
         prev_err = rec.l2_error
@@ -206,25 +193,13 @@ def two_level_indicator(
     """Hierarchical indicator: per-element L2 distance to the bisected solve.
 
     eta_l^2 = (h_l/2) * sum over the two children of (w_fine - w_l)^2.
+    refine_uniform puts the children of element l at 2l and 2l + 1.
     """
     fine = refine_uniform(mesh)
-    mats_f = assemble_all(fine, problem.params)
-    f_f = assemble_rhs(fine, problem)
-    w_f = direct_solve(mats_f.V, f_f)
-
-    nl = mesh.n_left
-    eta = np.empty(mesh.n_elements)
-    for i in range(mesh.n_elements):
-        if i < nl:
-            c1 = 2 * i
-        else:
-            c1 = 2 * nl + 2 * (i - nl)
-        half = 0.5 * mesh.element_sizes[i]
-        w_i = flux.coefficients[i]
-        eta[i] = np.sqrt(
-            half * ((w_f[c1] - w_i) ** 2 + (w_f[c1 + 1] - w_i) ** 2)
-        )
-    return eta
+    w_f = direct_solve(assemble_all(fine, problem.params).V, assemble_rhs(fine, problem))
+    w = flux.coefficients
+    half = 0.5 * mesh.element_sizes
+    return np.sqrt(half * ((w_f[0::2] - w) ** 2 + (w_f[1::2] - w) ** 2))
 
 
 def run_adaptive_study(cfg: ExperimentConfig):
@@ -239,11 +214,11 @@ def run_adaptive_study(cfg: ExperimentConfig):
     problem, series = build_problem(cfg)
     records: list[StudyRecord] = []
     meshes: list[BoundaryMesh] = []
-    mesh = uniform_mesh(cfg.horizon, 0, cfg.interval)
+    mesh = uniform_mesh(HORIZON, 0, INTERVAL)
     prev_err = None
     stagnation = 0
     for step in range(cfg.max_steps + 1):
-        rec, flux, _ = _level_record(mesh, problem, series, cfg, step, prev_err)
+        rec, flux = _level_record(mesh, problem, series, cfg, step, prev_err)
         records.append(rec)
         meshes.append(mesh)
         if prev_err is not None:
@@ -284,7 +259,7 @@ def run_single_solve(
             raise ConfigError(
                 f"point ({x}, {t}) lies outside the space-time cylinder"
             )
-    mesh = uniform_mesh(cfg.horizon, level, cfg.interval)
+    mesh = uniform_mesh(HORIZON, level, INTERVAL)
     mats = assemble_all(mesh, problem.params)
     f = assemble_rhs(mesh, problem)
     report = gmres(
@@ -308,20 +283,20 @@ def run_single_solve(
 # ---------------------------------------------------------------------------
 # table emission
 
-_CSV_COLUMNS = [
-    ("L", lambda r: r.level),
-    ("N", lambda r: r.n_elements),
-    ("l2_error", lambda r: r.l2_error),
-    ("eoc", lambda r: r.eoc),
-    ("kappa_V_sv", lambda r: r.kappa_V),
-    ("kappa_V_eig", lambda r: r.kappa_V_eig),
-    ("kappa_diag_sv", lambda r: r.kappa_diag_prec),
-    ("kappa_diag_eig", lambda r: r.kappa_diag_prec_eig),
-    ("kappa_calderon_sv", lambda r: r.kappa_calderon_prec),
-    ("kappa_calderon_eig", lambda r: r.kappa_calderon_prec_eig),
-    ("it_none", lambda r: r.iters_none),
-    ("it_diag", lambda r: r.iters_diag),
-    ("it_calderon", lambda r: r.iters_calderon),
+_CSV_COLUMNS = [  # (column, StudyRecord attribute)
+    ("L", "level"),
+    ("N", "n_elements"),
+    ("l2_error", "l2_error"),
+    ("eoc", "eoc"),
+    ("kappa_V_sv", "kappa_V"),
+    ("kappa_V_eig", "kappa_V_eig"),
+    ("kappa_diag_sv", "kappa_diag_prec"),
+    ("kappa_diag_eig", "kappa_diag_prec_eig"),
+    ("kappa_calderon_sv", "kappa_calderon_prec"),
+    ("kappa_calderon_eig", "kappa_calderon_prec_eig"),
+    ("it_none", "iters_none"),
+    ("it_diag", "iters_diag"),
+    ("it_calderon", "iters_calderon"),
 ]
 
 
@@ -336,7 +311,7 @@ def _fmt(value) -> str:
 def records_to_csv(records) -> str:
     lines = [",".join(name for name, _ in _CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(_fmt(get(rec)) for _, get in _CSV_COLUMNS))
+        lines.append(",".join(_fmt(getattr(rec, attr)) for _, attr in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -363,17 +338,7 @@ def _md_num(value, digits=3) -> str:
 
 def records_to_markdown(records, style: str = "uniform", convention: str = "sv") -> str:
     """Human-readable table mirroring the reference column layout."""
-    kv = (lambda r: r.kappa_V) if convention == "sv" else (lambda r: r.kappa_V_eig)
-    kd = (
-        (lambda r: r.kappa_diag_prec)
-        if convention == "sv"
-        else (lambda r: r.kappa_diag_prec_eig)
-    )
-    kc = (
-        (lambda r: r.kappa_calderon_prec)
-        if convention == "sv"
-        else (lambda r: r.kappa_calderon_prec_eig)
-    )
+    sfx = "" if convention == "sv" else "_eig"
     if style == "uniform":
         headers = ["L", "N", "||w-w_h||_L2", "eoc", "kappa(V_h)", "It.", "kappa(C_V^-1 V_h)", "It."]
         rows = [
@@ -382,9 +347,9 @@ def records_to_markdown(records, style: str = "uniform", convention: str = "sv")
                 str(r.n_elements),
                 _md_num(r.l2_error),
                 _md_num(r.eoc),
-                _md_num(kv(r)),
+                _md_num(getattr(r, "kappa_V" + sfx)),
                 _md_num(r.iters_none),
-                _md_num(kc(r)),
+                _md_num(getattr(r, "kappa_calderon_prec" + sfx)),
                 _md_num(r.iters_calderon),
             ]
             for r in records
@@ -401,11 +366,11 @@ def records_to_markdown(records, style: str = "uniform", convention: str = "sv")
                 str(r.level),
                 str(r.n_elements),
                 _md_num(r.l2_error),
-                _md_num(kv(r), 2),
+                _md_num(getattr(r, "kappa_V" + sfx), 2),
                 _md_num(r.iters_none),
-                _md_num(kd(r), 3),
+                _md_num(getattr(r, "kappa_diag_prec" + sfx), 3),
                 _md_num(r.iters_diag),
-                _md_num(kc(r), 3),
+                _md_num(getattr(r, "kappa_calderon_prec" + sfx), 3),
                 _md_num(r.iters_calderon),
             ]
             for r in records
@@ -421,8 +386,8 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
         f"command={command}",
         f"example={cfg.example}",
         f"alpha={cfg.alpha:.17g}",
-        f"horizon={cfg.horizon:.17g}",
-        f"interval={cfg.interval[0]:.17g},{cfg.interval[1]:.17g}",
+        f"horizon={HORIZON:.17g}",
+        f"interval={INTERVAL[0]:.17g},{INTERVAL[1]:.17g}",
         f"max_level={cfg.max_level}",
         f"tol={cfg.tol:.17g}",
         f"preconds={','.join(cfg.preconds)}",
@@ -430,7 +395,7 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
         f"kappa_convention={cfg.kappa_convention}",
         f"max_kappa_n={cfg.max_kappa_n}",
         f"target_n={cfg.target_n}",
-        f"gauss_order={cfg.gauss_order}",
+        f"gauss_order={L2_GAUSS_ORDER}",
         "",
         "# assumptions",
         "# alpha defaults to 1; the smooth-example flux then decays like exp(-4 pi^2 t)",

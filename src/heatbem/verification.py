@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import adaptive_quadrature, heat_kernel, kernel_dt, kernel_dx
+from .analysis import element_means, ellipticity_margin
+from .galerkin import Problem, assemble_all, assemble_rhs
+from .kernels import adaptive_quadrature, heat_kernel, kernel_dt, kernel_dx, primitive_J0
 from .krylov import Preconditioner, direct_solve, gmres
 from .mesh import BoundaryMesh, quasi_uniformity_constant, refine_adaptive, uniform_mesh
+from .reference import example1_initial_datum
 
 __all__ = [
     "overlap_weight",
@@ -115,19 +118,11 @@ def rhs_moment_oracle(mesh: BoundaryMesh, index: int, problem, tol=1e-9) -> floa
     return -adaptive_quadrature(outer, problem.a, problem.b, tol=tol)
 
 
-def best_approximation(mesh: BoundaryMesh, reference, gauss_order: int = 30):
+def best_approximation(mesh: BoundaryMesh, reference):
     """Element means of the reference flux: the L2(Sigma)-projection onto S_h^0."""
-    from .mesh import Side
-
-    xi, wt = np.polynomial.legendre.leggauss(gauss_order)
-    out = np.empty(mesh.n_elements)
-    nl = mesh.n_left
-    for i in range(mesh.n_elements):
-        side = Side.LEFT if i < nl else Side.RIGHT
-        h = mesh.element_sizes[i]
-        ts = mesh.t_begin_all[i] + 0.5 * (xi + 1.0) * h
-        out[i] = 0.5 * float(np.dot(wt, reference.flux(side, ts)))
-    return out
+    return element_means(
+        mesh, lambda i, ts: reference.flux(mesh.side_of(i), ts), gauss_order=30
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +135,6 @@ def _check(name, ok, detail=""):
 
 def run_invariant_battery(rng_seed: int = 1234) -> list[dict]:
     """Cheap cross-checks of the whole pipeline; returns one record per check."""
-    from .analysis import ellipticity_margin
-    from .galerkin import Problem, assemble_all, assemble_rhs
-    from .kernels import kernel_dt as kdt, kernel_dx as kdx, primitive_J0
-    from .reference import example1_initial_datum
-
     rng = np.random.default_rng(rng_seed)
     results = []
 
@@ -171,8 +161,8 @@ def run_invariant_battery(rng_seed: int = 1234) -> list[dict]:
         tau = rng.uniform(0.05, 2.0)
         alpha = rng.uniform(0.5, 3.0)
         h = 1e-5
-        dd = (kdx(d + h, tau, alpha) - kdx(d - h, tau, alpha)) / (2 * h)
-        ref = alpha * kdt(d, tau, alpha)
+        dd = (kernel_dx(d + h, tau, alpha) - kernel_dx(d - h, tau, alpha)) / (2 * h)
+        ref = alpha * kernel_dt(d, tau, alpha)
         worst = max(worst, abs(dd - ref) / max(abs(ref), 1e-30))
     results.append(_check("heat identity (finite differences)", worst < 1e-6, f"rel {worst:.2e}"))
 

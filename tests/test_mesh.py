@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatbem.mesh import (
-    BoundaryElement,
     BoundaryMesh,
     Side,
     dumps,
@@ -23,20 +22,13 @@ def test_side_normals():
     assert Side.RIGHT.outward_normal == 1.0
 
 
-def test_element_validation():
-    with pytest.raises(ValueError):
-        BoundaryElement(Side.LEFT, 0.5, 0.5, 0)
-    with pytest.raises(ValueError):
-        BoundaryElement(Side.LEFT, -0.1, 0.5, 0)
-
-
 class TestUniformMesh:
     def test_level0(self):
         m = uniform_mesh(1.0, 0)
         assert m.n_elements == 2
-        els = m.elements()
-        assert els[0].side is Side.LEFT and (els[0].t_begin, els[0].t_end) == (0.0, 1.0)
-        assert els[1].side is Side.RIGHT and (els[1].t_begin, els[1].t_end) == (0.0, 1.0)
+        assert [m.side_of(i) for i in range(2)] == [Side.LEFT, Side.RIGHT]
+        np.testing.assert_array_equal(m.t_begin_all, [0.0, 0.0])
+        np.testing.assert_array_equal(m.t_end_all, [1.0, 1.0])
 
     def test_level5(self):
         m = uniform_mesh(1.0, 5)
@@ -70,6 +62,17 @@ class TestRefinement:
         direct = uniform_mesh(1.0, 2)
         np.testing.assert_array_equal(twice.left_breaks, direct.left_breaks)
         np.testing.assert_array_equal(twice.right_breaks, direct.right_breaks)
+
+    def test_uniform_children_at_2i_and_2i_plus_1(self):
+        m = refine_adaptive(uniform_mesh(1.0, 1), [1.0, 0.0, 0.0, 0.0])
+        assert (m.n_left, m.n_right) == (3, 2)
+        fine = refine_uniform(m)
+        for i in range(m.n_elements):
+            first, second = 2 * i, 2 * i + 1
+            assert fine.side_of(first) is m.side_of(i) is fine.side_of(second)
+            assert fine.t_begin_all[first] == m.t_begin_all[i]
+            assert fine.t_end_all[first] == fine.t_begin_all[second]
+            assert fine.t_end_all[second] == m.t_end_all[i]
 
     def test_adaptive_single_marked(self):
         m = uniform_mesh(1.0, 1)  # N = 4
@@ -119,11 +122,11 @@ class TestRefinement:
 class TestIndexing:
     def test_left_block_then_right_block(self):
         m = uniform_mesh(1.0, 1)
-        els = m.elements()
-        assert [e.index for e in els] == [0, 1, 2, 3]
-        assert [e.side for e in els] == [Side.LEFT, Side.LEFT, Side.RIGHT, Side.RIGHT]
-        assert els[0].t_begin < els[1].t_begin
-        assert els[2].t_begin < els[3].t_begin
+        sides = [Side.LEFT, Side.LEFT, Side.RIGHT, Side.RIGHT]
+        assert [m.side_of(i) for i in range(m.n_elements)] == sides
+        np.testing.assert_array_equal(m.t_begin_all, [0.0, 0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(m.t_end_all, [0.5, 1.0, 0.5, 1.0])
+        assert dumps(m).splitlines() == ["L 0 0.5", "L 0.5 1", "R 0 0.5", "R 0.5 1"]
 
     def test_arrays_consistent(self):
         m = refine_adaptive(uniform_mesh(1.0, 1), [5.0, 0.0, 0.0, 1.0], theta=0.1)

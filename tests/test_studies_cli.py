@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from heatbem.cli import main
+from heatbem.galerkin import DiscreteFlux, assemble_all, assemble_rhs
+from heatbem.krylov import direct_solve
+from heatbem.mesh import refine_adaptive, refine_uniform, uniform_mesh
 from heatbem.studies import (
     ConfigError,
     ExperimentConfig,
+    build_problem,
     records_to_csv,
     records_to_markdown,
     run_adaptive_study,
     run_single_solve,
     run_uniform_study,
+    two_level_indicator,
 )
 
 FAST_UNIFORM = ExperimentConfig(example=1, max_level=2, kappa_convention="both")
@@ -96,6 +101,36 @@ class TestAdaptiveStudy:
         records, meshes = adaptive_small
         for rec, mesh in zip(records, meshes):
             assert rec.n_elements == mesh.n_elements
+
+
+class TestIndicator:
+    def test_matches_definition_on_unequal_sides(self):
+        problem, _ = build_problem(ExperimentConfig(example=2))
+        mesh = refine_adaptive(uniform_mesh(1.0, 1), [1.0, 0.0, 0.0, 0.0])
+        assert (mesh.n_left, mesh.n_right) == (3, 2)
+
+        def solve(m):
+            return direct_solve(assemble_all(m, problem.params).V, assemble_rhs(m, problem))
+
+        w = solve(mesh)
+        eta = two_level_indicator(mesh, problem, DiscreteFlux(w, mesh))
+
+        # eta_l^2 = (h_l / 2) * sum over the children of (w_fine - w_l)^2, with
+        # the children found by geometry rather than by index
+        fine = refine_uniform(mesh)
+        w_fine = solve(fine)
+        expected = np.empty(mesh.n_elements)
+        for i in range(mesh.n_elements):
+            children = [
+                k for k in range(fine.n_elements)
+                if fine.side_of(k) is mesh.side_of(i)
+                and mesh.t_begin_all[i] <= fine.t_begin_all[k] < mesh.t_end_all[i]
+            ]
+            assert len(children) == 2
+            sq = sum((w_fine[k] - w[i]) ** 2 for k in children)
+            expected[i] = np.sqrt(0.5 * mesh.element_sizes[i] * sq)
+        assert np.all(expected > 0.0)
+        np.testing.assert_allclose(eta, expected, rtol=1e-13, atol=0.0)
 
 
 class TestEmission:
@@ -233,6 +268,29 @@ class TestCli:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("solver=mumps\n")
         code = main(["study-uniform", "--config", str(cfgfile)])
+        assert code == 2
+
+    def test_config_theta_not_a_number_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("theta=abc\n")
+        code = main(["study-adaptive", "--config", str(cfgfile), "--out", str(tmp_path / "t")])
+        assert code == 2
+
+    def test_config_levels_counts_adaptive_steps(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("example=2\nlevels=2\n")
+        out = tmp_path / "steps"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["study-adaptive", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 0
+        body = (out / "table2.csv").read_text().splitlines()
+        assert len(body) == 1 + 3  # header + steps 0, 1, 2
+
+    def test_config_levels_above_step_cap_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("levels=300\n")
+        code = main(["study-adaptive", "--config", str(cfgfile), "--out", str(tmp_path / "c")])
         assert code == 2
 
     def test_check_invariants_passes(self, capsys):
