@@ -12,6 +12,13 @@ where F2 is the second antiderivative.  Causality makes every combination with
 nonpositive lag vanish, so entries with q <= r (test element entirely before
 the trial element) are exactly zero.
 
+Assembly works on a breakpoint table: the two sides' breakpoints merge into
+one sorted array B (at most N + 2 values), every corner lag is B_i - B_j,
+causal exactly when i > j, and d is 0 or +-(b - a).  The exp/erfc factors of
+each |d| are evaluated once per causal lag and give T[i, j] = F2(d, B_i - B_j);
+a side block is the second difference of T on its sides' breakpoints.
+``OperatorMatrices`` assembles each of V, K and D on first read only.
+
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
 formula test pins the remaining signs end to end.
@@ -21,21 +28,23 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .kernels import (
     KernelParams,
     QuadratureError,
+    _causal_terms,
+    _i0,
+    _j0,
+    _j1,
     _vectorize_integrand,
     adaptive_quadrature,
     kernel_dx,
     heat_kernel,
     primitive_I0,
     primitive_I1,
-    primitive_J0,
-    primitive_J1,
 )
 from .mesh import BoundaryMesh
 
@@ -127,78 +136,90 @@ class DiscreteFlux:
             raise ValueError("coefficient count must match the mesh")
 
 
-@dataclass(frozen=True)
 class OperatorMatrices:
-    """Dense Galerkin matrices plus the diagonal mass matrix (as a vector)."""
+    """Dense V, K and D of one mesh, each assembled on first read, and the mass diagonal."""
 
-    V: np.ndarray
-    K: np.ndarray
-    D: np.ndarray
-    mass: np.ndarray
-    mesh: BoundaryMesh
+    def __init__(self, mesh: BoundaryMesh, params):
+        self.mesh = mesh
+        self.alpha = KernelParams(float(getattr(params, "alpha", params))).alpha
+        self.mass = assemble_mass(mesh)
 
+    @cached_property
+    def _lags(self):
+        mesh = self.mesh
+        breaks = np.union1d(mesh.left_breaks, mesh.right_breaks)
+        lag = breaks[:, None] - breaks[None, :]
+        causal = lag > 0.0  # i > j: breaks are strictly increasing
+        tau = lag[causal]
+        (a, b), n = mesh.interval, mesh.n_left
+        # the exp/erfc factors of both distances, shared by V, K and D
+        terms = {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
+        # per side: element rows, breakpoint indices into breaks, x, outward normal
+        sides = ((slice(0, n), np.searchsorted(breaks, mesh.left_breaks), a, -1.0),
+                 (slice(n, None), np.searchsorted(breaks, mesh.right_breaks), b, 1.0))
+        return causal, tau, terms, sides
 
-def _alpha_of(params) -> float:
-    if isinstance(params, KernelParams):
-        return params.alpha
-    return KernelParams(alpha=float(params)).alpha
+    def _corner_sums(self, formula, op, factor, odd=False) -> np.ndarray:
+        """Corner sums of every side block, then block = op(block, factor(n_row, n_col))."""
+        causal, tau, terms, sides = self._lags
+        out = np.zeros((self.mesh.n_elements,) * 2)
+        tables = {}
+        for rows, row_idx, x_row, n_row in sides:
+            for cols, col_idx, x_col, n_col in sides:
+                d = x_row - x_col
+                if odd and d == 0.0:  # an odd primitive vanishes within a side
+                    continue
+                key = d if odd else abs(d)  # an even one shares the table of d and -d
+                if key not in tables:
+                    tables[key] = np.zeros(causal.shape)
+                    tables[key][causal] = formula(key, tau, self.alpha, *terms[abs(d)])
+                g = tables[key][np.ix_(row_idx, col_idx)]
+                block = out[rows, cols]
+                np.subtract(g[1:, :-1], g[1:, 1:], out=block)
+                block -= g[:-1, :-1]
+                block += g[:-1, 1:]
+                op(block, factor(n_row, n_col), out=block)
+        return out
 
+    @cached_property
+    def V(self) -> np.ndarray:
+        """Single layer: (1/alpha) double integral of the heat kernel."""
+        return self._corner_sums(_j0, np.divide, lambda nr, nc: self.alpha)
 
-def _corner_lags(mesh: BoundaryMesh):
-    t1 = mesh.t_begin_all
-    t2 = mesh.t_end_all
-    return (
-        t2[:, None] - t1[None, :],
-        t2[:, None] - t2[None, :],
-        t1[:, None] - t1[None, :],
-        t1[:, None] - t2[None, :],
-    )
+    @cached_property
+    def K(self) -> np.ndarray:
+        """Double layer with kernel (1/alpha) d/dn_y G(x - y, t - s).
 
+        The kernel is odd in d, so same-side entries vanish identically; only
+        the cross-side blocks are populated.  d/dn_y G = -n_y dG/dd.
+        """
+        return self._corner_sums(_j1, np.multiply, lambda nr, nc: -nc / self.alpha, odd=True)
 
-def _corner_sum(primitive, dmat, lags, alpha):
-    qr, qs, pr, ps = lags
-    return (
-        primitive(dmat, qr, alpha)
-        - primitive(dmat, qs, alpha)
-        - primitive(dmat, pr, alpha)
-        + primitive(dmat, ps, alpha)
-    )
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Hypersingular matrix via the exact temporal collapse.
+
+        The kernel n_x n_y d2G/dd2 / alpha equals n_x n_y dG/dtau, whose double
+        time integral telescopes to first-antiderivative differences; this
+        realizes the finite-part value without any numerical regularization.
+        The global sign makes the symmetric part positive definite.
+        """
+        return self._corner_sums(_i0, np.multiply, lambda nr, nc: nr * nc)
 
 
 def assemble_V(mesh: BoundaryMesh, params) -> np.ndarray:
-    """Single layer matrix: (1/alpha) double integral of the heat kernel."""
-    alpha = _alpha_of(params)
-    dmat = mesh.x_all[:, None] - mesh.x_all[None, :]
-    return _corner_sum(primitive_J0, dmat, _corner_lags(mesh), alpha) / alpha
+    """Single layer matrix, ``OperatorMatrices.V``."""
+    return OperatorMatrices(mesh, params).V
 
 
 def assemble_K(mesh: BoundaryMesh, params) -> np.ndarray:
-    """Double layer matrix with kernel (1/alpha) d/dn_y G(x - y, t - s).
-
-    The kernel is odd in d, so same-side entries vanish identically; only the
-    cross-side blocks are populated.  d/dn_y G = -n_y dG/dd.
-    """
-    alpha = _alpha_of(params)
-    x = mesh.x_all
-    dmat = x[:, None] - x[None, :]
-    raw = _corner_sum(primitive_J1, dmat, _corner_lags(mesh), alpha)
-    K = (-mesh.normal_all[None, :] / alpha) * raw
-    cross = x[:, None] != x[None, :]
-    return np.where(cross, K, 0.0)
+    """Double layer matrix, ``OperatorMatrices.K``."""
+    return OperatorMatrices(mesh, params).K
 
 
 def assemble_D(mesh: BoundaryMesh, params) -> np.ndarray:
-    """Hypersingular matrix via the exact temporal collapse.
-
-    The kernel n_x n_y d2G/dd2 / alpha equals n_x n_y dG/dtau, whose double
-    time integral telescopes to first-antiderivative differences; this
-    realizes the finite-part value without any numerical regularization.  The
-    global sign is the one that makes the symmetric part positive definite.
-    """
-    alpha = _alpha_of(params)
-    dmat = mesh.x_all[:, None] - mesh.x_all[None, :]
-    raw = _corner_sum(primitive_I0, dmat, _corner_lags(mesh), alpha)
-    return np.outer(mesh.normal_all, mesh.normal_all) * raw
+    """Hypersingular matrix, ``OperatorMatrices.D``."""
+    return OperatorMatrices(mesh, params).D
 
 
 def assemble_mass(mesh: BoundaryMesh) -> np.ndarray:
@@ -207,13 +228,8 @@ def assemble_mass(mesh: BoundaryMesh) -> np.ndarray:
 
 
 def assemble_all(mesh: BoundaryMesh, params) -> OperatorMatrices:
-    return OperatorMatrices(
-        V=assemble_V(mesh, params),
-        K=assemble_K(mesh, params),
-        D=assemble_D(mesh, params),
-        mass=assemble_mass(mesh),
-        mesh=mesh,
-    )
+    """V, K and D of the mesh, each assembled when first read."""
+    return OperatorMatrices(mesh, params)
 
 
 # ---------------------------------------------------------------------------

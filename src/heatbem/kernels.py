@@ -114,6 +114,41 @@ def kernel_dt(d, tau, alpha=1.0):
     return _scalar_like(np.where(pos, val, 0.0), d, tau)
 
 
+def _causal_terms(d, t, alpha):
+    """sqrt(alpha t/pi), exp(-alpha d^2/(4t)), erfc(sqrt(alpha)|d|/(2 sqrt t)) at lags t > 0.
+
+    The Galerkin assembler evaluates these once per lag and derives I0, J0 and
+    J1 with the same ``_i0``/``_j0``/``_j1`` as the primitives: both agree bitwise.
+    """
+    return (
+        np.sqrt(alpha * t / np.pi),
+        np.exp(-alpha * d * d / (4.0 * t)),
+        erfc(np.sqrt(alpha) * np.abs(d) / (2.0 * np.sqrt(t))),
+    )
+
+
+def _i0(d, t, alpha, root, gauss, tail):
+    return root * gauss - (alpha * np.abs(d) / 2.0) * tail
+
+
+def _j0(d, t, alpha, root, gauss, tail):
+    add2 = alpha * d * d
+    near = root * (2.0 * t / 3.0 + add2 / 6.0) * gauss
+    return near - (alpha * np.abs(d) / 2.0) * (t + add2 / 6.0) * tail
+
+
+def _j1(d, t, alpha, root, gauss, tail):
+    near = (alpha ** 1.5 * np.abs(d) / (2.0 * SQRT_PI)) * np.sqrt(t) * gauss
+    return np.sign(d) * (near - (alpha / 2.0) * (t + alpha * d * d / 2.0) * tail)
+
+
+def _causal_primitive(formula, d, tau, alpha):
+    d = np.asarray(d, dtype=float)
+    pos, t = _split_causal(tau)
+    val = formula(d, t, alpha, *_causal_terms(d, t, alpha))
+    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+
+
 def primitive_I0(d, tau, alpha=1.0):
     """First time primitive int_0^tau G(d, s) ds.
 
@@ -122,13 +157,7 @@ def primitive_I0(d, tau, alpha=1.0):
           - (alpha |d| / 2) erfc(sqrt(alpha) |d| / (2 sqrt(tau)))
     Nonnegative, increasing in tau, and 0 for tau <= 0.
     """
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    ad = np.abs(d)
-    val = np.sqrt(alpha * t / np.pi) * np.exp(-alpha * d * d / (4.0 * t)) - (
-        alpha * ad / 2.0
-    ) * erfc(np.sqrt(alpha) * ad / (2.0 * np.sqrt(t)))
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    return _causal_primitive(_i0, d, tau, alpha)
 
 
 def primitive_J0(d, tau, alpha=1.0):
@@ -139,16 +168,7 @@ def primitive_J0(d, tau, alpha=1.0):
           - (alpha |d|/2) (tau + alpha d^2/6) erfc(sqrt(alpha)|d|/(2 sqrt(tau)))
     For d = 0 this reduces to (2/3) sqrt(alpha/pi) tau^{3/2}.
     """
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    ad = np.abs(d)
-    add2 = alpha * d * d
-    val = np.sqrt(alpha * t / np.pi) * (2.0 * t / 3.0 + add2 / 6.0) * np.exp(
-        -add2 / (4.0 * t)
-    ) - (alpha * ad / 2.0) * (t + add2 / 6.0) * erfc(
-        np.sqrt(alpha) * ad / (2.0 * np.sqrt(t))
-    )
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    return _causal_primitive(_j0, d, tau, alpha)
 
 
 def primitive_I1(d, tau, alpha=1.0):
@@ -173,18 +193,7 @@ def primitive_J1(d, tau, alpha=1.0):
         (alpha^{3/2} d / (2 sqrt(pi))) sqrt(tau) exp(-alpha d^2/(4 tau))
           - (alpha/2) (tau + alpha d^2/2) erfc(sqrt(alpha) d / (2 sqrt(tau)))
     """
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    ad = np.abs(d)
-    val = np.sign(d) * (
-        (alpha ** 1.5 * ad / (2.0 * SQRT_PI))
-        * np.sqrt(t)
-        * np.exp(-alpha * d * d / (4.0 * t))
-        - (alpha / 2.0) * (t + alpha * d * d / 2.0) * erfc(
-            np.sqrt(alpha) * ad / (2.0 * np.sqrt(t))
-        )
-    )
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    return _causal_primitive(_j1, d, tau, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import L2_GAUSS_ORDER, StudyRecord, condition_number, l2_error
+from .analysis import L2_GAUSS_ORDER, StudyRecord, condition_number, eoc, l2_error
 from .galerkin import (
     DiscreteFlux,
     Problem,
@@ -147,8 +147,8 @@ def _level_record(
     err = l2_error(flux, series)
 
     rec = StudyRecord(level=level, n_elements=mesh.n_elements, l2_error=err)
-    if prev_error is not None and prev_error > 0.0 and err > 0.0:
-        rec.eoc = float(np.log2(prev_error / err))
+    if prev_error is not None:
+        rec.eoc = eoc([prev_error, err])[0]
 
     n = mesh.n_elements
     if n <= cfg.max_kappa_n:
@@ -403,6 +403,8 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
         "#   residual ||b - A x|| / ||b|| <= tol (preconditioner independent)",
         "# kappa columns: sv = singular-value ratio, eig = eigenvalue-modulus",
         "#   ratio of the explicitly formed (preconditioned) matrix",
+        "# kappa_*_eig is rounding noise on uniform meshes, where V and C^-1 V are highly",
+        "#   defective 2x2-block Toeplitz (L = 5: 1.737, 1.741 after a 1e-15 perturbation)",
         "# error column: direct (LU) flux, element-wise Gauss quadrature",
     ]
     return "\n".join(lines) + "\n"

@@ -21,9 +21,9 @@ from heatbem.galerkin import (
     second_bie_residual,
     write_matrix_text,
 )
-from heatbem.kernels import KernelParams, primitive_I0
+from heatbem.kernels import KernelParams, primitive_I0, primitive_J0, primitive_J1
 from heatbem.krylov import direct_solve
-from heatbem.mesh import BoundaryMesh, uniform_mesh
+from heatbem.mesh import BoundaryMesh, refine_adaptive, uniform_mesh
 from heatbem.reference import example1_initial_datum
 from heatbem.verification import entry_oracle, rhs_moment_oracle
 
@@ -38,6 +38,37 @@ def nonuniform_mesh():
         left_breaks=np.array([0.0, 0.125, 0.25, 0.625, 1.0]),
         right_breaks=np.array([0.0, 0.5, 0.75, 1.0]),
     )
+
+
+def graded_mesh(h_min, interval=(0.0, 1.0)):
+    """refine_adaptive toward t = 0 on the left side and t = 0.3 on the right."""
+    mesh = uniform_mesh(1.0, 1, interval)
+    while mesh.h_min > h_min:
+        mid = 0.5 * (mesh.t_begin_all + mesh.t_end_all)
+        focus = np.where(mesh.x_all == interval[0], 0.0, 0.3)
+        h = mesh.element_sizes
+        mesh = refine_adaptive(mesh, h / (np.abs(mid - focus) + h))
+    return mesh
+
+
+def reference_matrices(mesh, alpha):
+    """V, K and D from four N x N corner-lag matrices, one primitive pass each."""
+    t1, t2 = mesh.t_begin_all, mesh.t_end_all
+    x, n = mesh.x_all, mesh.normal_all
+    dmat = x[:, None] - x[None, :]
+
+    def corner_sum(primitive):
+        return (
+            primitive(dmat, t2[:, None] - t1[None, :], alpha)
+            - primitive(dmat, t2[:, None] - t2[None, :], alpha)
+            - primitive(dmat, t1[:, None] - t1[None, :], alpha)
+            + primitive(dmat, t1[:, None] - t2[None, :], alpha)
+        )
+
+    V = corner_sum(primitive_J0) / alpha
+    K = np.where(x[:, None] != x[None, :], (-n[None, :] / alpha) * corner_sum(primitive_J1), 0.0)
+    D = np.outer(n, n) * corner_sum(primitive_I0)
+    return {"V": V, "K": K, "D": D}
 
 
 class TestMass:
@@ -196,6 +227,32 @@ class TestEllipticity:
         mats = assemble_all(nonuniform_mesh(), PARAMS)
         assert ellipticity_margin(mats.V) > 0.0
         assert ellipticity_margin(mats.D) > 0.0
+
+
+class TestBreakpointTable:
+    MESHES = {
+        **{f"uniform_L{lv}": (lambda lv=lv: uniform_mesh(1.0, lv)) for lv in range(9)},
+        "unequal_sides": nonuniform_mesh,
+        "adaptive_2^-19": lambda: graded_mesh(2.0 ** -19),
+        "interval_-0.5_1.5": lambda: graded_mesh(2.0 ** -6, (-0.5, 1.5)),
+    }
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 2.0 * math.pi ** 2])
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_bitwise_equal_to_corner_lag_assembly(self, name, alpha):
+        mesh = self.MESHES[name]()
+        mats = assemble_all(mesh, KernelParams(alpha))
+        for kind, ref in reference_matrices(mesh, alpha).items():
+            got = getattr(mats, kind)
+            assert np.array_equal(got, ref), kind
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), kind
+
+    def test_same_side_blocks_of_K_are_exact_zeros(self):
+        mesh = graded_mesh(2.0 ** -8)
+        K = assemble_K(mesh, PARAMS)
+        nl = mesh.n_left
+        for block in (K[:nl, :nl], K[nl:, nl:]):
+            assert np.all(block == 0.0) and not np.any(np.signbit(block))
 
 
 class TestRhs:

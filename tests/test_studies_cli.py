@@ -5,8 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from heatbem import galerkin, studies
 from heatbem.cli import main
-from heatbem.galerkin import DiscreteFlux, assemble_all, assemble_rhs
+from heatbem.galerkin import (
+    DiscreteFlux,
+    assemble_all,
+    assemble_K,
+    assemble_rhs,
+    second_bie_residual,
+)
 from heatbem.krylov import direct_solve
 from heatbem.mesh import refine_adaptive, refine_uniform, uniform_mesh
 from heatbem.studies import (
@@ -131,6 +138,35 @@ class TestIndicator:
             expected[i] = np.sqrt(0.5 * mesh.element_sizes[i] * sq)
         assert np.all(expected > 0.0)
         np.testing.assert_allclose(eta, expected, rtol=1e-13, atol=0.0)
+
+
+class TestLazyAssembly:
+    def test_study_paths_build_only_the_blocks_they_read(self, monkeypatch):
+        built = []
+
+        def recording(mesh, params):
+            built.append(galerkin.assemble_all(mesh, params))
+            return built[-1]
+
+        monkeypatch.setattr(studies, "assemble_all", recording)
+        cfg = ExperimentConfig(example=2)
+        problem, series = build_problem(cfg)
+        mesh = refine_adaptive(uniform_mesh(1.0, 2), [1.0] + [0.0] * 7)
+        rec, flux = studies._level_record(mesh, problem, series, cfg, 0, None)
+        two_level_indicator(mesh, problem, flux)
+
+        # functools.cached_property stores a block in the instance dict when built
+        level, fine = built
+        assert fine.mesh.n_elements == 2 * mesh.n_elements
+        assert {"V", "D"} <= set(vars(level)) and "K" not in vars(level)
+        assert "V" in vars(fine) and not {"K", "D"} & set(vars(fine))
+
+        # K read on demand is the eagerly assembled one, and feeds the residual
+        np.testing.assert_array_equal(level.K, assemble_K(mesh, problem.params))
+        np.testing.assert_array_equal(
+            second_bie_residual(mesh, problem, flux, level),
+            second_bie_residual(mesh, problem, flux),
+        )
 
 
 class TestEmission:
