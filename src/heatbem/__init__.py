@@ -22,7 +22,6 @@ from .galerkin import (
     second_bie_residual,
 )
 from .kernels import (
-    KernelParams,
     QuadratureError,
     adaptive_quadrature,
     erfc,

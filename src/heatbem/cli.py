@@ -162,7 +162,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _dump_level(out: Path, mesh, problem, tag: str) -> None:
-    mats = assemble_all(mesh, problem.params)
+    mats = assemble_all(mesh, problem.alpha)
     write_matrix_text(out / f"V_{tag}.txt", mats.V)
     write_matrix_text(out / f"D_{tag}.txt", mats.D)
     write_matrix_text(out / f"rhs_{tag}.txt", assemble_rhs(mesh, problem))

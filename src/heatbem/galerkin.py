@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernels import (
-    KernelParams,
     QuadratureError,
     _causal_terms,
     _i0,
@@ -112,10 +111,6 @@ class Problem:
                     stacklevel=3,
                 )
 
-    @property
-    def params(self) -> KernelParams:
-        return KernelParams(alpha=self.alpha)
-
     def check_mesh(self, mesh: BoundaryMesh) -> None:
         if mesh.interval != (self.a, self.b) or mesh.horizon != self.horizon:
             raise ValueError("mesh geometry does not match the problem data")
@@ -139,9 +134,11 @@ class DiscreteFlux:
 class OperatorMatrices:
     """Dense V, K and D of one mesh, each assembled on first read, and the mass diagonal."""
 
-    def __init__(self, mesh: BoundaryMesh, params):
+    def __init__(self, mesh: BoundaryMesh, alpha: float):
+        if not alpha > 0.0:
+            raise ValueError(f"heat capacity must be positive, got {alpha}")
         self.mesh = mesh
-        self.alpha = KernelParams(float(getattr(params, "alpha", params))).alpha
+        self.alpha = float(alpha)
         self.mass = assemble_mass(mesh)
 
     @cached_property
@@ -207,19 +204,19 @@ class OperatorMatrices:
         return self._corner_sums(_i0, np.multiply, lambda nr, nc: nr * nc)
 
 
-def assemble_V(mesh: BoundaryMesh, params) -> np.ndarray:
+def assemble_V(mesh: BoundaryMesh, alpha: float) -> np.ndarray:
     """Single layer matrix, ``OperatorMatrices.V``."""
-    return OperatorMatrices(mesh, params).V
+    return OperatorMatrices(mesh, alpha).V
 
 
-def assemble_K(mesh: BoundaryMesh, params) -> np.ndarray:
+def assemble_K(mesh: BoundaryMesh, alpha: float) -> np.ndarray:
     """Double layer matrix, ``OperatorMatrices.K``."""
-    return OperatorMatrices(mesh, params).K
+    return OperatorMatrices(mesh, alpha).K
 
 
-def assemble_D(mesh: BoundaryMesh, params) -> np.ndarray:
+def assemble_D(mesh: BoundaryMesh, alpha: float) -> np.ndarray:
     """Hypersingular matrix, ``OperatorMatrices.D``."""
-    return OperatorMatrices(mesh, params).D
+    return OperatorMatrices(mesh, alpha).D
 
 
 def assemble_mass(mesh: BoundaryMesh) -> np.ndarray:
@@ -227,9 +224,9 @@ def assemble_mass(mesh: BoundaryMesh) -> np.ndarray:
     return mesh.element_sizes.copy()
 
 
-def assemble_all(mesh: BoundaryMesh, params) -> OperatorMatrices:
+def assemble_all(mesh: BoundaryMesh, alpha: float) -> OperatorMatrices:
     """V, K and D of the mesh, each assembled when first read."""
-    return OperatorMatrices(mesh, params)
+    return OperatorMatrices(mesh, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +429,7 @@ def second_bie_residual(
     if mesh is not flux.mesh:
         raise ValueError("flux does not live on the given mesh")
     if matrices is None:
-        matrices = assemble_all(mesh, problem.params)
+        matrices = assemble_all(mesh, problem.alpha)
     w = flux.coefficients
     mass = matrices.mass
     r = 0.5 * mass * w - matrices.K.T @ w

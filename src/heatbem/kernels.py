@@ -21,13 +21,11 @@ All functions broadcast over numpy arrays and return floats for scalar input.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc as _erfc_ufunc
 
 __all__ = [
-    "KernelParams",
     "QuadratureError",
     "erfc",
     "heat_kernel",
@@ -45,17 +43,6 @@ SQRT_PI = float(np.sqrt(np.pi))
 # exp() underflows around 1e-308; anything this small is noise in an assembly
 # dominated by O(h^{1/2}) entries, flush it so masked branches stay exact zeros
 _FLUSH = 1e-300
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Heat capacity constant; the only physical parameter of the kernel."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"heat capacity must be positive, got {self.alpha}")
 
 
 class QuadratureError(RuntimeError):
@@ -131,6 +118,10 @@ def _i0(d, t, alpha, root, gauss, tail):
     return root * gauss - (alpha * np.abs(d) / 2.0) * tail
 
 
+def _i1(d, t, alpha, root, gauss, tail):
+    return -np.sign(d) * (alpha / 2.0) * tail
+
+
 def _j0(d, t, alpha, root, gauss, tail):
     add2 = alpha * d * d
     near = root * (2.0 * t / 3.0 + add2 / 6.0) * gauss
@@ -178,12 +169,7 @@ def primitive_I1(d, tau, alpha=1.0):
     time growth here: -+ alpha/2 erfc(0)); the symmetrized value 0 is returned,
     consistent with its only use on cross-side element pairs where d != 0.
     """
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    val = -np.sign(d) * (alpha / 2.0) * erfc(
-        np.sqrt(alpha) * np.abs(d) / (2.0 * np.sqrt(t))
-    )
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    return _causal_primitive(_i1, d, tau, alpha)
 
 
 def primitive_J1(d, tau, alpha=1.0):

@@ -11,6 +11,7 @@ arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Right preconditioner P^{-1} in one of three flavours.
+    """Right preconditioner: ``apply`` maps r to P^{-1} r, ``kind`` names the flavour.
 
     identity:  P^{-1} r = r
     diagonal:  P^{-1} r = r / diag          (diag strictly positive)
@@ -39,20 +40,18 @@ class Preconditioner:
     """
 
     kind: str
-    diag: np.ndarray | None = None
-    hyper: np.ndarray | None = None
-    mass_diag: np.ndarray | None = None
+    apply: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def identity(cls) -> "Preconditioner":
-        return cls(kind="identity")
+        return cls("identity", lambda r: np.asarray(r, dtype=float))
 
     @classmethod
     def diagonal(cls, diag) -> "Preconditioner":
         diag = np.asarray(diag, dtype=float)
         if np.any(diag <= 0.0):
             raise NumericalError("diagonal preconditioner needs strictly positive entries")
-        return cls(kind="diagonal", diag=diag)
+        return cls("diagonal", lambda r: r / diag)
 
     @classmethod
     def calderon(cls, mass_diag, hyper) -> "Preconditioner":
@@ -63,26 +62,7 @@ class Preconditioner:
             raise NumericalError("hypersingular matrix shape does not match the mass diagonal")
         if np.any(mass_diag == 0.0):
             raise NumericalError("mass diagonal must be invertible")
-        return cls(kind="calderon", hyper=hyper, mass_diag=mass_diag)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(r, dtype=float)
-        if self.kind == "diagonal":
-            return r / self.diag
-        if self.kind == "calderon":
-            return (self.hyper @ (r / self.mass_diag)) / self.mass_diag
-        raise NumericalError(f"unknown preconditioner kind {self.kind!r}")
-
-    def explicit(self, n: int) -> np.ndarray:
-        """Dense P^{-1}, for forming the preconditioned operator explicitly."""
-        if self.kind == "identity":
-            return np.eye(n)
-        if self.kind == "diagonal":
-            return np.diag(1.0 / self.diag)
-        if self.kind == "calderon":
-            return self.hyper / np.outer(self.mass_diag, self.mass_diag)
-        raise NumericalError(f"unknown preconditioner kind {self.kind!r}")
+        return cls("calderon", lambda r: (hyper @ (r / mass_diag)) / mass_diag)
 
 
 @dataclass

@@ -31,7 +31,6 @@ from .reference import (
     example1_series,
     example2_initial_datum,
     example2_series,
-    expand,
 )
 
 __all__ = [
@@ -77,11 +76,10 @@ class ExperimentConfig:
     max_kappa_n: int = 1024
     target_n: int = 278
     max_steps: int = 80
-    custom_u0: object = None
 
     def validate(self, adaptive: bool = False) -> None:
-        if self.example not in (1, 2) and self.custom_u0 is None:
-            raise ConfigError("example must be 1 or 2 unless a custom u0 is given")
+        if self.example not in (1, 2):
+            raise ConfigError("example must be 1 or 2")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol must lie in (0, 1)")
         if not 0.0 < self.theta <= 1.0:
@@ -103,10 +101,7 @@ class ExperimentConfig:
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Problem, SineSeries]:
     """Problem data plus the matching flux reference series."""
-    if cfg.custom_u0 is not None:
-        u0 = cfg.custom_u0
-        series = expand(u0, alpha=cfg.alpha)
-    elif cfg.example == 1:
+    if cfg.example == 1:
         u0 = example1_initial_datum
         series = example1_series(alpha=cfg.alpha)
     else:
@@ -140,7 +135,7 @@ def _level_record(
     level: int,
     prev_error: float | None,
 ):
-    mats = assemble_all(mesh, problem.params)
+    mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
     w = direct_solve(mats.V, f)
     flux = DiscreteFlux(coefficients=w, mesh=mesh)
@@ -158,7 +153,7 @@ def _level_record(
             tilde = mats.V / np.diag(mats.V)[:, None]
             rec.kappa_diag_prec, rec.kappa_diag_prec_eig = _kappa_pair(tilde, conv)
         if "calderon" in cfg.preconds:
-            cv = Preconditioner.calderon(mats.mass, mats.D).explicit(n) @ mats.V
+            cv = mats.D / np.outer(mats.mass, mats.mass) @ mats.V  # M^-1 D M^-1 V
             rec.kappa_calderon_prec, rec.kappa_calderon_prec_eig = _kappa_pair(cv, conv)
 
     for name in cfg.preconds:
@@ -196,7 +191,7 @@ def two_level_indicator(
     refine_uniform puts the children of element l at 2l and 2l + 1.
     """
     fine = refine_uniform(mesh)
-    w_f = direct_solve(assemble_all(fine, problem.params).V, assemble_rhs(fine, problem))
+    w_f = direct_solve(assemble_all(fine, problem.alpha).V, assemble_rhs(fine, problem))
     w = flux.coefficients
     half = 0.5 * mesh.element_sizes
     return np.sqrt(half * ((w_f[0::2] - w) ** 2 + (w_f[1::2] - w) ** 2))
@@ -260,7 +255,7 @@ def run_single_solve(
                 f"point ({x}, {t}) lies outside the space-time cylinder"
             )
     mesh = uniform_mesh(HORIZON, level, INTERVAL)
-    mats = assemble_all(mesh, problem.params)
+    mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
     report = gmres(
         mats.V, f, tol=cfg.tol, preconditioner=Preconditioner.calderon(mats.mass, mats.D)
@@ -328,7 +323,7 @@ def _md_table(headers, rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _md_num(value, digits=3) -> str:
+def _md_num(value, digits: int) -> str:
     if value is None:
         return "-"
     if isinstance(value, (int, np.integer)):
@@ -336,48 +331,34 @@ def _md_num(value, digits=3) -> str:
     return f"{float(value):.{digits}f}"
 
 
+# per style: (header, StudyRecord attribute, digits); kappa attributes take
+# the convention's suffix
+_MD_COLUMNS = {
+    "uniform": [
+        ("L", "level", 3), ("N", "n_elements", 3), ("||w-w_h||_L2", "l2_error", 3),
+        ("eoc", "eoc", 3), ("kappa(V_h)", "kappa_V", 3), ("It.", "iters_none", 3),
+        ("kappa(C_V^-1 V_h)", "kappa_calderon_prec", 3), ("It.", "iters_calderon", 3),
+    ],
+    "adaptive": [
+        ("L", "level", 3), ("N", "n_elements", 3), ("||w-w_h||_L2", "l2_error", 3),
+        ("kappa(V_h)", "kappa_V", 2), ("It.", "iters_none", 3),
+        ("kappa(diag^-1 V_h)", "kappa_diag_prec", 3), ("It.", "iters_diag", 3),
+        ("kappa(C_V^-1 V_h)", "kappa_calderon_prec", 3), ("It.", "iters_calderon", 3),
+    ],
+}
+
+
 def records_to_markdown(records, style: str = "uniform", convention: str = "sv") -> str:
     """Human-readable table mirroring the reference column layout."""
-    sfx = "" if convention == "sv" else "_eig"
-    if style == "uniform":
-        headers = ["L", "N", "||w-w_h||_L2", "eoc", "kappa(V_h)", "It.", "kappa(C_V^-1 V_h)", "It."]
-        rows = [
-            [
-                str(r.level),
-                str(r.n_elements),
-                _md_num(r.l2_error),
-                _md_num(r.eoc),
-                _md_num(getattr(r, "kappa_V" + sfx)),
-                _md_num(r.iters_none),
-                _md_num(getattr(r, "kappa_calderon_prec" + sfx)),
-                _md_num(r.iters_calderon),
-            ]
-            for r in records
-        ]
-    elif style == "adaptive":
-        headers = [
-            "L", "N", "||w-w_h||_L2",
-            "kappa(V_h)", "It.",
-            "kappa(diag^-1 V_h)", "It.",
-            "kappa(C_V^-1 V_h)", "It.",
-        ]
-        rows = [
-            [
-                str(r.level),
-                str(r.n_elements),
-                _md_num(r.l2_error),
-                _md_num(getattr(r, "kappa_V" + sfx), 2),
-                _md_num(r.iters_none),
-                _md_num(getattr(r, "kappa_diag_prec" + sfx), 3),
-                _md_num(r.iters_diag),
-                _md_num(getattr(r, "kappa_calderon_prec" + sfx), 3),
-                _md_num(r.iters_calderon),
-            ]
-            for r in records
-        ]
-    else:
+    if style not in _MD_COLUMNS:
         raise ValueError(f"unknown table style {style!r}")
-    return _md_table(headers, rows)
+    sfx = "" if convention == "sv" else "_eig"
+    columns = [
+        (header, attr + sfx if attr.startswith("kappa") else attr, digits)
+        for header, attr, digits in _MD_COLUMNS[style]
+    ]
+    rows = [[_md_num(getattr(r, attr), digits) for _, attr, digits in columns] for r in records]
+    return _md_table([header for header, _, _ in columns], rows)
 
 
 def meta_text(cfg: ExperimentConfig, command: str) -> str:

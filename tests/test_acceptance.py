@@ -53,7 +53,6 @@ import warnings
 import numpy as np
 import pytest
 
-from heatbem.analysis import ellipticity_margin
 from heatbem.galerkin import (
     DiscreteFlux,
     Problem,
@@ -63,20 +62,18 @@ from heatbem.galerkin import (
     mass_weighted_norm,
     second_bie_residual,
 )
-from heatbem.kernels import (
-    KernelParams,
-    adaptive_quadrature,
-    heat_kernel,
-    kernel_dt,
-    kernel_dx,
-    primitive_I0,
-    primitive_J0,
-)
+from heatbem.kernels import heat_kernel, primitive_I0
 from heatbem.krylov import direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, uniform_mesh
 from heatbem.reference import example1_initial_datum, example1_series
 from heatbem.studies import ExperimentConfig, run_adaptive_study, run_uniform_study
-from heatbem.verification import entry_oracle
+from heatbem.verification import (
+    entry_defect,
+    heat_identity_defect,
+    min_ellipticity_margin,
+    primitive_quadrature_defect,
+    singular_pair,
+)
 
 # Table targets (uniform study): level -> (error, kappa_V, it_none, kappa_CV, it_cald)
 TABLE1_ERROR = {2: 0.658, 3: 0.324, 4: 0.160, 5: 0.079, 6: 0.040, 7: 0.020, 8: 0.010}
@@ -267,35 +264,27 @@ def _oracle_sample_meshes():
 def test_criterion_5_oracle_equivalence():
     """>= 100 sampled entries of V, K, D match the independent quadrature
     oracle: 1e-8 absolute, 1e-10 for temporally separated pairs."""
-    params = KernelParams(1.0)
     rng = np.random.default_rng(99)
     meshes = _oracle_sample_meshes()
     checked = 0
     worst_any = 0.0
     worst_sep = 0.0
-    ok = True
     for mesh in meshes:
-        mats = assemble_all(mesh, params)
-        got = {"V": mats.V, "K": mats.K, "D": mats.D}
-        t1, t2, x = mesh.t_begin_all, mesh.t_end_all, mesh.x_all
-        per_mesh = 0
-        while per_mesh < 7:
+        mats = assemble_all(mesh, 1.0)
+        t1, t2 = mesh.t_begin_all, mesh.t_end_all
+        separated, overlapping = [], []
+        for _ in range(7):
             i = int(rng.integers(0, mesh.n_elements))
             j = int(rng.integers(0, mesh.n_elements))
-            separated = t1[i] >= t2[j] or t1[j] >= t2[i]
-            for kind in ("V", "K", "D"):
-                if kind == "D" and x[i] == x[j] and not separated:
-                    continue  # no brute-force value for the singular pair
-                ref = entry_oracle(kind, mesh, i, j, params, tol=1e-12)
-                dev = abs(got[kind][i, j] - ref)
-                checked += 1
-                if separated:
-                    worst_sep = max(worst_sep, dev)
-                    ok = ok and dev <= 1e-10
-                else:
-                    worst_any = max(worst_any, dev)
-                    ok = ok and dev <= 1e-8
-            per_mesh += 1
+            group = separated if t1[i] >= t2[j] or t1[j] >= t2[i] else overlapping
+            group += [
+                (kind, i, j) for kind in ("V", "K", "D")
+                if not (kind == "D" and singular_pair(mesh, i, j))
+            ]
+        checked += len(separated) + len(overlapping)
+        worst_sep = max(worst_sep, entry_defect(mats, separated, tol=1e-12))
+        worst_any = max(worst_any, entry_defect(mats, overlapping, tol=1e-12))
+    ok = worst_sep <= 1e-10 and worst_any <= 1e-8
     detail = (
         f"{checked} entries across {len(meshes)} meshes; worst separated "
         f"{worst_sep:.2e} (tol 1e-10), worst overlapping {worst_any:.2e} (tol 1e-8)"
@@ -306,14 +295,10 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_ellipticity_suite(uniform_study, adaptive_study):
     """Symmetric parts of V and D are positive definite on every study mesh."""
-    params = KernelParams(1.0)
-    worst = np.inf
-    count = 0
-    for mesh in list(uniform_study[1]) + list(adaptive_study[1]):
-        mats = assemble_all(mesh, params)
-        worst = min(worst, ellipticity_margin(mats.V), ellipticity_margin(mats.D))
-        count += 1
-    _report(6, worst > 0.0, f"smallest symmetric-part eigenvalue {worst:.3e} over {count} meshes")
+    meshes = list(uniform_study[1]) + list(adaptive_study[1])
+    worst = min_ellipticity_margin(meshes, 1.0)
+    detail = f"smallest symmetric-part eigenvalue {worst:.3e} over {len(meshes)} meshes"
+    _report(6, worst > 0.0, detail)
 
 
 def test_criterion_7_interior_representation():
@@ -326,7 +311,7 @@ def test_criterion_7_interior_representation():
     levels = list(range(3, 9))
     for level in levels:
         mesh = uniform_mesh(1.0, level)
-        mats = assemble_all(mesh, prob.params)
+        mats = assemble_all(mesh, prob.alpha)
         w = direct_solve(mats.V, assemble_rhs(mesh, prob))
         flux = DiscreteFlux(w, mesh)
         for pt in points:
@@ -352,44 +337,22 @@ def test_criterion_8_kernel_primitive_suite():
     """Closed forms vs quadrature (1e-10 separated, 1e-8 on-axis) plus the
     time-derivative and heat-equation identities at 1e-6 relative."""
     rng = np.random.default_rng(31415)
-    ok = True
-    worst_sep = 0.0
-    for _ in range(50):
-        d = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-        tau = rng.uniform(0.05, 2.0)
-        alpha = rng.uniform(0.3, 3.0)
-        q_i = adaptive_quadrature(lambda s: heat_kernel(d, s, alpha), 0.0, tau, tol=1e-12)
-        q_j = adaptive_quadrature(
-            lambda s: (tau - s) * heat_kernel(d, s, alpha), 0.0, tau, tol=1e-12
-        )
-        dev = max(
-            abs(q_i - primitive_I0(d, tau, alpha)), abs(q_j - primitive_J0(d, tau, alpha))
-        )
-        worst_sep = max(worst_sep, dev)
-        ok = ok and dev <= 1e-10
-    worst_axis = 0.0
-    for _ in range(10):
-        tau = rng.uniform(0.05, 2.0)
-        q_i = adaptive_quadrature(lambda s: heat_kernel(0.0, s, 1.0), 0.0, tau, tol=1e-9)
-        dev = abs(q_i - primitive_I0(0.0, tau, 1.0))
-        worst_axis = max(worst_axis, dev)
-        ok = ok and dev <= 1e-8
+    separated = np.transpose([
+        (rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]), rng.uniform(0.05, 2.0),
+         rng.uniform(0.3, 3.0))
+        for _ in range(50)
+    ])
+    worst_sep = max(primitive_quadrature_defect(*separated, order=k) for k in (0, 1))
+    tau_axis = rng.uniform(0.05, 2.0, size=10)
+    worst_axis = primitive_quadrature_defect(0.0, tau_axis, 1.0, order=0, tol=1e-9)
 
-    worst_dt = 0.0
-    worst_heat = 0.0
-    for _ in range(20):
-        d = rng.uniform(-2.0, 2.0)
-        tau = rng.uniform(0.05, 2.0)
-        alpha = rng.uniform(0.3, 3.0)
-        h = 1e-6 * tau
-        fd = (primitive_I0(d, tau + h, alpha) - primitive_I0(d, tau - h, alpha)) / (2 * h)
-        ref = heat_kernel(d, tau, alpha)
-        worst_dt = max(worst_dt, abs(fd - ref) / max(abs(ref), 1e-30))
-        hh = 1e-5
-        dd = (kernel_dx(d + hh, tau, alpha) - kernel_dx(d - hh, tau, alpha)) / (2 * hh)
-        ref2 = alpha * kernel_dt(d, tau, alpha)
-        worst_heat = max(worst_heat, abs(dd - ref2) / max(abs(ref2), 1e-30))
-    ok = ok and worst_dt <= 1e-6 and worst_heat <= 1e-6
+    d, tau, alpha = rng.uniform([-2.0, 0.05, 0.3], [2.0, 2.0, 3.0], size=(20, 3)).T
+    h = 1e-6 * tau
+    fd = (primitive_I0(d, tau + h, alpha) - primitive_I0(d, tau - h, alpha)) / (2 * h)
+    ref = heat_kernel(d, tau, alpha)
+    worst_dt = float(np.max(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-30)))
+    worst_heat = heat_identity_defect(d, tau, alpha)
+    ok = worst_sep <= 1e-10 and worst_axis <= 1e-8 and worst_dt <= 1e-6 and worst_heat <= 1e-6
     detail = (
         f"I0/J0 vs quadrature: separated {worst_sep:.2e}, on-axis {worst_axis:.2e}; "
         f"d tau-consistency {worst_dt:.2e}; heat identity {worst_heat:.2e}"
@@ -404,7 +367,7 @@ def test_criterion_9_second_bie_decay():
     norms = []
     for level in range(3, 8):
         mesh = uniform_mesh(1.0, level)
-        mats = assemble_all(mesh, prob.params)
+        mats = assemble_all(mesh, prob.alpha)
         w = direct_solve(mats.V, assemble_rhs(mesh, prob))
         r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
         norms.append(mass_weighted_norm(mesh, r))

@@ -114,10 +114,9 @@ class TestUniformRefinementTrends:
         # strict growth over the dyadic family; the one-off L=11 value is
         # 133.5 (> 100) but a 4096^2 SVD is too slow for the default suite
         from heatbem.galerkin import assemble_V
-        from heatbem.kernels import KernelParams
 
         kappas = [
-            condition_number(assemble_V(uniform_mesh(1.0, L), KernelParams(1.0)))
+            condition_number(assemble_V(uniform_mesh(1.0, L), 1.0))
             for L in range(1, 6)
         ]
         assert all(b > a for a, b in zip(kappas, kappas[1:]))
@@ -134,7 +133,7 @@ class TestUniformRefinementTrends:
         errors = []
         for level in (5, 6, 7, 8):
             mesh = uniform_mesh(1.0, level)
-            w = direct_solve(assemble_V(mesh, prob.params), assemble_rhs(mesh, prob))
+            w = direct_solve(assemble_V(mesh, prob.alpha), assemble_rhs(mesh, prob))
             errors.append(l2_error(DiscreteFlux(w, mesh), ref))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine / coarse == pytest.approx(0.5, abs=0.05)

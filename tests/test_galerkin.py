@@ -8,6 +8,7 @@ import pytest
 from heatbem.analysis import ellipticity_margin
 from heatbem.galerkin import (
     DiscreteFlux,
+    OperatorMatrices,
     Problem,
     assemble_all,
     assemble_D,
@@ -21,13 +22,18 @@ from heatbem.galerkin import (
     second_bie_residual,
     write_matrix_text,
 )
-from heatbem.kernels import KernelParams, primitive_I0, primitive_J0, primitive_J1
+from heatbem.kernels import primitive_I0, primitive_J0, primitive_J1
 from heatbem.krylov import direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, uniform_mesh
 from heatbem.reference import example1_initial_datum
-from heatbem.verification import entry_oracle, rhs_moment_oracle
+from heatbem.verification import (
+    entry_defect,
+    min_ellipticity_margin,
+    rhs_moment_oracle,
+    singular_pair,
+)
 
-PARAMS = KernelParams(1.0)
+ALPHA = 1.0
 RNG = np.random.default_rng(7)
 
 
@@ -88,7 +94,7 @@ class TestMass:
 
 class TestSingleLayer:
     def test_diagonal_level0(self):
-        V = assemble_V(uniform_mesh(1.0, 0), PARAMS)
+        V = assemble_V(uniform_mesh(1.0, 0), ALPHA)
         expected = 2.0 / (3.0 * math.sqrt(math.pi))
         assert V[0, 0] == pytest.approx(expected, rel=1e-14)
         assert V[1, 1] == pytest.approx(expected, rel=1e-14)
@@ -97,7 +103,7 @@ class TestSingleLayer:
         # entry is exactly zero whenever the test element ends before the
         # trial element starts, regardless of sides
         mesh = uniform_mesh(1.0, 2)
-        V = assemble_V(mesh, PARAMS)
+        V = assemble_V(mesh, ALPHA)
         t1, t2 = mesh.t_begin_all, mesh.t_end_all
         for i in range(mesh.n_elements):
             for j in range(mesh.n_elements):
@@ -105,44 +111,39 @@ class TestSingleLayer:
                     assert V[i, j] == 0.0
 
     def test_entries_nonnegative(self):
-        V = assemble_V(nonuniform_mesh(), PARAMS)
+        V = assemble_V(nonuniform_mesh(), ALPHA)
         assert np.all(V >= 0.0)
         assert np.all(np.isfinite(V))
 
     def test_side_swap_symmetry(self):
         # permuting the two identical side blocks leaves V invariant
         mesh = uniform_mesh(1.0, 2)
-        V = assemble_V(mesh, PARAMS)
+        V = assemble_V(mesh, ALPHA)
         n = mesh.n_left
         perm = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
         np.testing.assert_array_equal(V, V[np.ix_(perm, perm)])
 
     def test_diagonal_scaling(self):
         # same-element diagonal scales like h^{3/2}
-        diags = [assemble_V(uniform_mesh(1.0, L), PARAMS)[0, 0] for L in (2, 3, 4)]
+        diags = [assemble_V(uniform_mesh(1.0, L), ALPHA)[0, 0] for L in (2, 3, 4)]
         for coarse, fine in zip(diags, diags[1:]):
             assert coarse / fine == pytest.approx(2.0 ** 1.5, rel=1e-12)
 
     def test_alpha_dependence_matches_oracle(self):
-        params = KernelParams(2.5)
-        mesh = uniform_mesh(1.0, 1)
-        V = assemble_V(mesh, params)
-        for i, j in ((0, 0), (1, 0), (2, 1)):
-            assert V[i, j] == pytest.approx(
-                entry_oracle("V", mesh, i, j, params), abs=1e-11
-            )
+        mats = assemble_all(uniform_mesh(1.0, 1), 2.5)
+        assert entry_defect(mats, [("V", 0, 0), ("V", 1, 0), ("V", 2, 1)]) <= 1e-11
 
 
 class TestDoubleLayer:
     def test_same_side_zero(self):
-        K = assemble_K(uniform_mesh(1.0, 2), PARAMS)
+        K = assemble_K(uniform_mesh(1.0, 2), ALPHA)
         n = 4
         assert np.all(K[:n, :n] == 0.0)
         assert np.all(K[n:, n:] == 0.0)
 
     def test_causal_zero(self):
         mesh = uniform_mesh(1.0, 2)
-        K = assemble_K(mesh, PARAMS)
+        K = assemble_K(mesh, ALPHA)
         t1, t2 = mesh.t_begin_all, mesh.t_end_all
         for i in range(mesh.n_elements):
             for j in range(mesh.n_elements):
@@ -151,29 +152,25 @@ class TestDoubleLayer:
 
     def test_cross_entry_frozen(self):
         # frozen from a nested 2D adaptive-quadrature oracle
-        K = assemble_K(uniform_mesh(1.0, 0), PARAMS)
+        K = assemble_K(uniform_mesh(1.0, 0), ALPHA)
         assert K[0, 1] == pytest.approx(-0.13992944690635392, rel=1e-12)
         assert K[1, 0] == pytest.approx(-0.13992944690635392, rel=1e-12)
 
     def test_cross_entries_vs_oracle(self):
-        mesh = nonuniform_mesh()
-        K = assemble_K(mesh, PARAMS)
-        nl = mesh.n_left
-        for i in range(nl):
-            for j in range(nl, mesh.n_elements):
-                assert K[i, j] == pytest.approx(
-                    entry_oracle("K", mesh, i, j, PARAMS), abs=1e-10
-                )
+        mats = assemble_all(nonuniform_mesh(), ALPHA)
+        nl, n = mats.mesh.n_left, mats.mesh.n_elements
+        entries = [("K", i, j) for i in range(nl) for j in range(nl, n)]
+        assert entry_defect(mats, entries) <= 1e-10
 
 
 class TestHypersingular:
     def test_diagonal_level0(self):
-        D = assemble_D(uniform_mesh(1.0, 0), PARAMS)
+        D = assemble_D(uniform_mesh(1.0, 0), ALPHA)
         assert D[0, 0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
     def test_diagonal_is_I0_of_element_size(self):
         mesh = nonuniform_mesh()
-        D = assemble_D(mesh, PARAMS)
+        D = assemble_D(mesh, ALPHA)
         for i in range(mesh.n_elements):
             assert D[i, i] == pytest.approx(
                 primitive_I0(0.0, mesh.element_sizes[i], 1.0), rel=1e-13
@@ -181,7 +178,7 @@ class TestHypersingular:
 
     def test_causal_zero(self):
         mesh = uniform_mesh(1.0, 2)
-        D = assemble_D(mesh, PARAMS)
+        D = assemble_D(mesh, ALPHA)
         t1, t2 = mesh.t_begin_all, mesh.t_end_all
         for i in range(mesh.n_elements):
             for j in range(mesh.n_elements):
@@ -189,44 +186,33 @@ class TestHypersingular:
                     assert D[i, j] == 0.0
 
     def test_separated_pairs_vs_oracle(self):
-        mesh = uniform_mesh(1.0, 2)
-        D = assemble_D(mesh, PARAMS)
-        t1, t2 = mesh.t_begin_all, mesh.t_end_all
-        x = mesh.x_all
-        checked = 0
-        for i in range(mesh.n_elements):
-            for j in range(mesh.n_elements):
-                separated = t1[i] >= t2[j] or t1[j] >= t2[i]
-                if x[i] == x[j] and not separated:
-                    continue  # hypersingular pair, no brute-force value
-                val = entry_oracle("D", mesh, i, j, PARAMS)
-                assert D[i, j] == pytest.approx(val, abs=1e-10)
-                checked += 1
-        assert checked > 20
+        mats = assemble_all(uniform_mesh(1.0, 2), ALPHA)
+        n = mats.mesh.n_elements
+        entries = [
+            ("D", i, j) for i in range(n) for j in range(n)
+            if not singular_pair(mats.mesh, i, j)  # no brute-force value there
+        ]
+        assert len(entries) > 20
+        assert entry_defect(mats, entries) <= 1e-10
 
     def test_diagonal_scaling(self):
         # same-element diagonal scales like h^{1/2}
-        diags = [assemble_D(uniform_mesh(1.0, L), PARAMS)[0, 0] for L in (2, 3, 4)]
+        diags = [assemble_D(uniform_mesh(1.0, L), ALPHA)[0, 0] for L in (2, 3, 4)]
         for coarse, fine in zip(diags, diags[1:]):
             assert coarse / fine == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 class TestEllipticity:
     def test_margins_positive_small_meshes(self):
-        for level in range(0, 5):
-            mats = assemble_all(uniform_mesh(1.0, level), PARAMS)
-            assert ellipticity_margin(mats.V) > 0.0
-            assert ellipticity_margin(mats.D) > 0.0
+        assert min_ellipticity_margin([uniform_mesh(1.0, lv) for lv in range(5)], ALPHA) > 0.0
 
     def test_level0_frozen_margins(self):
-        mats = assemble_all(uniform_mesh(1.0, 0), PARAMS)
+        mats = assemble_all(uniform_mesh(1.0, 0), ALPHA)
         assert ellipticity_margin(mats.V) == pytest.approx(0.28967538575112506, rel=1e-12)
         assert ellipticity_margin(mats.D) == pytest.approx(0.36454835517351064, rel=1e-12)
 
     def test_nonuniform_mesh(self):
-        mats = assemble_all(nonuniform_mesh(), PARAMS)
-        assert ellipticity_margin(mats.V) > 0.0
-        assert ellipticity_margin(mats.D) > 0.0
+        assert min_ellipticity_margin([nonuniform_mesh()], ALPHA) > 0.0
 
 
 class TestBreakpointTable:
@@ -241,7 +227,7 @@ class TestBreakpointTable:
     @pytest.mark.parametrize("name", list(MESHES))
     def test_bitwise_equal_to_corner_lag_assembly(self, name, alpha):
         mesh = self.MESHES[name]()
-        mats = assemble_all(mesh, KernelParams(alpha))
+        mats = assemble_all(mesh, alpha)
         for kind, ref in reference_matrices(mesh, alpha).items():
             got = getattr(mats, kind)
             assert np.array_equal(got, ref), kind
@@ -249,7 +235,7 @@ class TestBreakpointTable:
 
     def test_same_side_blocks_of_K_are_exact_zeros(self):
         mesh = graded_mesh(2.0 ** -8)
-        K = assemble_K(mesh, PARAMS)
+        K = assemble_K(mesh, ALPHA)
         nl = mesh.n_left
         for block in (K[:nl, :nl], K[nl:, nl:]):
             assert np.all(block == 0.0) and not np.any(np.signbit(block))
@@ -285,7 +271,7 @@ class TestRhs:
         prob = Problem(g=lambda x, t: 2.0)
         mesh = uniform_mesh(1.0, 1)
         f = assemble_rhs(mesh, prob)
-        mats = assemble_all(mesh, prob.params)
+        mats = assemble_all(mesh, prob.alpha)
         gvec = np.full(mesh.n_elements, 2.0)
         expected = 0.5 * mats.mass * gvec + mats.K @ gvec
         np.testing.assert_allclose(f, expected, atol=1e-9)
@@ -329,7 +315,7 @@ class TestInteriorEvaluation:
 
         prob = Problem(u0=example1_initial_datum)
         mesh = uniform_mesh(1.0, 5)
-        mats = assemble_all(mesh, prob.params)
+        mats = assemble_all(mesh, prob.alpha)
         w = direct_solve(mats.V, assemble_rhs(mesh, prob))
         flux = DiscreteFlux(w, mesh)
         ref = example1_series()
@@ -349,7 +335,7 @@ class TestSecondBie:
         # with u0 = g = 0 the residual is exactly (M/2 - K^T) w
         prob = Problem()
         mesh = uniform_mesh(1.0, 2)
-        mats = assemble_all(mesh, prob.params)
+        mats = assemble_all(mesh, prob.alpha)
         w = RNG.standard_normal(mesh.n_elements)
         r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
         np.testing.assert_array_equal(r, 0.5 * mats.mass * w - mats.K.T @ w)
@@ -357,7 +343,7 @@ class TestSecondBie:
     def test_residual_value_frozen(self):
         prob = Problem(u0=example1_initial_datum)
         mesh = uniform_mesh(1.0, 3)
-        mats = assemble_all(mesh, prob.params)
+        mats = assemble_all(mesh, prob.alpha)
         w = direct_solve(mats.V, assemble_rhs(mesh, prob))
         r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
         assert mass_weighted_norm(mesh, r) == pytest.approx(0.17447934024417064, rel=1e-6)
@@ -367,6 +353,13 @@ class TestProblemValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             Problem(alpha=0.0)
+
+    def test_operator_alpha_validation(self):
+        mesh = uniform_mesh(1.0, 0)
+        assert OperatorMatrices(mesh, 2.0).alpha == 2.0
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                OperatorMatrices(mesh, alpha)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):

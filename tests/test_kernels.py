@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatbem.kernels import (
-    KernelParams,
     QuadratureError,
     adaptive_quadrature,
     erfc,
@@ -20,16 +19,9 @@ from heatbem.kernels import (
     primitive_J0,
     primitive_J1,
 )
+from heatbem.verification import heat_identity_defect, primitive_quadrature_defect
 
 RNG = np.random.default_rng(42)
-
-
-def test_kernel_params_validation():
-    assert KernelParams(2.0).alpha == 2.0
-    with pytest.raises(ValueError):
-        KernelParams(0.0)
-    with pytest.raises(ValueError):
-        KernelParams(-1.0)
 
 
 class TestErfc:
@@ -126,21 +118,12 @@ class TestDerivatives:
             assert fd == pytest.approx(kernel_dt(d, tau, alpha), rel=1e-6, abs=1e-12)
 
     def test_heat_equation_identity(self):
-        # d2G/dd2 = alpha dG/dtau, with the left side by central differences
-        for _ in range(20):
-            d = RNG.uniform(-2.0, 2.0)
-            tau = RNG.uniform(0.05, 3.0)
-            alpha = RNG.uniform(0.3, 3.0)
-            h = 1e-5
-            dd = (kernel_dx(d + h, tau, alpha) - kernel_dx(d - h, tau, alpha)) / (2 * h)
-            ref = alpha * kernel_dt(d, tau, alpha)
-            assert dd == pytest.approx(ref, rel=1e-6, abs=1e-10)
+        # d2G/dd2 = alpha dG/dtau to 1e-6 relative or 1e-10 = 1e-6 * floor absolute
+        d, tau, alpha = RNG.uniform([-2.0, 0.05, 0.3], [2.0, 3.0, 3.0], size=(20, 3)).T
+        assert heat_identity_defect(d, tau, alpha, floor=1e-4) <= 1e-6
 
     def test_identity_at_fixed_point(self):
-        d, tau, alpha = 0.7, 0.3, 2.0
-        h = 1e-5
-        dd = (kernel_dx(d + h, tau, alpha) - kernel_dx(d - h, tau, alpha)) / (2 * h)
-        assert dd == pytest.approx(alpha * kernel_dt(d, tau, alpha), rel=1e-7)
+        assert heat_identity_defect(0.7, 0.3, 2.0) <= 1e-7
 
 
 class TestPrimitives:
@@ -208,37 +191,36 @@ class TestPrimitives:
             assert primitive_I1(-d, 0.9, 1.2) == -primitive_I1(d, 0.9, 1.2)
             assert primitive_J1(-d, 0.9, 1.2) == -primitive_J1(d, 0.9, 1.2)
 
+    @staticmethod
+    def separated_samples(count):
+        return np.transpose([
+            (RNG.uniform(0.1, 2.0) * RNG.choice([-1.0, 1.0]), RNG.uniform(0.05, 2.0),
+             RNG.uniform(0.3, 3.0))
+            for _ in range(count)
+        ])
+
     def test_I0_against_quadrature(self):
         # separated distances to 1e-10, on-axis (weakly singular) to 1e-8
-        for _ in range(50):
-            d = RNG.uniform(0.1, 2.0) * RNG.choice([-1.0, 1.0])
-            tau = RNG.uniform(0.05, 2.0)
-            alpha = RNG.uniform(0.3, 3.0)
-            q = adaptive_quadrature(lambda s: heat_kernel(d, s, alpha), 0.0, tau, tol=1e-12)
-            assert abs(q - primitive_I0(d, tau, alpha)) < 1e-10
-        for _ in range(10):
-            tau = RNG.uniform(0.05, 2.0)
-            alpha = RNG.uniform(0.3, 3.0)
-            q = adaptive_quadrature(lambda s: heat_kernel(0.0, s, alpha), 0.0, tau, tol=1e-10)
-            assert abs(q - primitive_I0(0.0, tau, alpha)) < 1e-8
+        assert primitive_quadrature_defect(*self.separated_samples(50), order=0) < 1e-10
+        tau, alpha = RNG.uniform([0.05, 0.3], [2.0, 3.0], size=(10, 2)).T
+        assert primitive_quadrature_defect(0.0, tau, alpha, order=0, tol=1e-10) < 1e-8
 
     def test_J0_against_quadrature(self):
-        # J0(tau) = int_0^tau (tau - s) G(d, s) ds by Fubini on the triangle;
-        # this oracle never touches the closed forms
-        for _ in range(50):
-            d = RNG.uniform(0.1, 2.0) * RNG.choice([-1.0, 1.0])
-            tau = RNG.uniform(0.05, 2.0)
-            alpha = RNG.uniform(0.3, 3.0)
-            q = adaptive_quadrature(
-                lambda s: (tau - s) * heat_kernel(d, s, alpha), 0.0, tau, tol=1e-12
-            )
-            assert abs(q - primitive_J0(d, tau, alpha)) < 1e-10
-        for _ in range(10):
-            tau = RNG.uniform(0.05, 2.0)
-            q = adaptive_quadrature(
-                lambda s: (tau - s) * heat_kernel(0.0, s, 1.0), 0.0, tau, tol=1e-10
-            )
-            assert abs(q - primitive_J0(0.0, tau, 1.0)) < 1e-8
+        assert primitive_quadrature_defect(*self.separated_samples(50), order=1) < 1e-10
+        tau = RNG.uniform(0.05, 2.0, size=10)
+        assert primitive_quadrature_defect(0.0, tau, 1.0, order=1, tol=1e-10) < 1e-8
+
+    def test_I1_shares_the_primitive_evaluator_bitwise(self):
+        # the erfc form of dI0/dd, including d = 0 (value -0.0) and both signs
+        d = np.array([-2.0, -0.7, -1e-3, 0.0, 1e-3, 0.7, 2.0])[:, None]
+        tau = np.array([1e-6, 0.05, 0.7, 3.0])
+        alpha = 2.5
+        arg = np.sqrt(alpha) * np.abs(d) / (2.0 * np.sqrt(tau))
+        direct = -np.sign(d) * (alpha / 2.0) * erfc(arg)
+        got = primitive_I1(d, tau, alpha)
+        assert np.array_equal(got, direct)
+        assert np.array_equal(np.signbit(got), np.signbit(direct))
+        assert np.all(primitive_I1(d, np.array([-1.0, 0.0]), alpha) == 0.0)
 
 
 class TestAdaptiveQuadrature:

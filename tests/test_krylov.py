@@ -12,6 +12,8 @@ from heatbem.krylov import (
 )
 from heatbem.mesh import uniform_mesh
 from heatbem.reference import example1_initial_datum
+from heatbem.studies import ExperimentConfig, _level_record, build_problem
+from heatbem.verification import gmres_lu_deviation
 
 RNG = np.random.default_rng(123)
 
@@ -19,7 +21,7 @@ RNG = np.random.default_rng(123)
 def example1_system(level):
     prob = Problem(u0=example1_initial_datum)
     mesh = uniform_mesh(1.0, level)
-    mats = assemble_all(mesh, prob.params)
+    mats = assemble_all(mesh, prob.alpha)
     return mats, assemble_rhs(mesh, prob)
 
 
@@ -85,13 +87,10 @@ class TestGmres:
 
     def test_gmres_matches_direct_on_flux(self):
         mats, f = example1_system(4)
-        report = gmres(mats.V, f, tol=1e-8)
-        x = direct_solve(mats.V, f)
-        assert np.max(np.abs(report.solution - x)) <= 1e-7
+        assert gmres_lu_deviation(mats.V, f, gmres(mats.V, f, tol=1e-8)) <= 1e-7
 
     def test_solutions_agree_across_preconditioners(self):
         mats, f = example1_system(4)
-        x_ref = direct_solve(mats.V, f)
         preconds = [
             Preconditioner.identity(),
             Preconditioner.diagonal(np.diag(mats.V)),
@@ -100,7 +99,7 @@ class TestGmres:
         for prec in preconds:
             report = gmres(mats.V, f, tol=1e-10, preconditioner=prec)
             assert report.converged
-            assert np.max(np.abs(report.solution - x_ref)) < 1e-7
+            assert gmres_lu_deviation(mats.V, f, report) < 1e-7
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -134,32 +133,32 @@ class TestPreconditioner:
     def test_calderon_uniform_half(self):
         # uniform h = 1/2: M^-1 D M^-1 = 4 D
         mesh = uniform_mesh(1.0, 1)
-        mats = assemble_all(mesh, Problem().params)
+        mats = assemble_all(mesh, Problem().alpha)
         prec = Preconditioner.calderon(mats.mass, mats.D)
         r = RNG.standard_normal(4)
         np.testing.assert_allclose(prec.apply(r), 4.0 * (mats.D @ r), rtol=1e-13)
 
-    def test_explicit_matches_apply(self):
+    def test_apply_matches_dense_inverse(self):
+        # the dense P^-1 of each flavour; the Calderon one as the studies form it
         mesh = uniform_mesh(1.0, 2)
-        mats = assemble_all(mesh, Problem().params)
-        for prec in (
-            Preconditioner.identity(),
-            Preconditioner.diagonal(np.diag(mats.V)),
-            Preconditioner.calderon(mats.mass, mats.D),
+        mats = assemble_all(mesh, Problem().alpha)
+        diag = np.diag(mats.V)
+        for prec, dense in (
+            (Preconditioner.identity(), np.eye(8)),
+            (Preconditioner.diagonal(diag), np.diag(1.0 / diag)),
+            (Preconditioner.calderon(mats.mass, mats.D),
+             mats.D / np.outer(mats.mass, mats.mass)),
         ):
             r = RNG.standard_normal(8)
-            np.testing.assert_allclose(
-                prec.explicit(8) @ r, prec.apply(r), rtol=1e-12, atol=1e-14
-            )
+            np.testing.assert_allclose(dense @ r, prec.apply(r), rtol=1e-12, atol=1e-14)
 
     def test_calderon_conditioning_regression(self):
-        # frozen plateau value of the preconditioned condition number at L=5
-        from heatbem.analysis import condition_number
-
-        mesh = uniform_mesh(1.0, 5)
-        mats = assemble_all(mesh, Problem().params)
-        P = Preconditioner.calderon(mats.mass, mats.D).explicit(64) @ mats.V
-        assert condition_number(P, "sv") == pytest.approx(1.70525, rel=1e-4)
+        # frozen plateau value of the preconditioned condition number at L=5,
+        # through the study's kappa(C^-1 V) column
+        cfg = ExperimentConfig(example=1, preconds=("calderon",))
+        problem, series = build_problem(cfg)
+        rec, _ = _level_record(uniform_mesh(1.0, 5), problem, series, cfg, 5, None)
+        assert rec.kappa_calderon_prec == pytest.approx(1.70525, rel=1e-4)
 
 
 class TestDirectSolve:
