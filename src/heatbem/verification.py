@@ -196,7 +196,7 @@ def primitive_quadrature_defect(d, tau, alpha, order, tol=1e-12) -> float:
     return worst
 
 
-def entry_defect(mats: OperatorMatrices, entries, tol=1e-12) -> float:
+def entry_defect(mats: OperatorMatrices, entries) -> float:
     """Worst |assembled - entry_oracle| over (kind, row, col) triples.
 
     D entries of singular pairs have no oracle value and are skipped.
@@ -205,7 +205,7 @@ def entry_defect(mats: OperatorMatrices, entries, tol=1e-12) -> float:
     for kind, i, j in entries:
         if kind == "D" and singular_pair(mats.mesh, i, j):
             continue
-        ref = entry_oracle(kind, mats.mesh, i, j, mats.alpha, tol=tol)
+        ref = entry_oracle(kind, mats.mesh, i, j, mats.alpha)
         worst = max(worst, abs(getattr(mats, kind)[i, j] - ref))
     return worst
 

@@ -282,8 +282,8 @@ def test_criterion_5_oracle_equivalence():
                 if not (kind == "D" and singular_pair(mesh, i, j))
             ]
         checked += len(separated) + len(overlapping)
-        worst_sep = max(worst_sep, entry_defect(mats, separated, tol=1e-12))
-        worst_any = max(worst_any, entry_defect(mats, overlapping, tol=1e-12))
+        worst_sep = max(worst_sep, entry_defect(mats, separated))
+        worst_any = max(worst_any, entry_defect(mats, overlapping))
     ok = worst_sep <= 1e-10 and worst_any <= 1e-8
     detail = (
         f"{checked} entries across {len(meshes)} meshes; worst separated "
