@@ -384,8 +384,8 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
         "#   residual ||b - A x|| / ||b|| <= tol (preconditioner independent)",
         "# kappa columns: sv = singular-value ratio, eig = eigenvalue-modulus",
         "#   ratio of the explicitly formed (preconditioned) matrix",
-        "# kappa_*_eig is rounding noise on uniform meshes, where V and C^-1 V are highly",
-        "#   defective 2x2-block Toeplitz (L = 5: 1.737, 1.741 after a 1e-15 perturbation)",
+        "# kappa_*_eig: causality makes the matrices block lower triangular, so the",
+        "#   eigenvalues are those of the diagonal blocks (2x2 on uniform meshes)",
         "# error column: direct (LU) flux, element-wise Gauss quadrature",
     ]
     return "\n".join(lines) + "\n"

@@ -40,10 +40,11 @@ Table 2 conditioning   4          1 and        the split holds at both
                                   TABLE_ALPHA
 =====================  =========  ===========  ==================================
 
-Condition numbers are compared in the singular-value convention only: on
-uniform meshes V and C^-1 V have just two distinct, nearly equal eigenvalues
-and are highly defective, so their computed eigenvalue ratios are rounding
-noise.
+Condition numbers are compared in the singular-value convention only.  By
+causality V and C^-1 V are block lower triangular with 2 x 2 diagonal blocks
+on uniform meshes, so their eigenvalue ratios are those of the blocks and
+tend to 1 (kappa_eig(C^-1 V) = 1.106 at L = 2, 1.00003 at L = 5), far from
+the table's columns.
 """
 
 import math

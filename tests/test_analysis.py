@@ -1,16 +1,34 @@
 """Condition numbers, L2 errors, convergence rates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
+from test_galerkin import graded_mesh
 
-from heatbem.analysis import condition_number, ellipticity_margin, eoc, l2_error
-from heatbem.galerkin import DiscreteFlux
+import heatbem
+from heatbem.analysis import (
+    _strong_components,
+    condition_number,
+    ellipticity_margin,
+    eoc,
+    l2_error,
+)
+from heatbem.galerkin import DiscreteFlux, assemble_all, assemble_V
 from heatbem.krylov import NumericalError
-from heatbem.mesh import uniform_mesh
+from heatbem.mesh import BoundaryMesh, uniform_mesh
 from heatbem.reference import example1_series
 from heatbem.verification import best_approximation
+
+
+def dense_eig_ratio(A):
+    ev = np.abs(np.linalg.eigvals(A))
+    return ev.max() / ev.min()
 
 
 class TestConditionNumber:
@@ -39,6 +57,89 @@ class TestConditionNumber:
             condition_number(np.ones((2, 3)))
         with pytest.raises(ValueError):
             condition_number(np.eye(2), "spectral")
+
+
+class TestBlockTriangularEig:
+    """The eig convention reads the spectrum off the diagonal blocks of the
+    block-triangular form, the strong components of the nonzero pattern."""
+
+    def test_permuted_block_triangular_matches_dense(self):
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(2, 5, size=8)
+        n = int(sizes.sum())
+        # distinct, well separated eigenvalues keep dense eigvals accurate
+        lam = rng.permutation(np.linspace(1.0, 10.0, n))
+        A = np.tril(0.1 * rng.standard_normal((n, n)))
+        start = 0
+        for size in sizes:
+            q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            block = slice(start, start + size)
+            A[block, block] = q @ np.diag(lam[block]) @ q.T
+            start += size
+        perm = rng.permutation(n)
+        B = A[np.ix_(perm, perm)]
+        assert condition_number(B, "eig") == pytest.approx(dense_eig_ratio(B), rel=1e-12)
+
+    def test_irreducible_matrix_is_bitwise_dense(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((40, 40)) + 5.0 * np.eye(40)
+        assert condition_number(A, "eig") == dense_eig_ratio(A)
+
+    def test_stable_under_relative_perturbation(self):
+        # the dense ratio reads 1.737 here, and 1.741 after the perturbation
+        rng = np.random.default_rng(13)
+        V = assemble_V(uniform_mesh(1.0, 5), 1.0)
+        perturbed = V * (1.0 + 1e-15 * rng.standard_normal(V.shape))
+        kappa = condition_number(V, "eig")
+        assert kappa == pytest.approx(1.0, abs=1e-4)
+        assert abs(condition_number(perturbed, "eig") - kappa) < 1e-12
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            uniform_mesh(1.0, 5),
+            BoundaryMesh(
+                horizon=1.0,
+                interval=(0.0, 1.0),
+                left_breaks=np.array([0.0, 0.125, 0.25, 0.5, 0.625, 1.0]),
+                right_breaks=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+            ),
+            graded_mesh(2.0 ** -10),
+        ],
+        ids=["uniform_L5", "unequal_sides", "graded_2^-10"],
+    )
+    def test_strong_components_lie_in_slabs(self, mesh):
+        # a slab is the window between consecutive breakpoints both sides share
+        shared = np.intersect1d(mesh.left_breaks, mesh.right_breaks)
+        slab = np.searchsorted(shared, mesh.t_begin_all, side="right")
+        assert np.all(mesh.t_end_all <= shared[slab])
+        mats = assemble_all(mesh, 1.0)
+        cv = mats.D / np.outer(mats.mass, mats.mass) @ mats.V
+        for A in (mats.V, mats.D, cv):
+            blocks = _strong_components(A != 0.0)
+            assert len(blocks) > 1
+            for block in blocks:
+                assert len(np.unique(slab[block])) == 1
+
+    def test_components_match_scipy(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            pattern = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+            count, labels = connected_components(pattern, directed=True, connection="strong")
+            expected = sorted(tuple(np.flatnonzero(labels == k)) for k in range(count))
+            assert sorted(tuple(b) for b in _strong_components(pattern)) == expected
+
+    def test_import_leaves_csgraph_unloaded(self):
+        # csgraph loads scipy.sparse.linalg: ~90 ms of start-up and ~9 MB resident
+        code = "import sys, heatbem.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        src = str(Path(heatbem.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestEoc:

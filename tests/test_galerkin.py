@@ -34,7 +34,6 @@ from heatbem.verification import (
 )
 
 ALPHA = 1.0
-RNG = np.random.default_rng(7)
 
 
 def nonuniform_mesh():
@@ -333,10 +332,11 @@ class TestSecondBie:
 
     def test_transpose_coupling_bitwise(self):
         # with u0 = g = 0 the residual is exactly (M/2 - K^T) w
+        rng = np.random.default_rng(7)
         prob = Problem()
         mesh = uniform_mesh(1.0, 2)
         mats = assemble_all(mesh, prob.alpha)
-        w = RNG.standard_normal(mesh.n_elements)
+        w = rng.standard_normal(mesh.n_elements)
         r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
         np.testing.assert_array_equal(r, 0.5 * mats.mass * w - mats.K.T @ w)
 

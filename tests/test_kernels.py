@@ -21,8 +21,6 @@ from heatbem.kernels import (
 )
 from heatbem.verification import heat_identity_defect, primitive_quadrature_defect
 
-RNG = np.random.default_rng(42)
-
 
 class TestErfc:
     def test_symmetry_point(self):
@@ -100,26 +98,29 @@ class TestDerivatives:
         assert kernel_dt(0.0, 1.0, 1.0) == pytest.approx(-0.14104739588693905, rel=1e-14)
 
     def test_dx_by_finite_differences(self):
+        rng = np.random.default_rng(42)
         for _ in range(20):
-            d = RNG.uniform(0.1, 2.0) * RNG.choice([-1.0, 1.0])
-            tau = RNG.uniform(0.05, 3.0)
-            alpha = RNG.uniform(0.3, 3.0)
+            d = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
+            tau = rng.uniform(0.05, 3.0)
+            alpha = rng.uniform(0.3, 3.0)
             h = 1e-6
             fd = (heat_kernel(d + h, tau, alpha) - heat_kernel(d - h, tau, alpha)) / (2 * h)
             assert fd == pytest.approx(kernel_dx(d, tau, alpha), rel=1e-6)
 
     def test_dt_by_finite_differences(self):
+        rng = np.random.default_rng(42)
         for _ in range(20):
-            d = RNG.uniform(-2.0, 2.0)
-            tau = RNG.uniform(0.1, 3.0)
-            alpha = RNG.uniform(0.3, 3.0)
+            d = rng.uniform(-2.0, 2.0)
+            tau = rng.uniform(0.1, 3.0)
+            alpha = rng.uniform(0.3, 3.0)
             h = 1e-6 * tau
             fd = (heat_kernel(d, tau + h, alpha) - heat_kernel(d, tau - h, alpha)) / (2 * h)
             assert fd == pytest.approx(kernel_dt(d, tau, alpha), rel=1e-6, abs=1e-12)
 
     def test_heat_equation_identity(self):
         # d2G/dd2 = alpha dG/dtau to 1e-6 relative or 1e-10 = 1e-6 * floor absolute
-        d, tau, alpha = RNG.uniform([-2.0, 0.05, 0.3], [2.0, 3.0, 3.0], size=(20, 3)).T
+        rng = np.random.default_rng(42)
+        d, tau, alpha = rng.uniform([-2.0, 0.05, 0.3], [2.0, 3.0, 3.0], size=(20, 3)).T
         assert heat_identity_defect(d, tau, alpha, floor=1e-4) <= 1e-6
 
     def test_identity_at_fixed_point(self):
@@ -156,28 +157,31 @@ class TestPrimitives:
         assert primitive_J0(0.5, 0.8, 1.0) == pytest.approx(0.12261287199425636, rel=1e-12)
 
     def test_dI0_dtau_is_kernel(self):
+        rng = np.random.default_rng(42)
         for _ in range(20):
-            d = RNG.uniform(-2.0, 2.0)
-            tau = RNG.uniform(0.05, 3.0)
-            alpha = RNG.uniform(0.3, 3.0)
+            d = rng.uniform(-2.0, 2.0)
+            tau = rng.uniform(0.05, 3.0)
+            alpha = rng.uniform(0.3, 3.0)
             h = 1e-6 * tau
             fd = (primitive_I0(d, tau + h, alpha) - primitive_I0(d, tau - h, alpha)) / (2 * h)
             assert fd == pytest.approx(heat_kernel(d, tau, alpha), rel=1e-6, abs=1e-12)
 
     def test_dJ0_dtau_is_I0(self):
+        rng = np.random.default_rng(42)
         for _ in range(20):
-            d = RNG.uniform(-2.0, 2.0)
-            tau = RNG.uniform(0.05, 3.0)
-            alpha = RNG.uniform(0.3, 3.0)
+            d = rng.uniform(-2.0, 2.0)
+            tau = rng.uniform(0.05, 3.0)
+            alpha = rng.uniform(0.3, 3.0)
             h = 1e-6 * tau
             fd = (primitive_J0(d, tau + h, alpha) - primitive_J0(d, tau - h, alpha)) / (2 * h)
             assert fd == pytest.approx(primitive_I0(d, tau, alpha), rel=1e-6)
 
     def test_d_derivatives_by_finite_differences(self):
+        rng = np.random.default_rng(42)
         for _ in range(20):
-            d = RNG.uniform(0.1, 2.0) * RNG.choice([-1.0, 1.0])
-            tau = RNG.uniform(0.05, 3.0)
-            alpha = RNG.uniform(0.3, 3.0)
+            d = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
+            tau = rng.uniform(0.05, 3.0)
+            alpha = rng.uniform(0.3, 3.0)
             h = 1e-6
             fd_i = (primitive_I0(d + h, tau, alpha) - primitive_I0(d - h, tau, alpha)) / (2 * h)
             fd_j = (primitive_J0(d + h, tau, alpha) - primitive_J0(d - h, tau, alpha)) / (2 * h)
@@ -192,22 +196,24 @@ class TestPrimitives:
             assert primitive_J1(-d, 0.9, 1.2) == -primitive_J1(d, 0.9, 1.2)
 
     @staticmethod
-    def separated_samples(count):
+    def separated_samples(rng, count):
         return np.transpose([
-            (RNG.uniform(0.1, 2.0) * RNG.choice([-1.0, 1.0]), RNG.uniform(0.05, 2.0),
-             RNG.uniform(0.3, 3.0))
+            (rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]), rng.uniform(0.05, 2.0),
+             rng.uniform(0.3, 3.0))
             for _ in range(count)
         ])
 
     def test_I0_against_quadrature(self):
         # separated distances to 1e-10, on-axis (weakly singular) to 1e-8
-        assert primitive_quadrature_defect(*self.separated_samples(50), order=0) < 1e-10
-        tau, alpha = RNG.uniform([0.05, 0.3], [2.0, 3.0], size=(10, 2)).T
+        rng = np.random.default_rng(42)
+        assert primitive_quadrature_defect(*self.separated_samples(rng, 50), order=0) < 1e-10
+        tau, alpha = rng.uniform([0.05, 0.3], [2.0, 3.0], size=(10, 2)).T
         assert primitive_quadrature_defect(0.0, tau, alpha, order=0, tol=1e-10) < 1e-8
 
     def test_J0_against_quadrature(self):
-        assert primitive_quadrature_defect(*self.separated_samples(50), order=1) < 1e-10
-        tau = RNG.uniform(0.05, 2.0, size=10)
+        rng = np.random.default_rng(42)
+        assert primitive_quadrature_defect(*self.separated_samples(rng, 50), order=1) < 1e-10
+        tau = rng.uniform(0.05, 2.0, size=10)
         assert primitive_quadrature_defect(0.0, tau, 1.0, order=1, tol=1e-10) < 1e-8
 
     def test_I1_shares_the_primitive_evaluator_bitwise(self):

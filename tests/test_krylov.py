@@ -15,8 +15,6 @@ from heatbem.reference import example1_initial_datum
 from heatbem.studies import ExperimentConfig, _level_record, build_problem
 from heatbem.verification import gmres_lu_deviation
 
-RNG = np.random.default_rng(123)
-
 
 def example1_system(level):
     prob = Problem(u0=example1_initial_datum)
@@ -27,7 +25,8 @@ def example1_system(level):
 
 class TestGmres:
     def test_identity_one_iteration(self):
-        b = RNG.standard_normal(6)
+        rng = np.random.default_rng(123)
+        b = rng.standard_normal(6)
         report = gmres(np.eye(6), b)
         assert report.iterations == 1
         assert report.converged
@@ -46,8 +45,9 @@ class TestGmres:
         assert report.iterations == 1
 
     def test_against_direct_solve(self):
-        A = np.eye(8) + 0.1 * RNG.standard_normal((8, 8))
-        b = RNG.standard_normal(8)
+        rng = np.random.default_rng(123)
+        A = np.eye(8) + 0.1 * rng.standard_normal((8, 8))
+        b = rng.standard_normal(8)
         report = gmres(A, b, tol=1e-12)
         x = direct_solve(A, b)
         assert report.converged
@@ -108,7 +108,8 @@ class TestGmres:
 
 class TestPreconditioner:
     def test_identity_apply(self):
-        r = RNG.standard_normal(5)
+        rng = np.random.default_rng(123)
+        r = rng.standard_normal(5)
         np.testing.assert_array_equal(Preconditioner.identity().apply(r), r)
 
     def test_diagonal_validation(self):
@@ -125,21 +126,24 @@ class TestPreconditioner:
 
     def test_calderon_synthetic_identity(self):
         # D = M^2 makes M^-1 D M^-1 the identity
+        rng = np.random.default_rng(123)
         m = np.array([0.5, 2.0, 1.5])
         prec = Preconditioner.calderon(m, np.diag(m * m))
-        r = RNG.standard_normal(3)
+        r = rng.standard_normal(3)
         np.testing.assert_allclose(prec.apply(r), r, atol=1e-14)
 
     def test_calderon_uniform_half(self):
         # uniform h = 1/2: M^-1 D M^-1 = 4 D
+        rng = np.random.default_rng(123)
         mesh = uniform_mesh(1.0, 1)
         mats = assemble_all(mesh, Problem().alpha)
         prec = Preconditioner.calderon(mats.mass, mats.D)
-        r = RNG.standard_normal(4)
+        r = rng.standard_normal(4)
         np.testing.assert_allclose(prec.apply(r), 4.0 * (mats.D @ r), rtol=1e-13)
 
     def test_apply_matches_dense_inverse(self):
         # the dense P^-1 of each flavour; the Calderon one as the studies form it
+        rng = np.random.default_rng(123)
         mesh = uniform_mesh(1.0, 2)
         mats = assemble_all(mesh, Problem().alpha)
         diag = np.diag(mats.V)
@@ -149,7 +153,7 @@ class TestPreconditioner:
             (Preconditioner.calderon(mats.mass, mats.D),
              mats.D / np.outer(mats.mass, mats.mass)),
         ):
-            r = RNG.standard_normal(8)
+            r = rng.standard_normal(8)
             np.testing.assert_allclose(dense @ r, prec.apply(r), rtol=1e-12, atol=1e-14)
 
     def test_calderon_conditioning_regression(self):
@@ -163,7 +167,8 @@ class TestPreconditioner:
 
 class TestDirectSolve:
     def test_identity(self):
-        b = RNG.standard_normal(5)
+        rng = np.random.default_rng(123)
+        b = rng.standard_normal(5)
         np.testing.assert_array_equal(direct_solve(np.eye(5), b), b)
 
     def test_hilbert4_analytic_inverse(self):
