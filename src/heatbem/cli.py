@@ -77,7 +77,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sol = sub.add_parser("solve", help="single solve with interior samples")
     _common_flags(p_sol)
-    p_sol.add_argument("--level", type=int, default=4, help="uniform mesh level")
+    p_sol.add_argument("--level", type=int, default=4,
+                       help="uniform mesh level 0..11 (default 4); wins over --levels")
     p_sol.add_argument("--points", type=str, default="",
                        help="interior points 'x,t;x,t;...'")
 
@@ -139,10 +140,11 @@ def _build_config(args: argparse.Namespace, adaptive: bool) -> ExperimentConfig:
     if adaptive:  # levels count the adaptive steps and win over max_steps
         flag = args.levels if args.levels is not None else args.max_steps
         max_steps = pick(flag, "levels", base.get("max_steps", max_steps))
+    level = getattr(args, "level", None)  # solve's mesh level wins over levels
     cfg = ExperimentConfig(
         example=pick(args.example, "example", 1),
         alpha=pick(args.alpha, "alpha", 1.0),
-        max_level=pick(args.levels, "levels", 8),
+        max_level=pick(args.levels, "levels", 8) if level is None else level,
         tol=pick(args.tol, "tol", 1e-8),
         preconds=preconds,
         theta=pick(args.theta, "theta", 0.5),
@@ -215,8 +217,8 @@ def _cmd_solve(args) -> int:
     cfg = _build_config(args, adaptive=False)
     points = _parse_points(args.points)
     out = _out_dir(args)
-    result = run_single_solve(cfg, args.level, points)
-    tag = f"L{args.level}"
+    result = run_single_solve(cfg, points)
+    tag = f"L{cfg.max_level}"
     mesh_text = mesh_mod.dumps(result.mesh)
     (out / f"mesh_{tag}.txt").write_text(mesh_text)
     flux_lines = [

@@ -40,7 +40,6 @@ from .kernels import (
     _j1,
     _vectorize_integrand,
     adaptive_quadrature,
-    kernel_dx,
     heat_kernel,
     primitive_I0,
     primitive_I1,
@@ -51,10 +50,6 @@ __all__ = [
     "Problem",
     "DiscreteFlux",
     "OperatorMatrices",
-    "assemble_V",
-    "assemble_K",
-    "assemble_D",
-    "assemble_mass",
     "assemble_all",
     "assemble_rhs",
     "initial_dirichlet_moments",
@@ -62,7 +57,6 @@ __all__ = [
     "evaluate_interior",
     "second_bie_residual",
     "mass_weighted_norm",
-    "project_element_means",
     "write_matrix_text",
 ]
 
@@ -75,45 +69,18 @@ GRADING_DEPTH = 40  # geometric panels toward each interval endpoint
 
 @dataclass(frozen=True)
 class Problem:
-    """Dirichlet problem data for the heat equation on (a, b) x (0, T).
+    """Heat equation alpha u_t - u_xx = 0 with zero Dirichlet data.
 
-    ``g`` and ``u0`` are callables (g(x, t) on the boundary, u0(y) on the
-    interval); None means identically zero.  Compatibility of the corner data
-    u0(a) = g(a, 0) is checked and warned about, never enforced.
+    ``u0`` is the initial datum, a callable u0(y) on the mesh's interval; None
+    means identically zero.  The space-time cylinder is the mesh's.
     """
 
     alpha: float = 1.0
-    a: float = 0.0
-    b: float = 1.0
-    horizon: float = 1.0
-    g: object = None
     u0: object = None
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if not self.a < self.b:
-            raise ValueError("need a < b")
-        if not self.horizon > 0.0:
-            raise ValueError("need T > 0")
-        self._check_compatibility()
-
-    def _check_compatibility(self) -> None:
-        if self.u0 is None:
-            return
-        for xc in (self.a, self.b):
-            u0c = float(np.asarray(self.u0(xc)))
-            gc = 0.0 if self.g is None else float(self.g(xc, 0.0))
-            if abs(u0c - gc) > 1e-10 * max(1.0, abs(u0c), abs(gc)):
-                warnings.warn(
-                    f"initial and boundary data are incompatible at x={xc}: "
-                    f"u0={u0c:.3e} vs g={gc:.3e}",
-                    stacklevel=3,
-                )
-
-    def check_mesh(self, mesh: BoundaryMesh) -> None:
-        if mesh.interval != (self.a, self.b) or mesh.horizon != self.horizon:
-            raise ValueError("mesh geometry does not match the problem data")
 
 
 @dataclass(frozen=True)
@@ -139,7 +106,7 @@ class OperatorMatrices:
             raise ValueError(f"heat capacity must be positive, got {alpha}")
         self.mesh = mesh
         self.alpha = float(alpha)
-        self.mass = assemble_mass(mesh)
+        self.mass = mesh.element_sizes.copy()  # mass diagonal; trace 2T
 
     @cached_property
     def _lags(self):
@@ -204,26 +171,6 @@ class OperatorMatrices:
         return self._corner_sums(_i0, np.multiply, lambda nr, nc: nr * nc)
 
 
-def assemble_V(mesh: BoundaryMesh, alpha: float) -> np.ndarray:
-    """Single layer matrix, ``OperatorMatrices.V``."""
-    return OperatorMatrices(mesh, alpha).V
-
-
-def assemble_K(mesh: BoundaryMesh, alpha: float) -> np.ndarray:
-    """Double layer matrix, ``OperatorMatrices.K``."""
-    return OperatorMatrices(mesh, alpha).K
-
-
-def assemble_D(mesh: BoundaryMesh, alpha: float) -> np.ndarray:
-    """Hypersingular matrix, ``OperatorMatrices.D``."""
-    return OperatorMatrices(mesh, alpha).D
-
-
-def assemble_mass(mesh: BoundaryMesh) -> np.ndarray:
-    """Diagonal of the mass matrix: element sizes (trace sums to 2T)."""
-    return mesh.element_sizes.copy()
-
-
 def assemble_all(mesh: BoundaryMesh, alpha: float) -> OperatorMatrices:
     """V, K and D of the mesh, each assembled when first read."""
     return OperatorMatrices(mesh, alpha)
@@ -264,7 +211,7 @@ def _spatial_moments(mesh, problem, primitive):
     """
     u0 = _vectorize_integrand(problem.u0)
     alpha = problem.alpha
-    breaks = np.asarray(_graded_breaks(problem.a, problem.b))
+    breaks = np.asarray(_graded_breaks(*mesh.interval))
     t1 = mesh.t_begin_all
     t2 = mesh.t_end_all
     x = mesh.x_all
@@ -306,56 +253,33 @@ def initial_neumann_moments(mesh, problem) -> np.ndarray:
     return mesh.normal_all * _spatial_moments(mesh, problem, primitive_I1)
 
 
-def _g_moments(mesh, problem) -> np.ndarray:
-    """<(I/2 + K) g, phi_l> for a general boundary datum handle."""
-    alpha = problem.alpha
-    g = problem.g
-    out = np.zeros(mesh.n_elements)
-    x = mesh.x_all
-    nrm = mesh.normal_all
-    t1 = mesh.t_begin_all
-    t2 = mesh.t_end_all
-    sides = [(problem.a, -1.0), (problem.b, 1.0)]
-    for ell in range(mesh.n_elements):
-        out[ell] += 0.5 * adaptive_quadrature(
-            lambda t: g(x[ell], t), t1[ell], t2[ell], tol=QUAD_TOL
-        )
-        for y0, ny in sides:
-            if y0 == x[ell]:
-                continue  # odd kernel vanishes on the same side
-            d = x[ell] - y0
-
-            def integrand(s, d=d, ell=ell):
-                s = np.asarray(s, dtype=float)
-                win = primitive_I1(d, t2[ell] - s, alpha) - primitive_I1(
-                    d, t1[ell] - s, alpha
-                )
-                return np.asarray(g(y0, s), dtype=float) * win
-
-            out[ell] += (-ny / alpha) * adaptive_quadrature(
-                integrand, 0.0, t2[ell], tol=QUAD_TOL
-            )
-    return out
-
-
 def assemble_rhs(mesh: BoundaryMesh, problem: Problem) -> np.ndarray:
-    """Right-hand side <(I/2 + K) g, phi_l> - <M0 u0, phi_l>."""
-    problem.check_mesh(mesh)
-    f = np.zeros(mesh.n_elements)
-    if problem.g is not None:
-        f += _g_moments(mesh, problem)
+    """Right-hand side -<M0 u0, phi_l>.
+
+    Warns, never enforces, when u0 does not vanish at an end of the interval,
+    where it meets the zero Dirichlet datum.
+    """
     if problem.u0 is not None:
-        f -= initial_dirichlet_moments(mesh, problem)
-    return f
+        for xc in mesh.interval:
+            u0c = float(np.asarray(problem.u0(xc)))
+            if abs(u0c) > 1e-10:
+                warnings.warn(
+                    f"initial and boundary data are incompatible at x={xc}: "
+                    f"u0={u0c:.3e} vs g=0",
+                    stacklevel=2,
+                )
+    # 0.0 - m rather than -m keeps exact zeros unsigned in the matrix dumps
+    return 0.0 - initial_dirichlet_moments(mesh, problem)
 
 
 def evaluate_interior(x: float, t: float, flux: DiscreteFlux, problem: Problem) -> float:
-    """Representation formula: initial potential + single layer - double layer."""
-    if not problem.a < x < problem.b:
-        raise ValueError(f"x={x} is not inside ({problem.a}, {problem.b})")
-    if not 0.0 < t <= problem.horizon:
-        raise ValueError(f"t={t} is not inside (0, {problem.horizon}]")
+    """Representation formula: initial potential + single layer."""
     mesh = flux.mesh
+    a, b = mesh.interval
+    if not a < x < b:
+        raise ValueError(f"x={x} is not inside ({a}, {b})")
+    if not 0.0 < t <= mesh.horizon:
+        raise ValueError(f"t={t} is not inside (0, {mesh.horizon}]")
     alpha = problem.alpha
 
     d = x - mesh.x_all
@@ -378,64 +302,30 @@ def evaluate_interior(x: float, t: float, flux: DiscreteFlux, problem: Problem) 
 
         # the kernel peaks at y = x; split there so each panel is one-sided
         initial = adaptive_quadrature(
-            m0_integrand, problem.a, x, tol=QUAD_TOL
-        ) + adaptive_quadrature(m0_integrand, x, problem.b, tol=QUAD_TOL)
+            m0_integrand, a, x, tol=QUAD_TOL
+        ) + adaptive_quadrature(m0_integrand, x, b, tol=QUAD_TOL)
 
-    double = 0.0
-    if problem.g is not None:
-        for y0, ny in ((problem.a, -1.0), (problem.b, 1.0)):
-
-            def dl_integrand(s, y0=y0):
-                s = np.asarray(s, dtype=float)
-                return np.asarray(problem.g(y0, s), dtype=float) * kernel_dx(
-                    x - y0, t - s, alpha
-                )
-
-            # -(1/alpha) int dG/dn_y g = +(n_y/alpha) int dG/dd g
-            double += (ny / alpha) * adaptive_quadrature(
-                dl_integrand, 0.0, t, tol=QUAD_TOL
-            )
-
-    return initial + single - double
-
-
-def project_element_means(mesh: BoundaryMesh, handle) -> np.ndarray:
-    """Element means of a boundary function handle(x, t); used to discretize g."""
-    out = np.empty(mesh.n_elements)
-    for ell in range(mesh.n_elements):
-        h = mesh.element_sizes[ell]
-        out[ell] = adaptive_quadrature(
-            lambda t: handle(mesh.x_all[ell], t),
-            mesh.t_begin_all[ell],
-            mesh.t_end_all[ell],
-            tol=QUAD_TOL * max(h, 1e-3),
-        ) / h
-    return out
+    return initial + single
 
 
 def second_bie_residual(
-    mesh: BoundaryMesh,
     problem: Problem,
     flux: DiscreteFlux,
     matrices: OperatorMatrices | None = None,
 ) -> np.ndarray:
-    """Galerkin residual of the Neumann-trace identity.
+    """Galerkin residual of the Neumann-trace identity on the flux's mesh.
 
-    r[l] = <w_h - M1 u0 - (I/2 + K') w_h - D g, phi_l>, with K' realized as
-    the transpose of the assembled K (identical trial and test spaces).  Its
+    r[l] = <w_h - M1 u0 - (I/2 + K') w_h, phi_l>, with K' realized as the
+    transpose of the assembled K (identical trial and test spaces).  Its
     mass-weighted norm decays under refinement when w_h converges.
     """
-    problem.check_mesh(mesh)
-    if mesh is not flux.mesh:
-        raise ValueError("flux does not live on the given mesh")
+    mesh = flux.mesh
     if matrices is None:
         matrices = assemble_all(mesh, problem.alpha)
     w = flux.coefficients
     mass = matrices.mass
     r = 0.5 * mass * w - matrices.K.T @ w
     r -= initial_neumann_moments(mesh, problem)
-    if problem.g is not None:
-        r -= matrices.D @ project_element_means(mesh, problem.g)
     return r
 
 

@@ -80,13 +80,6 @@ class SolveReport:
         return self.relative_residual_history[-1]
 
 
-def _as_operator(A):
-    if callable(A):
-        return A
-    mat = np.asarray(A, dtype=float)
-    return lambda v: mat @ v
-
-
 def gmres(
     A,
     b,
@@ -96,16 +89,16 @@ def gmres(
 ) -> SolveReport:
     """Full-memory GMRES on A x = b with right preconditioning.
 
-    ``A`` is a square array or a matvec callable.  Stops when the relative
+    ``A`` is a square array.  Stops when the relative
     residual ||b - A x|| / ||b|| drops below ``tol`` (the Givens estimate,
     which for right preconditioning is the true residual up to roundoff; the
     returned history ends with the explicitly recomputed true value).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(b)
-    apply_A = _as_operator(A)
     prec = preconditioner or Preconditioner.identity()
     if max_iter is None:
         max_iter = n
@@ -135,7 +128,7 @@ def gmres(
     breakdown = False
     m = 0
     for j in range(max_iter):
-        w = apply_A(prec.apply(basis[j]))
+        w = A @ prec.apply(basis[j])
         for i in range(j + 1):
             H[i, j] = basis[i] @ w
             w -= H[i, j] * basis[i]
@@ -178,7 +171,7 @@ def gmres(
     ) if m else np.zeros(0)
     x = prec.apply(basis[:m].T @ y) if m else np.zeros(n)
 
-    true_rel = float(np.linalg.norm(b - apply_A(x)) / norm_b)
+    true_rel = float(np.linalg.norm(b - A @ x) / norm_b)
     history[-1] = true_rel
     converged = true_rel <= tol
     return SolveReport(

@@ -20,17 +20,14 @@ so with s_n = 1 + (-1)^n e^{-10}:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import adaptive_quadrature
 from .mesh import Side
 
 __all__ = [
     "SineSeries",
-    "expand",
     "example1_initial_datum",
     "example2_initial_datum",
     "example1_series",
@@ -110,18 +107,6 @@ class SineSeries:
         total = np.sum(np.outer(c, c) * sign * decay)
         return float(np.sqrt(total))
 
-    def flux_tail_estimate(self, t_min: float) -> float:
-        """Crude bound on the flux modes dropped beyond n_max at time t_min.
-
-        Assumes |b_n| is non-increasing past the truncation order and bounds
-        the tail sum by the corresponding Gaussian integral.
-        """
-        if t_min <= 0.0:
-            return float("inf")
-        b_last = float(np.abs(self.coefficients[-1]))
-        rate = np.pi * np.pi * t_min / self.alpha
-        return b_last * np.pi * np.exp(-(self.n_max ** 2) * rate) / (2.0 * rate)
-
 
 def example1_series(alpha: float = 1.0, n_max: int = 8) -> SineSeries:
     """Closed-form expansion of sin(2 pi x): b_2 = 1."""
@@ -139,33 +124,3 @@ def example2_series(alpha: float = 1.0, n_max: int = 2048) -> SineSeries:
         - 1.0 / (100.0 + (n + 1) ** 2 * np.pi ** 2)
     )
     return SineSeries(coefficients=coeff, alpha=alpha)
-
-
-def expand(u0, n_max: int = 200, alpha: float = 1.0, tol: float = 1e-12) -> SineSeries:
-    """Expand an initial datum into the sine basis.
-
-    The two shipped data are recognized by identity and use their closed
-    forms; any other integrable handle falls back to adaptive quadrature of
-    b_n = 2 int_0^1 u0(x) sin(n pi x) dx.
-    """
-    if u0 is example1_initial_datum:
-        return example1_series(alpha=alpha, n_max=n_max)
-    if u0 is example2_initial_datum:
-        return example2_series(alpha=alpha, n_max=n_max)
-    coeff = np.empty(n_max)
-    for k in range(1, n_max + 1):
-        coeff[k - 1] = 2.0 * adaptive_quadrature(
-            lambda x, k=k: np.asarray(u0(x), dtype=float) * np.sin(k * np.pi * x),
-            0.0,
-            1.0,
-            tol=tol,
-        )
-    series = SineSeries(coefficients=coeff, alpha=alpha)
-    tail = series.flux_tail_estimate(t_min=1e-4)
-    if np.isfinite(tail) and tail > 1e-6:
-        warnings.warn(
-            f"sine expansion truncated at n_max={n_max} may lose ~{tail:.2e} "
-            "of flux accuracy near t=0; increase n_max",
-            stacklevel=2,
-        )
-    return series

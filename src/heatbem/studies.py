@@ -107,8 +107,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Problem, SineSeries]:
     else:
         u0 = example2_initial_datum
         series = example2_series(alpha=cfg.alpha)
-    a, b = INTERVAL
-    return Problem(alpha=cfg.alpha, a=a, b=b, horizon=HORIZON, u0=u0), series
+    return Problem(alpha=cfg.alpha, u0=u0), series
 
 
 def _preconditioner(name: str, mats) -> Preconditioner:
@@ -182,14 +181,13 @@ def run_uniform_study(cfg: ExperimentConfig):
     return records, meshes
 
 
-def two_level_indicator(
-    mesh: BoundaryMesh, problem: Problem, flux: DiscreteFlux
-) -> np.ndarray:
+def two_level_indicator(problem: Problem, flux: DiscreteFlux) -> np.ndarray:
     """Hierarchical indicator: per-element L2 distance to the bisected solve.
 
     eta_l^2 = (h_l/2) * sum over the two children of (w_fine - w_l)^2.
     refine_uniform puts the children of element l at 2l and 2l + 1.
     """
+    mesh = flux.mesh
     fine = refine_uniform(mesh)
     w_f = direct_solve(assemble_all(fine, problem.alpha).V, assemble_rhs(fine, problem))
     w = flux.coefficients
@@ -227,7 +225,7 @@ def run_adaptive_study(cfg: ExperimentConfig):
         prev_err = rec.l2_error
         if mesh.n_elements > cfg.target_n or step == cfg.max_steps:
             break
-        eta = two_level_indicator(mesh, problem, flux)
+        eta = two_level_indicator(problem, flux)
         mesh = refine_adaptive(mesh, eta, theta=cfg.theta)
     return records, meshes
 
@@ -243,18 +241,17 @@ class SolveResult:
     # rows: (x, t, u_h, u_reference)
 
 
-def run_single_solve(
-    cfg: ExperimentConfig, level: int, points=()
-) -> SolveResult:
-    """Solve on a uniform mesh and evaluate the interior solution at points."""
+def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
+    """Solve on the uniform mesh of level ``cfg.max_level``; evaluate u_h at points."""
     cfg.validate(adaptive=False)
     problem, series = build_problem(cfg)
+    a, b = INTERVAL
     for x, t in points:
-        if not (problem.a < x < problem.b) or not (0.0 < t <= problem.horizon):
+        if not (a < x < b) or not (0.0 < t <= HORIZON):
             raise ConfigError(
                 f"point ({x}, {t}) lies outside the space-time cylinder"
             )
-    mesh = uniform_mesh(HORIZON, level, INTERVAL)
+    mesh = uniform_mesh(HORIZON, cfg.max_level, INTERVAL)
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
     report = gmres(

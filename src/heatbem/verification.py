@@ -142,7 +142,7 @@ def rhs_moment_oracle(mesh: BoundaryMesh, index: int, problem, tol=1e-9) -> floa
         )
         return float(np.asarray(problem.u0(y))) * inner
 
-    return -adaptive_quadrature(outer, problem.a, problem.b, tol=tol)
+    return -adaptive_quadrature(outer, *mesh.interval, tol=tol)
 
 
 def best_approximation(mesh: BoundaryMesh, reference):

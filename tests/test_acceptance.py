@@ -370,7 +370,7 @@ def test_criterion_9_second_bie_decay():
         mesh = uniform_mesh(1.0, level)
         mats = assemble_all(mesh, prob.alpha)
         w = direct_solve(mats.V, assemble_rhs(mesh, prob))
-        r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
+        r = second_bie_residual(prob, DiscreteFlux(w, mesh), mats)
         norms.append(mass_weighted_norm(mesh, r))
     ok = all(b < a for a, b in zip(norms, norms[1:]))
     _report(9, ok, "residual norms L=3..7: " + ", ".join(f"{v:.4f}" for v in norms))

@@ -19,7 +19,7 @@ from heatbem.analysis import (
     eoc,
     l2_error,
 )
-from heatbem.galerkin import DiscreteFlux, assemble_all, assemble_V
+from heatbem.galerkin import DiscreteFlux, assemble_all
 from heatbem.krylov import NumericalError
 from heatbem.mesh import BoundaryMesh, uniform_mesh
 from heatbem.reference import example1_series
@@ -88,7 +88,7 @@ class TestBlockTriangularEig:
     def test_stable_under_relative_perturbation(self):
         # the dense ratio reads 1.737 here, and 1.741 after the perturbation
         rng = np.random.default_rng(13)
-        V = assemble_V(uniform_mesh(1.0, 5), 1.0)
+        V = assemble_all(uniform_mesh(1.0, 5), 1.0).V
         perturbed = V * (1.0 + 1e-15 * rng.standard_normal(V.shape))
         kappa = condition_number(V, "eig")
         assert kappa == pytest.approx(1.0, abs=1e-4)
@@ -214,10 +214,9 @@ class TestUniformRefinementTrends:
     def test_kappa_grows_under_refinement(self):
         # strict growth over the dyadic family; the one-off L=11 value is
         # 133.5 (> 100) but a 4096^2 SVD is too slow for the default suite
-        from heatbem.galerkin import assemble_V
 
         kappas = [
-            condition_number(assemble_V(uniform_mesh(1.0, L), 1.0))
+            condition_number(assemble_all(uniform_mesh(1.0, L), 1.0).V)
             for L in range(1, 6)
         ]
         assert all(b > a for a, b in zip(kappas, kappas[1:]))
@@ -225,7 +224,7 @@ class TestUniformRefinementTrends:
     def test_error_halves_in_asymptotic_range(self):
         # linear convergence onsets at L ~ 6 for the default heat capacity,
         # where the flux boundary layer (width 1/(4 pi^2)) is resolved
-        from heatbem.galerkin import Problem, assemble_rhs, assemble_V
+        from heatbem.galerkin import Problem, assemble_rhs
         from heatbem.krylov import direct_solve
         from heatbem.reference import example1_initial_datum
 
@@ -234,7 +233,7 @@ class TestUniformRefinementTrends:
         errors = []
         for level in (5, 6, 7, 8):
             mesh = uniform_mesh(1.0, level)
-            w = direct_solve(assemble_V(mesh, prob.alpha), assemble_rhs(mesh, prob))
+            w = direct_solve(assemble_all(mesh, prob.alpha).V, assemble_rhs(mesh, prob))
             errors.append(l2_error(DiscreteFlux(w, mesh), ref))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine / coarse == pytest.approx(0.5, abs=0.05)

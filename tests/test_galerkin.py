@@ -11,11 +11,7 @@ from heatbem.galerkin import (
     OperatorMatrices,
     Problem,
     assemble_all,
-    assemble_D,
-    assemble_K,
-    assemble_mass,
     assemble_rhs,
-    assemble_V,
     evaluate_interior,
     initial_neumann_moments,
     mass_weighted_norm,
@@ -78,22 +74,23 @@ def reference_matrices(mesh, alpha):
 
 class TestMass:
     def test_uniform(self):
-        np.testing.assert_allclose(assemble_mass(uniform_mesh(1.0, 1)), 0.5)
+        np.testing.assert_allclose(OperatorMatrices(uniform_mesh(1.0, 1), ALPHA).mass, 0.5)
 
     def test_mixed_sizes(self):
         m = BoundaryMesh(
             1.0, (0.0, 1.0), np.array([0.0, 0.25, 1.0]), np.array([0.0, 1.0])
         )
-        np.testing.assert_allclose(assemble_mass(m), [0.25, 0.75, 1.0])
+        np.testing.assert_allclose(OperatorMatrices(m, ALPHA).mass, [0.25, 0.75, 1.0])
 
     def test_trace_is_twice_horizon(self):
         for mesh in (uniform_mesh(1.0, 3), nonuniform_mesh()):
-            assert np.sum(assemble_mass(mesh)) == pytest.approx(2.0 * mesh.horizon)
+            mass = OperatorMatrices(mesh, ALPHA).mass
+            assert np.sum(mass) == pytest.approx(2.0 * mesh.horizon)
 
 
 class TestSingleLayer:
     def test_diagonal_level0(self):
-        V = assemble_V(uniform_mesh(1.0, 0), ALPHA)
+        V = OperatorMatrices(uniform_mesh(1.0, 0), ALPHA).V
         expected = 2.0 / (3.0 * math.sqrt(math.pi))
         assert V[0, 0] == pytest.approx(expected, rel=1e-14)
         assert V[1, 1] == pytest.approx(expected, rel=1e-14)
@@ -102,7 +99,7 @@ class TestSingleLayer:
         # entry is exactly zero whenever the test element ends before the
         # trial element starts, regardless of sides
         mesh = uniform_mesh(1.0, 2)
-        V = assemble_V(mesh, ALPHA)
+        V = OperatorMatrices(mesh, ALPHA).V
         t1, t2 = mesh.t_begin_all, mesh.t_end_all
         for i in range(mesh.n_elements):
             for j in range(mesh.n_elements):
@@ -110,21 +107,21 @@ class TestSingleLayer:
                     assert V[i, j] == 0.0
 
     def test_entries_nonnegative(self):
-        V = assemble_V(nonuniform_mesh(), ALPHA)
+        V = OperatorMatrices(nonuniform_mesh(), ALPHA).V
         assert np.all(V >= 0.0)
         assert np.all(np.isfinite(V))
 
     def test_side_swap_symmetry(self):
         # permuting the two identical side blocks leaves V invariant
         mesh = uniform_mesh(1.0, 2)
-        V = assemble_V(mesh, ALPHA)
+        V = OperatorMatrices(mesh, ALPHA).V
         n = mesh.n_left
         perm = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
         np.testing.assert_array_equal(V, V[np.ix_(perm, perm)])
 
     def test_diagonal_scaling(self):
         # same-element diagonal scales like h^{3/2}
-        diags = [assemble_V(uniform_mesh(1.0, L), ALPHA)[0, 0] for L in (2, 3, 4)]
+        diags = [OperatorMatrices(uniform_mesh(1.0, L), ALPHA).V[0, 0] for L in (2, 3, 4)]
         for coarse, fine in zip(diags, diags[1:]):
             assert coarse / fine == pytest.approx(2.0 ** 1.5, rel=1e-12)
 
@@ -135,14 +132,14 @@ class TestSingleLayer:
 
 class TestDoubleLayer:
     def test_same_side_zero(self):
-        K = assemble_K(uniform_mesh(1.0, 2), ALPHA)
+        K = OperatorMatrices(uniform_mesh(1.0, 2), ALPHA).K
         n = 4
         assert np.all(K[:n, :n] == 0.0)
         assert np.all(K[n:, n:] == 0.0)
 
     def test_causal_zero(self):
         mesh = uniform_mesh(1.0, 2)
-        K = assemble_K(mesh, ALPHA)
+        K = OperatorMatrices(mesh, ALPHA).K
         t1, t2 = mesh.t_begin_all, mesh.t_end_all
         for i in range(mesh.n_elements):
             for j in range(mesh.n_elements):
@@ -151,7 +148,7 @@ class TestDoubleLayer:
 
     def test_cross_entry_frozen(self):
         # frozen from a nested 2D adaptive-quadrature oracle
-        K = assemble_K(uniform_mesh(1.0, 0), ALPHA)
+        K = OperatorMatrices(uniform_mesh(1.0, 0), ALPHA).K
         assert K[0, 1] == pytest.approx(-0.13992944690635392, rel=1e-12)
         assert K[1, 0] == pytest.approx(-0.13992944690635392, rel=1e-12)
 
@@ -164,12 +161,12 @@ class TestDoubleLayer:
 
 class TestHypersingular:
     def test_diagonal_level0(self):
-        D = assemble_D(uniform_mesh(1.0, 0), ALPHA)
+        D = OperatorMatrices(uniform_mesh(1.0, 0), ALPHA).D
         assert D[0, 0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
     def test_diagonal_is_I0_of_element_size(self):
         mesh = nonuniform_mesh()
-        D = assemble_D(mesh, ALPHA)
+        D = OperatorMatrices(mesh, ALPHA).D
         for i in range(mesh.n_elements):
             assert D[i, i] == pytest.approx(
                 primitive_I0(0.0, mesh.element_sizes[i], 1.0), rel=1e-13
@@ -177,7 +174,7 @@ class TestHypersingular:
 
     def test_causal_zero(self):
         mesh = uniform_mesh(1.0, 2)
-        D = assemble_D(mesh, ALPHA)
+        D = OperatorMatrices(mesh, ALPHA).D
         t1, t2 = mesh.t_begin_all, mesh.t_end_all
         for i in range(mesh.n_elements):
             for j in range(mesh.n_elements):
@@ -196,7 +193,7 @@ class TestHypersingular:
 
     def test_diagonal_scaling(self):
         # same-element diagonal scales like h^{1/2}
-        diags = [assemble_D(uniform_mesh(1.0, L), ALPHA)[0, 0] for L in (2, 3, 4)]
+        diags = [OperatorMatrices(uniform_mesh(1.0, L), ALPHA).D[0, 0] for L in (2, 3, 4)]
         for coarse, fine in zip(diags, diags[1:]):
             assert coarse / fine == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
@@ -234,7 +231,7 @@ class TestBreakpointTable:
 
     def test_same_side_blocks_of_K_are_exact_zeros(self):
         mesh = graded_mesh(2.0 ** -8)
-        K = assemble_K(mesh, ALPHA)
+        K = OperatorMatrices(mesh, ALPHA).K
         nl = mesh.n_left
         for block in (K[:nl, :nl], K[nl:, nl:]):
             assert np.all(block == 0.0) and not np.any(np.signbit(block))
@@ -242,7 +239,7 @@ class TestBreakpointTable:
 
 class TestRhs:
     def test_zero_data_gives_zero(self):
-        prob = Problem()  # g = u0 = None
+        prob = Problem()  # u0 = None
         f = assemble_rhs(uniform_mesh(1.0, 2), prob)
         np.testing.assert_array_equal(f, 0.0)
 
@@ -265,19 +262,10 @@ class TestRhs:
                 rhs_moment_oracle(mesh, idx, prob, tol=1e-10), abs=1e-8
             )
 
-    def test_pure_boundary_datum_half_identity(self):
-        # g constant c, u0 = 0: cross-side kernel integrals add the K moment
-        prob = Problem(g=lambda x, t: 2.0)
-        mesh = uniform_mesh(1.0, 1)
-        f = assemble_rhs(mesh, prob)
-        mats = assemble_all(mesh, prob.alpha)
-        gvec = np.full(mesh.n_elements, 2.0)
-        expected = 0.5 * mats.mass * gvec + mats.K @ gvec
-        np.testing.assert_allclose(f, expected, atol=1e-9)
-
     def test_incompatible_data_warns(self):
+        prob = Problem(u0=lambda y: np.cos(np.pi * y))  # u0(0) = 1 != g = 0
         with pytest.warns(UserWarning, match="incompatible"):
-            Problem(u0=lambda y: np.cos(np.pi * y))  # u0(0) = 1 != g = 0
+            assemble_rhs(uniform_mesh(1.0, 0), prob)
 
 
 class TestInteriorEvaluation:
@@ -327,17 +315,17 @@ class TestSecondBie:
         prob = Problem(u0=example1_initial_datum)
         mesh = uniform_mesh(1.0, 2)
         flux = DiscreteFlux(np.zeros(mesh.n_elements), mesh)
-        r = second_bie_residual(mesh, prob, flux)
+        r = second_bie_residual(prob, flux)
         np.testing.assert_allclose(r, -initial_neumann_moments(mesh, prob), atol=1e-14)
 
     def test_transpose_coupling_bitwise(self):
-        # with u0 = g = 0 the residual is exactly (M/2 - K^T) w
+        # with u0 = 0 the residual is exactly (M/2 - K^T) w
         rng = np.random.default_rng(7)
         prob = Problem()
         mesh = uniform_mesh(1.0, 2)
         mats = assemble_all(mesh, prob.alpha)
         w = rng.standard_normal(mesh.n_elements)
-        r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
+        r = second_bie_residual(prob, DiscreteFlux(w, mesh), mats)
         np.testing.assert_array_equal(r, 0.5 * mats.mass * w - mats.K.T @ w)
 
     def test_residual_value_frozen(self):
@@ -345,7 +333,7 @@ class TestSecondBie:
         mesh = uniform_mesh(1.0, 3)
         mats = assemble_all(mesh, prob.alpha)
         w = direct_solve(mats.V, assemble_rhs(mesh, prob))
-        r = second_bie_residual(mesh, prob, DiscreteFlux(w, mesh), mats)
+        r = second_bie_residual(prob, DiscreteFlux(w, mesh), mats)
         assert mass_weighted_norm(mesh, r) == pytest.approx(0.17447934024417064, rel=1e-6)
 
 
@@ -360,15 +348,6 @@ class TestProblemValidation:
         for alpha in (0.0, -1.0):
             with pytest.raises(ValueError):
                 OperatorMatrices(mesh, alpha)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            Problem(a=1.0, b=0.0)
-
-    def test_mesh_mismatch(self):
-        prob = Problem(horizon=2.0)
-        with pytest.raises(ValueError):
-            assemble_rhs(uniform_mesh(1.0, 1), prob)
 
 
 def test_matrix_text_dump(tmp_path):

@@ -80,11 +80,6 @@ class TestGmres:
         assert report.breakdown
         assert not report.converged
 
-    def test_matvec_callable(self):
-        mats, f = example1_system(2)
-        report = gmres(lambda v: mats.V @ v, f, tol=1e-10)
-        assert report.converged
-
     def test_gmres_matches_direct_on_flux(self):
         mats, f = example1_system(4)
         assert gmres_lu_deviation(mats.V, f, gmres(mats.V, f, tol=1e-8)) <= 1e-7

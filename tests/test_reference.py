@@ -9,35 +9,13 @@ from heatbem.kernels import adaptive_quadrature
 from heatbem.mesh import Side
 from heatbem.reference import (
     SineSeries,
-    example1_initial_datum,
     example1_series,
     example2_initial_datum,
     example2_series,
-    expand,
 )
 
 
 class TestExpand:
-    def test_single_mode_two(self):
-        series = expand(lambda x: np.sin(2 * np.pi * x), n_max=6)
-        assert series.coefficients[1] == pytest.approx(1.0, abs=1e-12)
-        others = np.delete(series.coefficients, 1)
-        assert np.max(np.abs(others)) < 1e-12
-
-    def test_single_mode_one(self):
-        series = expand(lambda x: np.sin(np.pi * x), n_max=4)
-        assert series.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_known_handles_use_closed_forms(self):
-        assert np.array_equal(
-            expand(example1_initial_datum, n_max=8).coefficients,
-            example1_series(n_max=8).coefficients,
-        )
-        assert np.array_equal(
-            expand(example2_initial_datum, n_max=16).coefficients,
-            example2_series(n_max=16).coefficients,
-        )
-
     def test_example2_closed_form_vs_quadrature(self):
         closed = example2_series(n_max=10).coefficients
         # b_n = 2 int_0^1 u0 sin(n pi x) dx  with an independent quadrature

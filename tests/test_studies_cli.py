@@ -9,9 +9,9 @@ from heatbem import galerkin, studies
 from heatbem.cli import main
 from heatbem.galerkin import (
     DiscreteFlux,
+    OperatorMatrices,
     Problem,
     assemble_all,
-    assemble_K,
     assemble_rhs,
     evaluate_interior,
     second_bie_residual,
@@ -122,7 +122,7 @@ class TestIndicator:
             return direct_solve(assemble_all(m, problem.alpha).V, assemble_rhs(m, problem))
 
         w = solve(mesh)
-        eta = two_level_indicator(mesh, problem, DiscreteFlux(w, mesh))
+        eta = two_level_indicator(problem, DiscreteFlux(w, mesh))
 
         # eta_l^2 = (h_l / 2) * sum over the children of (w_fine - w_l)^2, with
         # the children found by geometry rather than by index
@@ -155,7 +155,7 @@ class TestLazyAssembly:
         problem, series = build_problem(cfg)
         mesh = refine_adaptive(uniform_mesh(1.0, 2), [1.0] + [0.0] * 7)
         rec, flux = studies._level_record(mesh, problem, series, cfg, 0, None)
-        two_level_indicator(mesh, problem, flux)
+        two_level_indicator(problem, flux)
 
         # functools.cached_property stores a block in the instance dict when built
         level, fine = built
@@ -164,10 +164,10 @@ class TestLazyAssembly:
         assert "V" in vars(fine) and not {"K", "D"} & set(vars(fine))
 
         # K read on demand is the eagerly assembled one, and feeds the residual
-        np.testing.assert_array_equal(level.K, assemble_K(mesh, problem.alpha))
+        np.testing.assert_array_equal(level.K, OperatorMatrices(mesh, problem.alpha).K)
         np.testing.assert_array_equal(
-            second_bie_residual(mesh, problem, flux, level),
-            second_bie_residual(mesh, problem, flux),
+            second_bie_residual(problem, flux, level),
+            second_bie_residual(problem, flux),
         )
 
 
@@ -199,7 +199,7 @@ class TestEmission:
 class TestSingleSolve:
     def test_samples_and_flux(self):
         result = run_single_solve(
-            ExperimentConfig(example=1, max_level=3), 3, [(0.25, 0.1)]
+            ExperimentConfig(example=1, max_level=3), [(0.25, 0.1)]
         )
         assert result.mesh.n_elements == 16
         assert len(result.interior_samples) == 1
@@ -219,9 +219,9 @@ class TestSingleSolve:
 
     def test_point_outside_rejected(self):
         with pytest.raises(ConfigError):
-            run_single_solve(ExperimentConfig(), 1, [(1.5, 0.5)])
+            run_single_solve(ExperimentConfig(max_level=1), [(1.5, 0.5)])
         with pytest.raises(ConfigError):
-            run_single_solve(ExperimentConfig(), 1, [(0.5, 0.0)])
+            run_single_solve(ExperimentConfig(max_level=1), [(0.5, 0.0)])
 
 
 class TestCli:
@@ -283,6 +283,18 @@ class TestCli:
              "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("level", ["-1", "12"])
+    def test_solve_level_out_of_range_exits_2(self, tmp_path, level):
+        code = main(["solve", "--level", level, "--out", str(tmp_path / "x")])
+        assert code == 2
+
+    def test_solve_level_wins_over_levels(self, tmp_path):
+        out = tmp_path / "solve"
+        code = main(["solve", "--level", "2", "--levels", "50", "--out", str(out)])
+        assert code == 0
+        assert (out / "flux_L2.txt").is_file()
+        assert "max_level=2" in (out / "meta.txt").read_text().splitlines()
 
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
