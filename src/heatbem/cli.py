@@ -163,11 +163,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _dump_level(out: Path, mesh, problem, tag: str) -> None:
-    mats = assemble_all(mesh, problem.alpha)
+def _dump_level(out: Path, mats, rhs, tag: str) -> None:
     write_matrix_text(out / f"V_{tag}.txt", mats.V)
     write_matrix_text(out / f"D_{tag}.txt", mats.D)
-    write_matrix_text(out / f"rhs_{tag}.txt", assemble_rhs(mesh, problem))
+    write_matrix_text(out / f"rhs_{tag}.txt", rhs)
 
 
 def _cmd_study(args) -> int:
@@ -189,8 +188,9 @@ def _cmd_study(args) -> int:
     (out / "meta.txt").write_text(meta_text(cfg, args.command))
     for rec, m in zip(records, meshes):
         (out / f"mesh_L{rec.level}.txt").write_text(mesh_mod.dumps(m))
-        if args.dump_matrices:
-            _dump_level(out, m, problem, f"L{rec.level}")
+        if args.dump_matrices:  # the studies keep no matrices: assemble again
+            mats, rhs = assemble_all(m, problem.alpha), assemble_rhs(m, problem)
+            _dump_level(out, mats, rhs, f"L{rec.level}")
     sys.stdout.write(records_to_markdown(records, style=style))
     return EXIT_OK
 
@@ -228,8 +228,7 @@ def _cmd_solve(args) -> int:
     (out / f"flux_{tag}.txt").write_text("\n".join(flux_lines) + "\n")
     (out / "meta.txt").write_text(meta_text(cfg, "solve"))
     if args.dump_matrices:
-        problem, _ = build_problem(cfg)
-        _dump_level(out, result.mesh, problem, tag)
+        _dump_level(out, result.matrices, result.rhs, tag)
     if result.interior_samples:
         rows = ["x,t,u_h,u_reference,abs_error"]
         for x, t, uh, uref in result.interior_samples:

@@ -207,19 +207,21 @@ def _spatial_moments(mesh, problem, primitive):
 
     The time integral is exact (F is the kernel's time antiderivative); the
     y-integral uses a composite Gauss rule graded toward both endpoints, with
-    order doubling until the moments stabilize.
+    order doubling until the moments stabilize.  Each order evaluates one
+    table F(x_side - y, t) per side, one row per breakpoint t of that side,
+    and an element's window is the difference of two consecutive rows.
     """
     u0 = _vectorize_integrand(problem.u0)
     alpha = problem.alpha
     breaks = np.asarray(_graded_breaks(*mesh.interval))
-    t1 = mesh.t_begin_all
-    t2 = mesh.t_end_all
-    x = mesh.x_all
+    a, b = mesh.interval
+    sides = ((a, mesh.left_breaks), (b, mesh.right_breaks))  # x_all order
 
     def compute(order):
         ys, ws = _composite_nodes(breaks, order)
-        d = x[:, None] - ys[None, :]
-        win = primitive(d, t2[:, None], alpha) - primitive(d, t1[:, None], alpha)
+        win = np.concatenate([
+            np.diff(primitive(x - ys, t[:, None], alpha), axis=0) for x, t in sides
+        ])
         return win @ (ws * u0(ys))
 
     order = QUAD_ORDER

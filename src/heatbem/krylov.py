@@ -3,10 +3,13 @@
 Right preconditioning is used throughout: GMRES runs on A P^{-1} and maps the
 Krylov solution back through P^{-1}.  This keeps the stopping criterion on the
 relative residual of the *original* system, so iteration counts are comparable
-across preconditioners.  Orthogonalization is modified Gram-Schmidt with one
-full reorthogonalization pass; the least-squares problem is updated with
-Givens rotations, whose running residual estimate is exact in exact
-arithmetic.
+across preconditioners.  Orthogonalization is classical Gram-Schmidt applied
+twice (CGS2), each pass one product with the whole basis; two passes keep the
+basis orthogonal to working precision ("twice is enough": Giraud, Langou &
+Rozloznik, Comput. Math. Appl. 2005).  The basis and the Hessenberg matrix
+grow in doubling chunks, so a solve that converges early never reserves the
+full ``max_iter`` columns.  The least-squares problem is updated with Givens
+rotations, whose running residual estimate is exact in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ class SolveReport:
         return self.relative_residual_history[-1]
 
 
+_FIRST_CHUNK = 32  # Krylov columns reserved before the first doubling
+
+
 def gmres(
     A,
     b,
@@ -116,9 +122,10 @@ def gmres(
     if 1.0 <= tol:
         return SolveReport(np.zeros(n), 0, history, True)
 
-    basis = np.zeros((max_iter + 1, n))
+    cap = min(max_iter, _FIRST_CHUNK)  # columns the storage has room for
+    basis = np.zeros((cap + 1, n))
     basis[0] = b / norm_b
-    H = np.zeros((max_iter + 1, max_iter))
+    H = np.zeros((cap + 1, cap))
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter)
     rhs = np.zeros(max_iter + 1)
@@ -128,14 +135,17 @@ def gmres(
     breakdown = False
     m = 0
     for j in range(max_iter):
+        if j == cap:  # double the storage, zero-padded
+            grow = min(cap, max_iter - cap)
+            basis = np.pad(basis, ((0, grow), (0, 0)))
+            H = np.pad(H, ((0, grow), (0, grow)))
+            cap += grow
         w = A @ prec.apply(basis[j])
-        for i in range(j + 1):
-            H[i, j] = basis[i] @ w
-            w -= H[i, j] * basis[i]
-        for i in range(j + 1):  # one reorthogonalization pass
-            corr = basis[i] @ w
-            H[i, j] += corr
-            w -= corr * basis[i]
+        Q = basis[: j + 1]
+        for _ in range(2):  # CGS2: the second pass reorthogonalizes
+            h = Q @ w
+            w -= h @ Q
+            H[: j + 1, j] += h
         h_next = float(np.linalg.norm(w))
         H[j + 1, j] = h_next
         h_scale = max(h_scale, float(np.max(np.abs(H[: j + 2, j]))))

@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import L2_GAUSS_ORDER, StudyRecord, condition_number, eoc, l2_error
 from .galerkin import (
     DiscreteFlux,
+    OperatorMatrices,
     Problem,
     assemble_all,
     assemble_rhs,
@@ -232,13 +233,15 @@ def run_adaptive_study(cfg: ExperimentConfig):
 
 @dataclass
 class SolveResult:
-    """Artifacts of a single solve: flux, mesh, and interior samples."""
+    """Artifacts of a single solve: flux, mesh, interior samples, and the system."""
 
     flux: DiscreteFlux
     mesh: BoundaryMesh
     iterations: int
     interior_samples: list[tuple[float, float, float, float]]
     # rows: (x, t, u_h, u_reference)
+    matrices: OperatorMatrices
+    rhs: np.ndarray
 
 
 def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
@@ -268,7 +271,8 @@ def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
         u_ref = series.interior(x, t)
         samples.append((float(x), float(t), u_h, u_ref))
     return SolveResult(
-        flux=flux, mesh=mesh, iterations=report.iterations, interior_samples=samples
+        flux=flux, mesh=mesh, iterations=report.iterations, interior_samples=samples,
+        matrices=mats, rhs=f,
     )
 
 

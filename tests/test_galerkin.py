@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from heatbem import galerkin
 from heatbem.analysis import ellipticity_margin
 from heatbem.galerkin import (
     DiscreteFlux,
@@ -13,15 +14,22 @@ from heatbem.galerkin import (
     assemble_all,
     assemble_rhs,
     evaluate_interior,
+    initial_dirichlet_moments,
     initial_neumann_moments,
     mass_weighted_norm,
     second_bie_residual,
     write_matrix_text,
 )
-from heatbem.kernels import primitive_I0, primitive_J0, primitive_J1
+from heatbem.kernels import (
+    _vectorize_integrand,
+    primitive_I0,
+    primitive_I1,
+    primitive_J0,
+    primitive_J1,
+)
 from heatbem.krylov import direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, uniform_mesh
-from heatbem.reference import example1_initial_datum
+from heatbem.reference import example1_initial_datum, example2_initial_datum
 from heatbem.verification import (
     entry_defect,
     min_ellipticity_margin,
@@ -70,6 +78,23 @@ def reference_matrices(mesh, alpha):
     K = np.where(x[:, None] != x[None, :], (-n[None, :] / alpha) * corner_sum(primitive_J1), 0.0)
     D = np.outer(n, n) * corner_sum(primitive_I0)
     return {"V": V, "K": K, "D": D}
+
+
+def reference_moments(mesh, problem, primitive):
+    """Initial-datum moments with F at both ends of every element, N x nodes each."""
+    u0 = _vectorize_integrand(problem.u0)
+    breaks = np.asarray(galerkin._graded_breaks(*mesh.interval))
+    x, t1, t2 = mesh.x_all, mesh.t_begin_all, mesh.t_end_all
+    order, prev = galerkin.QUAD_ORDER, None
+    while True:
+        ys, ws = galerkin._composite_nodes(breaks, order)
+        d = x[:, None] - ys[None, :]
+        win = primitive(d, t2[:, None], problem.alpha) - primitive(d, t1[:, None], problem.alpha)
+        cur = win @ (ws * u0(ys))
+        if prev is not None and np.abs(cur - prev).max() <= galerkin.QUAD_TOL:
+            return cur
+        assert order < galerkin.QUAD_MAX_ORDER
+        order, prev = 2 * order, cur
 
 
 class TestMass:
@@ -261,6 +286,40 @@ class TestRhs:
             assert f[idx] == pytest.approx(
                 rhs_moment_oracle(mesh, idx, prob, tol=1e-10), abs=1e-8
             )
+
+    MESHES = {
+        **{f"uniform_L{lv}": (lambda lv=lv: uniform_mesh(1.0, lv)) for lv in range(9)},
+        "unequal_sides": nonuniform_mesh,
+        "adaptive_2^-19": lambda: graded_mesh(2.0 ** -19),
+        "interval_-0.5_1.5": lambda: graded_mesh(2.0 ** -6, (-0.5, 1.5)),
+    }
+
+    @pytest.mark.parametrize("u0", [example1_initial_datum, example2_initial_datum])
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_moments_bitwise_equal_to_per_element_windows(self, name, u0):
+        mesh = self.MESHES[name]()
+        prob = Problem(u0=u0)
+        for got, ref in (
+            (initial_dirichlet_moments(mesh, prob), reference_moments(mesh, prob, primitive_I0)),
+            (initial_neumann_moments(mesh, prob),
+             mesh.normal_all * reference_moments(mesh, prob, primitive_I1)),
+        ):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_one_primitive_row_per_side_breakpoint(self, monkeypatch):
+        rows = []
+
+        def counting(d, tau, alpha):
+            rows.append(np.broadcast_shapes(np.shape(d), np.shape(tau))[0])
+            return primitive_I0(d, tau, alpha)
+
+        monkeypatch.setattr(galerkin, "primitive_I0", counting)
+        mesh = graded_mesh(2.0 ** -10)
+        initial_dirichlet_moments(mesh, Problem(u0=example2_initial_datum))
+        per_order = [len(mesh.left_breaks), len(mesh.right_breaks)]
+        assert rows == per_order * (len(rows) // 2)
+        assert sum(per_order) == mesh.n_elements + 2
 
     def test_incompatible_data_warns(self):
         prob = Problem(u0=lambda y: np.cos(np.pi * y))  # u0(0) = 1 != g = 0

@@ -1,7 +1,10 @@
 """GMRES, preconditioners, and the dense direct solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_galerkin import graded_mesh, nonuniform_mesh
 
 from heatbem.galerkin import Problem, assemble_all, assemble_rhs
 from heatbem.krylov import (
@@ -11,7 +14,7 @@ from heatbem.krylov import (
     gmres,
 )
 from heatbem.mesh import uniform_mesh
-from heatbem.reference import example1_initial_datum
+from heatbem.reference import example1_initial_datum, example2_initial_datum
 from heatbem.studies import ExperimentConfig, _level_record, build_problem
 from heatbem.verification import gmres_lu_deviation
 
@@ -21,6 +24,60 @@ def example1_system(level):
     mesh = uniform_mesh(1.0, level)
     mats = assemble_all(mesh, prob.alpha)
     return mats, assemble_rhs(mesh, prob)
+
+
+def mgs2_gmres(A, b, tol=1e-8, preconditioner=None):
+    """Oracle: the same GMRES orthogonalized by modified Gram-Schmidt, one
+    dot product per basis vector, plus a full reorthogonalization pass.
+
+    Returns (solution, iterations, history, converged, breakdown).
+    """
+    n = len(b)
+    prec = preconditioner or Preconditioner.identity()
+    norm_b = float(np.linalg.norm(b))
+    basis = np.zeros((n + 1, n))
+    basis[0] = b / norm_b
+    H = np.zeros((n + 1, n))
+    cs, sn, rhs = np.zeros(n), np.zeros(n), np.zeros(n + 1)
+    rhs[0] = norm_b
+    history, h_scale, breakdown, m = [1.0], 0.0, False, 0
+    for j in range(n):
+        w = A @ prec.apply(basis[j])
+        for i in range(j + 1):
+            H[i, j] = basis[i] @ w
+            w -= H[i, j] * basis[i]
+        for i in range(j + 1):
+            corr = basis[i] @ w
+            H[i, j] += corr
+            w -= corr * basis[i]
+        h_next = float(np.linalg.norm(w))
+        H[j + 1, j] = h_next
+        h_scale = max(h_scale, float(np.max(np.abs(H[: j + 2, j]))))
+        for i in range(j):
+            hi, hj = H[i, j], H[i + 1, j]
+            H[i, j] = cs[i] * hi + sn[i] * hj
+            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
+        denom = float(np.hypot(H[j, j], H[j + 1, j]))
+        if denom <= 1e-14 * max(h_scale, 1e-300):
+            breakdown = True
+            break
+        cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
+        H[j, j], H[j + 1, j] = denom, 0.0
+        rhs[j + 1] = -sn[j] * rhs[j]
+        rhs[j] = cs[j] * rhs[j]
+        m = j + 1
+        history.append(abs(rhs[j + 1]) / norm_b)
+        if history[-1] <= tol:
+            break
+        if h_next <= 1e-14 * max(h_scale, 1e-300):
+            breakdown = True
+            break
+        basis[j + 1] = w / h_next
+    y = np.linalg.solve(np.triu(H[:m, :m]), rhs[:m])
+    x = prec.apply(basis[:m].T @ y)
+    history[-1] = float(np.linalg.norm(b - A @ x) / norm_b)
+    converged = history[-1] <= tol
+    return x, m, np.array(history), converged, breakdown and not converged
 
 
 class TestGmres:
@@ -99,6 +156,74 @@ class TestGmres:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             gmres(np.eye(2), np.ones(2), tol=0.0)
+
+
+class TestBlockGramSchmidt:
+    """CGS2 against the MGS-plus-reorthogonalization oracle."""
+
+    SYSTEMS = {
+        **{f"uniform_L{lv}_ex1": (lambda lv=lv: uniform_mesh(1.0, lv), example1_initial_datum)
+           for lv in range(8)},
+        "unequal_sides_ex1": (nonuniform_mesh, example1_initial_datum),
+        "unequal_sides_ex2": (nonuniform_mesh, example2_initial_datum),
+        "graded_2^-19_ex1": (lambda: graded_mesh(2.0 ** -19), example1_initial_datum),
+        "graded_2^-19_ex2": (lambda: graded_mesh(2.0 ** -19), example2_initial_datum),
+    }
+    # Residual histories agree to 1e-12 absolute, except where the oracle's
+    # own history moves by more when b moves by 1e-15 relative: for none and
+    # diag on uniform L >= 4, where V is close to defective, by up to 1.3e-6;
+    # for none on the graded mesh, kappa(V) ~ 1.7e8, by up to 1.2e-6.  There
+    # the bound is SPREAD_FACTOR times the oracle's largest deviation over
+    # PERTURBATIONS such moves of b; CGS2 came to at most 1.73 times it.
+    PERTURBATIONS = 4
+    SPREAD_FACTOR = 4.0
+
+    def oracle_spread(self, mats, f, prec, history):
+        spread = 0.0
+        for seed in range(self.PERTURBATIONS):
+            rng = np.random.default_rng(seed)
+            moved = mgs2_gmres(mats.V, f * (1.0 + 1e-15 * rng.standard_normal(len(f))),
+                               preconditioner=prec)[2]
+            k = min(len(moved), len(history))
+            spread = max(spread, float(np.max(np.abs(moved[:k] - history[:k]))))
+        return spread
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_matches_mgs2_oracle(self, name):
+        make_mesh, u0 = self.SYSTEMS[name]
+        mesh = make_mesh()
+        mats = assemble_all(mesh, 1.0)
+        f = assemble_rhs(mesh, Problem(u0=u0))
+        for prec in (
+            Preconditioner.identity(),
+            Preconditioner.diagonal(np.diag(mats.V)),
+            Preconditioner.calderon(mats.mass, mats.D),
+        ):
+            report = gmres(mats.V, f, preconditioner=prec)
+            _, its, history, converged, breakdown = mgs2_gmres(mats.V, f, preconditioner=prec)
+            assert (report.iterations, report.converged, report.breakdown) == (
+                its, converged, breakdown), prec.kind
+            dev = np.max(np.abs(np.array(report.relative_residual_history) - history))
+            if dev > 1e-12:
+                assert prec.kind != "calderon"
+                assert dev <= self.SPREAD_FACTOR * self.oracle_spread(mats, f, prec, history)
+
+    def test_storage_grows_with_the_iterations(self):
+        # a rank-one update of 2 I converges in two iterations; an up-front
+        # (n + 1) x n basis and Hessenberg matrix would take 268 MB here
+        n = 4096
+        rng = np.random.default_rng(123)
+        A = np.outer(rng.standard_normal(n), rng.standard_normal(n) / n)
+        A[np.diag_indices(n)] += 2.0
+        b = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            report = gmres(A, b, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged and report.iterations <= 3
+        assert peak < 4e6  # bytes; the first chunk is 33 x n doubles (1.1 MB)
 
 
 class TestPreconditioner:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heatbem import galerkin, studies
+from heatbem import cli, galerkin, studies
 from heatbem.cli import main
 from heatbem.galerkin import (
     DiscreteFlux,
@@ -252,6 +252,28 @@ class TestCli:
         assert (out / "V_L0.txt").is_file()
         assert (out / "D_L0.txt").is_file()
         assert (out / "rhs_L0.txt").read_text().splitlines()[0] == "1 2"
+
+    def test_solve_dump_reuses_the_solved_system(self, tmp_path, monkeypatch):
+        calls = {"assemble_all": 0, "assemble_rhs": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(galerkin, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            for mod in (studies, cli):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting)
+        out = tmp_path / "solve"
+        assert main(["solve", "--level", "3", "--dump-matrices", "--out", str(out)]) == 0
+        assert calls == {"assemble_all": 1, "assemble_rhs": 1}
+        problem, _ = build_problem(ExperimentConfig())
+        mesh = uniform_mesh(1.0, 3)
+        mats = OperatorMatrices(mesh, problem.alpha)
+        for tag, ref in (("V", mats.V), ("D", mats.D), ("rhs", assemble_rhs(mesh, problem))):
+            text = (out / f"{tag}_L3.txt").read_text().splitlines()
+            np.testing.assert_array_equal(
+                np.array([row.split() for row in text[1:]], dtype=float).ravel(), ref.ravel()
+            )
 
     def test_study_adaptive_writes_outputs(self, tmp_path):
         out = tmp_path / "ada"
