@@ -29,26 +29,26 @@ L2_GAUSS_ORDER = 8  # Gauss points per element of the L2 flux error
 class StudyRecord:
     """One refinement level of a convergence/conditioning study.
 
-    Condition numbers carry both conventions: the plain fields are the
-    singular-value ratio, the ``*_eig`` fields the eigenvalue-modulus ratio
-    of the same explicitly formed matrix, taken from its causal diagonal
-    blocks (see condition_number).  Entries are None when the stage was
-    skipped (preconditioner not requested, N above the kappa cap).
+    The fields are the table columns, in order.  Condition numbers carry both
+    conventions: ``*_sv`` is the singular-value ratio, ``*_eig`` the
+    eigenvalue-modulus ratio of the same explicitly formed matrix, taken from
+    its causal diagonal blocks (see condition_number).  Entries are None when
+    the stage was skipped (preconditioner not requested, N above the kappa cap).
     """
 
-    level: int
-    n_elements: int
+    L: int
+    N: int
     l2_error: float
     eoc: float | None = None
-    kappa_V: float | None = None
-    kappa_diag_prec: float | None = None
-    kappa_calderon_prec: float | None = None
+    kappa_V_sv: float | None = None
     kappa_V_eig: float | None = None
-    kappa_diag_prec_eig: float | None = None
-    kappa_calderon_prec_eig: float | None = None
-    iters_none: int | None = None
-    iters_diag: int | None = None
-    iters_calderon: int | None = None
+    kappa_diag_sv: float | None = None
+    kappa_diag_eig: float | None = None
+    kappa_calderon_sv: float | None = None
+    kappa_calderon_eig: float | None = None
+    it_none: int | None = None
+    it_diag: int | None = None
+    it_calderon: int | None = None
 
 
 def condition_number(A, method: str = "sv") -> float:

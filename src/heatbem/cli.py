@@ -23,6 +23,7 @@ from .krylov import NumericalError
 from .studies import (
     ConfigError,
     ExperimentConfig,
+    KAPPA_CONVENTIONS,
     PRECOND_CHOICES,
     build_problem,
     meta_text,
@@ -38,25 +39,44 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--example", type=int, choices=(1, 2), default=None,
-                   help="built-in problem: 1 smooth datum, 2 boundary layer")
-    p.add_argument("--alpha", type=float, default=None, help="heat capacity (default 1)")
-    p.add_argument("--levels", type=int, default=None,
-                   help="refinement levels (uniform) or steps (adaptive)")
-    p.add_argument("--tol", type=float, default=None, help="GMRES relative tolerance")
-    p.add_argument("--precond", choices=(*PRECOND_CHOICES, "all"), default=None,
-                   help="preconditioner set for iteration counts")
-    p.add_argument("--theta", type=float, default=None, help="marking parameter in (0, 1]")
-    p.add_argument("--out", type=Path, default=None, help="output directory (default results/)")
+def _precond_set(text: str) -> tuple[str, ...]:
+    """--precond / precond= value: one preconditioner, or all of them."""
+    if text not in (*PRECOND_CHOICES, "all"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r}")
+    return PRECOND_CHOICES if text == "all" else (text,)
+
+
+# The study options: flag dest and config-file key -> ExperimentConfig field,
+# value type, further argparse keywords.  Flags default to None, so that an
+# unset flag falls through to the config file and then to the field default.
+_OPTIONS = {
+    "example": ("example", int, dict(
+        choices=(1, 2), help="built-in problem: 1 smooth datum, 2 boundary layer")),
+    "alpha": ("alpha", float, dict(help="heat capacity")),
+    "levels": ("max_level", int, dict(help="refinement levels (uniform) or steps (adaptive)")),
+    "tol": ("tol", float, dict(help="GMRES relative tolerance")),
+    "precond": ("preconds", _precond_set, dict(
+        metavar="{none,diag,calderon,all}", help="preconditioner set for iteration counts")),
+    "theta": ("theta", float, dict(help="marking parameter in (0, 1]")),
+    "kappa": ("kappa_convention", str, dict(
+        choices=KAPPA_CONVENTIONS, help="condition-number convention for the tables")),
+    "max_kappa_n": ("max_kappa_n", int, dict(help="skip condition numbers above this N")),
+    "target_n": ("target_n", int, dict(help="stop after the first step whose N exceeds this")),
+    "max_steps": ("max_steps", int, dict(help="cap on the adaptive steps")),
+}
+_ADAPTIVE_ONLY = ("target_n", "max_steps")  # flags of study-adaptive alone
+
+
+def _study_flags(p: argparse.ArgumentParser, adaptive: bool) -> None:
+    for key, (_, kind, keywords) in _OPTIONS.items():
+        if adaptive or key not in _ADAPTIVE_ONLY:
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None, **keywords)
+    p.add_argument("--out", type=Path, default=Path("results"),
+                   help="output directory (default %(default)s)")
     p.add_argument("--dump-matrices", action="store_true",
                    help="write V/D/rhs plain-text dumps per level")
-    p.add_argument("--kappa", choices=("sv", "eig", "both"), default=None,
-                   help="condition-number convention for the tables")
-    p.add_argument("--max-kappa-n", type=int, default=None,
-                   help="skip condition numbers above this system size")
     p.add_argument("--config", type=Path, default=None,
-                   help="key=value file; explicit flags override it")
+                   help="key=value file keyed like the flags; explicit flags override it")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -67,18 +87,15 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_uni = sub.add_parser("study-uniform", help="dyadic refinement study")
-    _common_flags(p_uni)
+    _study_flags(p_uni, adaptive=False)
 
     p_ada = sub.add_parser("study-adaptive", help="adaptive refinement study")
-    _common_flags(p_ada)
-    p_ada.add_argument("--target-n", type=int, default=None,
-                       help="stop after the first step whose N exceeds this")
-    p_ada.add_argument("--max-steps", type=int, default=None)
+    _study_flags(p_ada, adaptive=True)
 
     p_sol = sub.add_parser("solve", help="single solve with interior samples")
-    _common_flags(p_sol)
+    _study_flags(p_sol, adaptive=False)
     p_sol.add_argument("--level", type=int, default=4,
-                       help="uniform mesh level 0..11 (default 4); wins over --levels")
+                       help="uniform mesh level 0..11 (default %(default)s); wins over --levels")
     p_sol.add_argument("--points", type=str, default="",
                        help="interior points 'x,t;x,t;...'")
 
@@ -88,6 +105,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: Path) -> dict:
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
     table = {}
     for raw in path.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -95,72 +114,35 @@ def _load_config_file(path: Path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"bad config line (need key=value): {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        table[key] = value
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key: {key!r}")
+        try:
+            table[key] = _OPTIONS[key][1](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"bad value for {key}: {text!r}") from exc
     return table
 
 
-_CONFIG_KEYS = {
-    "example": int,
-    "alpha": float,
-    "levels": int,
-    "tol": float,
-    "precond": str,
-    "theta": float,
-    "kappa": str,
-    "max_kappa_n": int,
-    "target_n": int,
-    "max_steps": int,
-}
-
-
 def _build_config(args: argparse.Namespace, adaptive: bool) -> ExperimentConfig:
-    base: dict = {}
-    if args.config is not None:
-        if not args.config.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        raw = _load_config_file(args.config)
-        unknown = set(raw) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in raw.items():
-            try:
-                base[key] = _CONFIG_KEYS[key](text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {text!r}") from exc
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return base.get(key, default)
-
-    precond = pick(args.precond, "precond", "all")
-    preconds = PRECOND_CHOICES if precond == "all" else (precond,)
-    max_steps = 80
-    if adaptive:  # levels count the adaptive steps and win over max_steps
-        flag = args.levels if args.levels is not None else args.max_steps
-        max_steps = pick(flag, "levels", base.get("max_steps", max_steps))
-    level = getattr(args, "level", None)  # solve's mesh level wins over levels
-    cfg = ExperimentConfig(
-        example=pick(args.example, "example", 1),
-        alpha=pick(args.alpha, "alpha", 1.0),
-        max_level=pick(args.levels, "levels", 8) if level is None else level,
-        tol=pick(args.tol, "tol", 1e-8),
-        preconds=preconds,
-        theta=pick(args.theta, "theta", 0.5),
-        kappa_convention=pick(args.kappa, "kappa", "sv"),
-        max_kappa_n=pick(args.max_kappa_n, "max_kappa_n", 1024),
-        target_n=pick(getattr(args, "target_n", None), "target_n", 278),
-        max_steps=max_steps,
-    )
+    """Explicit flag > config file > ExperimentConfig default, key by key."""
+    file = _load_config_file(args.config) if args.config is not None else {}
+    flags = {key: v for key in _OPTIONS if (v := getattr(args, key, None)) is not None}
+    values: dict = {}
+    for source in (file, flags):
+        if adaptive and "levels" in source:  # levels count the steps, over max_steps
+            source["max_steps"] = source["levels"]
+        values.update(source)
+    if getattr(args, "level", None) is not None:  # solve's mesh level wins over levels
+        values["levels"] = args.level
+    cfg = ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
     cfg.validate(adaptive=adaptive)
     return cfg
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = args.out if args.out is not None else Path("results")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _dump_level(out: Path, mats, rhs, tag: str) -> None:
@@ -187,10 +169,10 @@ def _cmd_study(args) -> int:
     )
     (out / "meta.txt").write_text(meta_text(cfg, args.command))
     for rec, m in zip(records, meshes):
-        (out / f"mesh_L{rec.level}.txt").write_text(mesh_mod.dumps(m))
+        (out / f"mesh_L{rec.L}.txt").write_text(mesh_mod.dumps(m))
         if args.dump_matrices:  # the studies keep no matrices: assemble again
             mats, rhs = assemble_all(m, problem.alpha), assemble_rhs(m, problem)
-            _dump_level(out, mats, rhs, f"L{rec.level}")
+            _dump_level(out, mats, rhs, f"L{rec.L}")
     sys.stdout.write(records_to_markdown(records, style=style))
     return EXIT_OK
 

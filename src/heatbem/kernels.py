@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy.special import erfc as _erfc_ufunc
+from scipy.special import erfc  # complementary error function, ~1 ulp
 
 __all__ = [
     "QuadratureError",
@@ -49,42 +49,39 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet the requested tolerance."""
 
 
-def erfc(x):
-    """Complementary error function, vectorized, accurate to ~1 ulp."""
-    return _erfc_ufunc(x)
+def _causal(formula, d, tau, alpha, flush=False):
+    """formula(d, t, alpha) at t = tau where tau > 0, exactly 0 elsewhere.
 
-
-def _split_causal(tau):
-    """Mask tau > 0 and clamp the rest to 1.0 so formulas stay finite."""
+    The formula sees tau <= 0 clamped to 1.0, so every branch stays finite;
+    flush sets values below _FLUSH to 0.  Scalar input gives a float.
+    """
+    d = np.asarray(d, dtype=float)
     tau = np.asarray(tau, dtype=float)
     pos = tau > 0.0
-    return pos, np.where(pos, tau, 1.0)
+    val = formula(d, np.where(pos, tau, 1.0), alpha)
+    if flush:
+        val = np.where(np.abs(val) < _FLUSH, 0.0, val)
+    out = np.where(pos, val, 0.0)
+    return float(out) if d.ndim == 0 and tau.ndim == 0 else out
 
 
-def _scalar_like(out, *inputs):
-    if all(np.ndim(x) == 0 for x in inputs):
-        return float(out)
-    return out
+def _g(d, t, alpha):
+    return np.sqrt(alpha / (4.0 * np.pi * t)) * np.exp(-alpha * d * d / (4.0 * t))
 
 
 def heat_kernel(d, tau, alpha=1.0):
     """Free-space heat kernel G(d, tau); exactly 0 for tau <= 0."""
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    val = np.sqrt(alpha / (4.0 * np.pi * t)) * np.exp(-alpha * d * d / (4.0 * t))
-    val = np.where(np.abs(val) < _FLUSH, 0.0, val)
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    return _causal(_g, d, tau, alpha, flush=True)
 
 
 def kernel_dx(d, tau, alpha=1.0):
     """Spatial derivative dG/dd = -(alpha d / (2 tau)) G; odd in d."""
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    val = -(alpha * d / (2.0 * t)) * np.sqrt(alpha / (4.0 * np.pi * t)) * np.exp(
-        -alpha * d * d / (4.0 * t)
-    )
-    val = np.where(np.abs(val) < _FLUSH, 0.0, val)
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    def g_dx(d, t, alpha):  # keeps its own association, not -(...) * _g
+        return -(alpha * d / (2.0 * t)) * np.sqrt(alpha / (4.0 * np.pi * t)) * np.exp(
+            -alpha * d * d / (4.0 * t)
+        )
+
+    return _causal(g_dx, d, tau, alpha, flush=True)
 
 
 def kernel_dt(d, tau, alpha=1.0):
@@ -93,12 +90,10 @@ def kernel_dt(d, tau, alpha=1.0):
     Satisfies the heat identity d2G/dd2 = alpha * dG/dtau for tau > 0.
     The point (d=0, tau -> 0+) is singular; callers must keep away from it.
     """
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    g = np.sqrt(alpha / (4.0 * np.pi * t)) * np.exp(-alpha * d * d / (4.0 * t))
-    val = g * (alpha * d * d / (4.0 * t * t) - 1.0 / (2.0 * t))
-    val = np.where(np.abs(val) < _FLUSH, 0.0, val)
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+    def g_dt(d, t, alpha):
+        return _g(d, t, alpha) * (alpha * d * d / (4.0 * t * t) - 1.0 / (2.0 * t))
+
+    return _causal(g_dt, d, tau, alpha, flush=True)
 
 
 def _causal_terms(d, t, alpha):
@@ -133,11 +128,9 @@ def _j1(d, t, alpha, root, gauss, tail):
     return np.sign(d) * (near - (alpha / 2.0) * (t + alpha * d * d / 2.0) * tail)
 
 
-def _causal_primitive(formula, d, tau, alpha):
-    d = np.asarray(d, dtype=float)
-    pos, t = _split_causal(tau)
-    val = formula(d, t, alpha, *_causal_terms(d, t, alpha))
-    return _scalar_like(np.where(pos, val, 0.0), d, tau)
+def _with_terms(formula):
+    """A primitive formula of (d, t, alpha) that computes its own causal terms."""
+    return lambda d, t, alpha: formula(d, t, alpha, *_causal_terms(d, t, alpha))
 
 
 def primitive_I0(d, tau, alpha=1.0):
@@ -148,7 +141,7 @@ def primitive_I0(d, tau, alpha=1.0):
           - (alpha |d| / 2) erfc(sqrt(alpha) |d| / (2 sqrt(tau)))
     Nonnegative, increasing in tau, and 0 for tau <= 0.
     """
-    return _causal_primitive(_i0, d, tau, alpha)
+    return _causal(_with_terms(_i0), d, tau, alpha)
 
 
 def primitive_J0(d, tau, alpha=1.0):
@@ -159,7 +152,7 @@ def primitive_J0(d, tau, alpha=1.0):
           - (alpha |d|/2) (tau + alpha d^2/6) erfc(sqrt(alpha)|d|/(2 sqrt(tau)))
     For d = 0 this reduces to (2/3) sqrt(alpha/pi) tau^{3/2}.
     """
-    return _causal_primitive(_j0, d, tau, alpha)
+    return _causal(_with_terms(_j0), d, tau, alpha)
 
 
 def primitive_I1(d, tau, alpha=1.0):
@@ -169,7 +162,7 @@ def primitive_I1(d, tau, alpha=1.0):
     time growth here: -+ alpha/2 erfc(0)); the symmetrized value 0 is returned,
     consistent with its only use on cross-side element pairs where d != 0.
     """
-    return _causal_primitive(_i1, d, tau, alpha)
+    return _causal(_with_terms(_i1), d, tau, alpha)
 
 
 def primitive_J1(d, tau, alpha=1.0):
@@ -179,7 +172,7 @@ def primitive_J1(d, tau, alpha=1.0):
         (alpha^{3/2} d / (2 sqrt(pi))) sqrt(tau) exp(-alpha d^2/(4 tau))
           - (alpha/2) (tau + alpha d^2/2) erfc(sqrt(alpha) d / (2 sqrt(tau)))
     """
-    return _causal_primitive(_j1, d, tau, alpha)
+    return _causal(_with_terms(_j1), d, tau, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ the uniformly bisected mesh.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 PRECOND_CHOICES = ("none", "diag", "calderon")
+KAPPA_CONVENTIONS = ("sv", "eig", "both")
 # cylinder of every study; the reference series exist only on (0, 1), so
 # another interval would report wrong errors
 HORIZON = 1.0
@@ -73,7 +74,7 @@ class ExperimentConfig:
     tol: float = 1e-8
     preconds: tuple[str, ...] = PRECOND_CHOICES
     theta: float = 0.5
-    kappa_convention: str = "sv"  # sv | eig | both
+    kappa_convention: str = "sv"  # one of KAPPA_CONVENTIONS
     max_kappa_n: int = 1024
     target_n: int = 278
     max_steps: int = 80
@@ -93,7 +94,7 @@ class ExperimentConfig:
             raise ConfigError("uniform studies are capped at 11 levels (N = 4096)")
         if adaptive and self.max_steps > 200:
             raise ConfigError("adaptive studies are capped at 200 steps")
-        if self.kappa_convention not in ("sv", "eig", "both"):
+        if self.kappa_convention not in KAPPA_CONVENTIONS:
             raise ConfigError("kappa convention must be sv, eig, or both")
         bad = set(self.preconds) - set(PRECOND_CHOICES)
         if bad:
@@ -121,12 +122,6 @@ def _preconditioner(name: str, mats) -> Preconditioner:
     raise ConfigError(f"unknown preconditioner {name!r}")
 
 
-def _kappa_pair(mat, convention: str):
-    sv = condition_number(mat, "sv") if convention in ("sv", "both") else None
-    ev = condition_number(mat, "eig") if convention in ("eig", "both") else None
-    return sv, ev
-
-
 def _level_record(
     mesh: BoundaryMesh,
     problem: Problem,
@@ -141,26 +136,28 @@ def _level_record(
     flux = DiscreteFlux(coefficients=w, mesh=mesh)
     err = l2_error(flux, series)
 
-    rec = StudyRecord(level=level, n_elements=mesh.n_elements, l2_error=err)
+    rec = StudyRecord(L=level, N=mesh.n_elements, l2_error=err)
     if prev_error is not None:
         rec.eoc = eoc([prev_error, err])[0]
 
-    n = mesh.n_elements
-    if n <= cfg.max_kappa_n:
-        conv = cfg.kappa_convention
-        rec.kappa_V, rec.kappa_V_eig = _kappa_pair(mats.V, conv)
-        if "diag" in cfg.preconds:
-            tilde = mats.V / np.diag(mats.V)[:, None]
-            rec.kappa_diag_prec, rec.kappa_diag_prec_eig = _kappa_pair(tilde, conv)
-        if "calderon" in cfg.preconds:
-            cv = mats.D / np.outer(mats.mass, mats.mass) @ mats.V  # M^-1 D M^-1 V
-            rec.kappa_calderon_prec, rec.kappa_calderon_prec_eig = _kappa_pair(cv, conv)
+    if mesh.n_elements <= cfg.max_kappa_n:
+        systems = {  # formed only when requested
+            "V": lambda: mats.V,
+            "diag": lambda: mats.V / np.diag(mats.V)[:, None],
+            "calderon": lambda: mats.D / np.outer(mats.mass, mats.mass) @ mats.V,  # M^-1 D M^-1 V
+        }
+        conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
+        for name, form in systems.items():
+            if name == "V" or name in cfg.preconds:
+                mat = form()
+                for conv in conventions:
+                    setattr(rec, f"kappa_{name}_{conv}", condition_number(mat, conv))
 
     for name in cfg.preconds:
         report = gmres(
             mats.V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats)
         )
-        setattr(rec, f"iters_{name}", report.iterations)
+        setattr(rec, f"it_{name}", report.iterations)
     return rec, flux
 
 
@@ -279,35 +276,21 @@ def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
 # ---------------------------------------------------------------------------
 # table emission
 
-_CSV_COLUMNS = [  # (column, StudyRecord attribute)
-    ("L", "level"),
-    ("N", "n_elements"),
-    ("l2_error", "l2_error"),
-    ("eoc", "eoc"),
-    ("kappa_V_sv", "kappa_V"),
-    ("kappa_V_eig", "kappa_V_eig"),
-    ("kappa_diag_sv", "kappa_diag_prec"),
-    ("kappa_diag_eig", "kappa_diag_prec_eig"),
-    ("kappa_calderon_sv", "kappa_calderon_prec"),
-    ("kappa_calderon_eig", "kappa_calderon_prec_eig"),
-    ("it_none", "iters_none"),
-    ("it_diag", "iters_diag"),
-    ("it_calderon", "iters_calderon"),
-]
-
-
 def _fmt(value) -> str:
+    """CSV and meta.txt text of a value; floats keep 17 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
     return f"{float(value):.17g}"
 
 
 def records_to_csv(records) -> str:
-    lines = [",".join(name for name, _ in _CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, attr)) for _, attr in _CSV_COLUMNS))
+    """One column per StudyRecord field, in field order."""
+    lines = [",".join(f.name for f in fields(StudyRecord))]
+    lines.extend(",".join(map(_fmt, astuple(rec))) for rec in records)
     return "\n".join(lines) + "\n"
 
 
@@ -332,19 +315,19 @@ def _md_num(value, digits: int) -> str:
     return f"{float(value):.{digits}f}"
 
 
-# per style: (header, StudyRecord attribute, digits); kappa attributes take
-# the convention's suffix
+# per style: (header, StudyRecord field, digits); kappa fields take the
+# convention as suffix
 _MD_COLUMNS = {
     "uniform": [
-        ("L", "level", 3), ("N", "n_elements", 3), ("||w-w_h||_L2", "l2_error", 3),
-        ("eoc", "eoc", 3), ("kappa(V_h)", "kappa_V", 3), ("It.", "iters_none", 3),
-        ("kappa(C_V^-1 V_h)", "kappa_calderon_prec", 3), ("It.", "iters_calderon", 3),
+        ("L", "L", 3), ("N", "N", 3), ("||w-w_h||_L2", "l2_error", 3),
+        ("eoc", "eoc", 3), ("kappa(V_h)", "kappa_V", 3), ("It.", "it_none", 3),
+        ("kappa(C_V^-1 V_h)", "kappa_calderon", 3), ("It.", "it_calderon", 3),
     ],
     "adaptive": [
-        ("L", "level", 3), ("N", "n_elements", 3), ("||w-w_h||_L2", "l2_error", 3),
-        ("kappa(V_h)", "kappa_V", 2), ("It.", "iters_none", 3),
-        ("kappa(diag^-1 V_h)", "kappa_diag_prec", 3), ("It.", "iters_diag", 3),
-        ("kappa(C_V^-1 V_h)", "kappa_calderon_prec", 3), ("It.", "iters_calderon", 3),
+        ("L", "L", 3), ("N", "N", 3), ("||w-w_h||_L2", "l2_error", 3),
+        ("kappa(V_h)", "kappa_V", 2), ("It.", "it_none", 3),
+        ("kappa(diag^-1 V_h)", "kappa_diag", 3), ("It.", "it_diag", 3),
+        ("kappa(C_V^-1 V_h)", "kappa_calderon", 3), ("It.", "it_calderon", 3),
     ],
 }
 
@@ -353,9 +336,8 @@ def records_to_markdown(records, style: str = "uniform", convention: str = "sv")
     """Human-readable table mirroring the reference column layout."""
     if style not in _MD_COLUMNS:
         raise ValueError(f"unknown table style {style!r}")
-    sfx = "" if convention == "sv" else "_eig"
     columns = [
-        (header, attr + sfx if attr.startswith("kappa") else attr, digits)
+        (header, f"{attr}_{convention}" if attr.startswith("kappa") else attr, digits)
         for header, attr, digits in _MD_COLUMNS[style]
     ]
     rows = [[_md_num(getattr(r, attr), digits) for _, attr, digits in columns] for r in records]
@@ -366,17 +348,9 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
     """Deterministic run metadata (config echo plus standing assumptions)."""
     lines = [
         f"command={command}",
-        f"example={cfg.example}",
-        f"alpha={cfg.alpha:.17g}",
-        f"horizon={HORIZON:.17g}",
-        f"interval={INTERVAL[0]:.17g},{INTERVAL[1]:.17g}",
-        f"max_level={cfg.max_level}",
-        f"tol={cfg.tol:.17g}",
-        f"preconds={','.join(cfg.preconds)}",
-        f"theta={cfg.theta:.17g}",
-        f"kappa_convention={cfg.kappa_convention}",
-        f"max_kappa_n={cfg.max_kappa_n}",
-        f"target_n={cfg.target_n}",
+        *(f"{f.name}={_fmt(getattr(cfg, f.name))}" for f in fields(cfg)),
+        f"horizon={_fmt(HORIZON)}",
+        f"interval={_fmt(INTERVAL)}",
         f"gauss_order={L2_GAUSS_ORDER}",
         "",
         "# assumptions",

@@ -131,7 +131,7 @@ def test_criterion_1_uniform_error_column(uniform_study, uniform_study_table_alp
     at TABLE_ALPHA; each uniform study runs in under 60 s."""
     records, _, elapsed = uniform_study_table_alpha
     elapsed_alpha1 = uniform_study[2]
-    byl = {r.level: r for r in records}
+    byl = {r.L: r for r in records}
     devs = {
         L: abs(byl[L].l2_error / target - 1.0) for L, target in TABLE1_ERROR.items()
     }
@@ -157,7 +157,7 @@ def test_criterion_2_table1_conditioning(uniform_study):
     known failure: no configuration tried reproduces that column (see the
     module docstring)."""
     records, _, elapsed = uniform_study
-    byl = {r.level: r for r in records}
+    byl = {r.L: r for r in records}
 
     def within(values, targets, tol):
         return all(
@@ -165,13 +165,13 @@ def test_criterion_2_table1_conditioning(uniform_study):
             for L, t in targets.items()
         )
 
-    kv_sv = {L: byl[L].kappa_V for L in TABLE1_KAPPA_V}
+    kv_sv = {L: byl[L].kappa_V_sv for L in TABLE1_KAPPA_V}
     kv_ok = within(kv_sv, TABLE1_KAPPA_V, 0.15)
 
-    kc_sv_all = [byl[L].kappa_calderon_prec for L in range(0, 10)]
+    kc_sv_all = [byl[L].kappa_calderon_sv for L in range(0, 10)]
     bound_ok = all(v is not None and v <= 1.8 for v in kc_sv_all)
 
-    kc_sv = {L: byl[L].kappa_calderon_prec for L in TABLE1_KAPPA_CV}
+    kc_sv = {L: byl[L].kappa_calderon_sv for L in TABLE1_KAPPA_CV}
     kc_ok = within(kc_sv, TABLE1_KAPPA_CV, 0.10)
 
     runtime_ok = elapsed < 120.0
@@ -192,18 +192,18 @@ def test_criterion_3_table1_iterations(uniform_study):
     """Unpreconditioned counts strictly increasing (L>=3), >= 50 by L=7;
     preconditioned counts <= 15 on [4, 9], non-increasing within +-1."""
     records, _, _ = uniform_study
-    byl = {r.level: r for r in records}
-    none_counts = [byl[L].iters_none for L in range(3, 10)]
+    byl = {r.L: r for r in records}
+    none_counts = [byl[L].it_none for L in range(3, 10)]
     increasing_ok = all(b > a for a, b in zip(none_counts, none_counts[1:]))
-    magnitude_ok = byl[7].iters_none >= 50
+    magnitude_ok = byl[7].it_none >= 50
 
-    cald = {L: byl[L].iters_calderon for L in range(4, 10)}
+    cald = {L: byl[L].it_calderon for L in range(4, 10)}
     bounded_ok = all(v <= 15 for v in cald.values())
     drift_ok = all(cald[L] <= cald[L - 1] + 1 for L in range(5, 10))
     trend_ok = cald[9] <= cald[4]
 
     detail = (
-        f"unpreconditioned L=3..9: {none_counts} (>=50 by L=7: {byl[7].iters_none}); "
+        f"unpreconditioned L=3..9: {none_counts} (>=50 by L=7: {byl[7].it_none}); "
         f"calderon L=4..9: {[cald[L] for L in range(4, 10)]}"
     )
     _report(3, increasing_ok and magnitude_ok and bounded_ok and drift_ok and trend_ok, detail)
@@ -213,12 +213,12 @@ def _conditioning_split(records):
     """Conditioning split at the first step with N > 250, diagonal
     preconditioner in between."""
     final = records[-1]
-    assert final.n_elements > 250, "study must reach N > 250"
-    kv, kdiag, kc = final.kappa_V, final.kappa_diag_prec, final.kappa_calderon_prec
-    ok = kv >= 1e3 and kc <= 2.5 and final.iters_calderon <= 15 and kc < kdiag < kv
+    assert final.N > 250, "study must reach N > 250"
+    kv, kdiag, kc = final.kappa_V_sv, final.kappa_diag_sv, final.kappa_calderon_sv
+    ok = kv >= 1e3 and kc <= 2.5 and final.it_calderon <= 15 and kc < kdiag < kv
     detail = (
-        f"at N={final.n_elements}: kappa(V)={kv:.3g}, diag={kdiag:.3g}, "
-        f"calderon={kc:.3g}, calderon its={final.iters_calderon}"
+        f"at N={final.N}: kappa(V)={kv:.3g}, diag={kdiag:.3g}, "
+        f"calderon={kc:.3g}, calderon its={final.it_calderon}"
     )
     return ok, detail
 

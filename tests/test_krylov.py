@@ -282,7 +282,7 @@ class TestPreconditioner:
         cfg = ExperimentConfig(example=1, preconds=("calderon",))
         problem, series = build_problem(cfg)
         rec, _ = _level_record(uniform_mesh(1.0, 5), problem, series, cfg, 5, None)
-        assert rec.kappa_calderon_prec == pytest.approx(1.70525, rel=1e-4)
+        assert rec.kappa_calderon_sv == pytest.approx(1.70525, rel=1e-4)
 
 
 class TestDirectSolve:

@@ -1,6 +1,8 @@
 """Study drivers, table emission, and the command-line interface."""
 
+import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from heatbem.studies import (
     two_level_indicator,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 FAST_UNIFORM = ExperimentConfig(example=1, max_level=2, kappa_convention="both")
 FAST_ADAPTIVE = ExperimentConfig(example=2, target_n=12, max_steps=30)
 
@@ -69,39 +72,39 @@ class TestUniformStudy:
             ExperimentConfig(example=1, max_level=0)
         )
         assert len(records) == 1
-        assert records[0].n_elements == 2
-        assert records[0].iters_none == 1
+        assert records[0].N == 2
+        assert records[0].it_none == 1
         assert records[0].eoc is None
 
     def test_row_shape(self, uniform_small):
         records, meshes = uniform_small
-        assert [r.n_elements for r in records] == [2, 4, 8]
+        assert [r.N for r in records] == [2, 4, 8]
         assert records[1].eoc is not None
         for r in records:
-            assert r.kappa_V is not None and r.kappa_V_eig is not None
-            assert r.iters_none is not None
-            assert r.iters_diag is not None
-            assert r.iters_calderon is not None
+            assert r.kappa_V_sv is not None and r.kappa_V_eig is not None
+            assert r.it_none is not None
+            assert r.it_diag is not None
+            assert r.it_calderon is not None
 
     def test_kappa_cap_skips(self):
         records, _ = run_uniform_study(
             ExperimentConfig(example=1, max_level=2, max_kappa_n=4)
         )
-        assert records[0].kappa_V is not None
-        assert records[2].kappa_V is None
+        assert records[0].kappa_V_sv is not None
+        assert records[2].kappa_V_sv is None
 
     def test_precond_subset(self):
         records, _ = run_uniform_study(
             ExperimentConfig(example=1, max_level=0, preconds=("calderon",))
         )
-        assert records[0].iters_none is None
-        assert records[0].iters_calderon == 1
+        assert records[0].it_none is None
+        assert records[0].it_calderon == 1
 
 
 class TestAdaptiveStudy:
     def test_n_strictly_increasing(self, adaptive_small):
         records, meshes = adaptive_small
-        ns = [r.n_elements for r in records]
+        ns = [r.N for r in records]
         assert all(b > a for a, b in zip(ns, ns[1:]))
         assert ns[0] == 2
         assert ns[-1] > 12
@@ -109,7 +112,7 @@ class TestAdaptiveStudy:
     def test_meshes_match_records(self, adaptive_small):
         records, meshes = adaptive_small
         for rec, mesh in zip(records, meshes):
-            assert rec.n_elements == mesh.n_elements
+            assert rec.N == mesh.n_elements
 
 
 class TestIndicator:
@@ -222,6 +225,104 @@ class TestSingleSolve:
             run_single_solve(ExperimentConfig(max_level=1), [(1.5, 0.5)])
         with pytest.raises(ConfigError):
             run_single_solve(ExperimentConfig(max_level=1), [(0.5, 0.0)])
+
+
+# config key -> (command, ExperimentConfig field, value, other value); the
+# value differs from the default, the other value from the value
+PRECEDENCE_KEYS = {
+    "example": ("study-uniform", "example", "2", "1"),
+    "alpha": ("study-uniform", "alpha", "2.5", "3.0"),
+    "levels": ("study-uniform", "max_level", "3", "5"),
+    "tol": ("study-uniform", "tol", "1e-06", "0.0001"),
+    "precond": ("study-uniform", "preconds", "diag", "calderon"),
+    "theta": ("study-uniform", "theta", "0.25", "0.75"),
+    "kappa": ("study-uniform", "kappa_convention", "both", "eig"),
+    "max_kappa_n": ("study-uniform", "max_kappa_n", "64", "128"),
+    "target_n": ("study-adaptive", "target_n", "40", "60"),
+    "max_steps": ("study-adaptive", "max_steps", "5", "7"),
+}
+
+
+def _config_of(tmp_path, argv, file_text=None):
+    if file_text is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(file_text)
+        argv = [*argv, "--config", str(cfgfile)]
+    args = cli._parser().parse_args(argv)
+    return cli._build_config(args, adaptive=argv[0] == "study-adaptive")
+
+
+def _parsed(field, text):
+    if field == "preconds":
+        return (text,)
+    default = getattr(ExperimentConfig(), field)
+    return type(default)(text)
+
+
+class TestPrecedence:
+    """Explicit flag > config file > ExperimentConfig default, key by key."""
+
+    @pytest.mark.parametrize("source", ["flag", "file", "both", "neither"])
+    @pytest.mark.parametrize("key", sorted(PRECEDENCE_KEYS))
+    def test_flag_over_file_over_default(self, tmp_path, key, source):
+        command, field, value, other = PRECEDENCE_KEYS[key]
+        argv = [command]
+        if source in ("flag", "both"):
+            argv += ["--" + key.replace("_", "-"), value]
+        file_text = None
+        if source != "neither":
+            file_text = f"{key}={value if source == 'file' else other}\n"
+        cfg = _config_of(tmp_path, argv, file_text)
+        expected = ExperimentConfig()
+        if source != "neither":
+            expected = dataclasses.replace(expected, **{field: _parsed(field, value)})
+        assert cfg == expected
+
+    @pytest.mark.parametrize(
+        "argv, file_text, changes",
+        [
+            # adaptive: levels count the steps and win over max_steps, within a source
+            (["study-adaptive", "--levels", "3"], None, dict(max_level=3, max_steps=3)),
+            (["study-adaptive", "--levels", "3", "--max-steps", "9"], None,
+             dict(max_level=3, max_steps=3)),
+            (["study-adaptive", "--levels", "3"], "max_steps=9\n", dict(max_level=3, max_steps=3)),
+            (["study-adaptive", "--max-steps", "5"], "levels=7\n", dict(max_level=7, max_steps=5)),
+            (["study-adaptive"], "levels=4\nmax_steps=9\n", dict(max_level=4, max_steps=4)),
+            (["study-adaptive", "--levels", "2"], "levels=4\n", dict(max_level=2, max_steps=2)),
+            (["study-uniform"], "levels=3\n", dict(max_level=3)),
+            # solve: the mesh level, given or by default, wins over levels
+            (["solve", "--level", "2"], "levels=6\n", dict(max_level=2)),
+            (["solve", "--level", "2", "--levels", "6"], None, dict(max_level=2)),
+            (["solve"], "levels=6\n", dict(max_level=4)),
+            (["study-uniform", "--precond", "all"], "precond=none\n", {}),
+        ],
+    )
+    def test_overrides(self, tmp_path, argv, file_text, changes):
+        cfg = _config_of(tmp_path, argv, file_text)
+        assert cfg == dataclasses.replace(ExperimentConfig(), **changes)
+
+
+class TestGoldenTables:
+    """The study tables, byte for byte, against fixtures in tests/golden.
+
+    A change that moves a digit regenerates the fixtures and says which digits
+    moved and why.
+    """
+
+    @pytest.mark.parametrize(
+        "table, argv",
+        [
+            ("table1", ["study-uniform", "--levels", "3", "--kappa", "both"]),
+            ("table2", ["study-adaptive", "--example", "2", "--target-n", "40"]),
+        ],
+    )
+    def test_tables_byte_identical(self, tmp_path, capsys, table, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+        for suffix in (".csv", ".md"):
+            name = table + suffix
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestCli:
