@@ -164,16 +164,15 @@ def _cmd_study(args) -> int:
         style, table = "uniform", "table1"
     (out / f"{table}.csv").write_text(records_to_csv(records))
     convention = "eig" if cfg.kappa_convention == "eig" else "sv"
-    (out / f"{table}.md").write_text(
-        records_to_markdown(records, style=style, convention=convention)
-    )
+    markdown = records_to_markdown(records, style=style, convention=convention)
+    (out / f"{table}.md").write_text(markdown)
     (out / "meta.txt").write_text(meta_text(cfg, args.command))
     for rec, m in zip(records, meshes):
         (out / f"mesh_L{rec.L}.txt").write_text(mesh_mod.dumps(m))
         if args.dump_matrices:  # the studies keep no matrices: assemble again
             mats, rhs = assemble_all(m, problem.alpha), assemble_rhs(m, problem)
             _dump_level(out, mats, rhs, f"L{rec.L}")
-    sys.stdout.write(records_to_markdown(records, style=style))
+    sys.stdout.write(markdown)
     return EXIT_OK
 
 

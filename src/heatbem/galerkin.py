@@ -15,8 +15,9 @@ the trial element) are exactly zero.
 Assembly works on a breakpoint table: the two sides' breakpoints merge into
 one sorted array B (at most N + 2 values), every corner lag is B_i - B_j,
 causal exactly when i > j, and d is 0 or +-(b - a).  The exp/erfc factors of
-each |d| are evaluated once per causal lag and give T[i, j] = F2(d, B_i - B_j);
-a side block is the second difference of T on its sides' breakpoints.
+each |d| are evaluated once per distinct causal lag (lags repeat on uniform
+and dyadic meshes) and give T[i, j] = F2(d, B_i - B_j); a side block is the
+second difference of T on its sides' breakpoints, and one T is live at a time.
 ``OperatorMatrices`` assembles each of V, K and D on first read only.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
@@ -114,35 +115,43 @@ class OperatorMatrices:
         breaks = np.union1d(mesh.left_breaks, mesh.right_breaks)
         lag = breaks[:, None] - breaks[None, :]
         causal = lag > 0.0  # i > j: breaks are strictly increasing
-        tau = lag[causal]
+        lags = lag[causal]
+        # exact float equality only, no tolerance: one path for every mesh, and
+        # a mesh whose lags never repeat gets no reuse
+        tau = np.unique(lags)
+        inv = np.searchsorted(tau, lags)  # causal lag -> index of its distinct lag
         (a, b), n = mesh.interval, mesh.n_left
         # the exp/erfc factors of both distances, shared by V, K and D
         terms = {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
         # per side: element rows, breakpoint indices into breaks, x, outward normal
         sides = ((slice(0, n), np.searchsorted(breaks, mesh.left_breaks), a, -1.0),
                  (slice(n, None), np.searchsorted(breaks, mesh.right_breaks), b, 1.0))
-        return causal, tau, terms, sides
+        return causal, tau, inv, terms, sides
 
     def _corner_sums(self, formula, op, factor, odd=False) -> np.ndarray:
         """Corner sums of every side block, then block = op(block, factor(n_row, n_col))."""
-        causal, tau, terms, sides = self._lags
+        causal, tau, inv, terms, sides = self._lags
         out = np.zeros((self.mesh.n_elements,) * 2)
-        tables = {}
-        for rows, row_idx, x_row, n_row in sides:
-            for cols, col_idx, x_col, n_col in sides:
-                d = x_row - x_col
+        blocks = {}  # table key -> the side blocks read from that table
+        for row in sides:
+            for col in sides:
+                d = row[2] - col[2]
                 if odd and d == 0.0:  # an odd primitive vanishes within a side
                     continue
-                key = d if odd else abs(d)  # an even one shares the table of d and -d
-                if key not in tables:
-                    tables[key] = np.zeros(causal.shape)
-                    tables[key][causal] = formula(key, tau, self.alpha, *terms[abs(d)])
-                g = tables[key][np.ix_(row_idx, col_idx)]
+                # an even primitive shares the table of d and -d
+                blocks.setdefault(d if odd else abs(d), []).append((row, col))
+        for key, pairs in blocks.items():
+            table = np.zeros(causal.shape)
+            table[causal] = formula(key, tau, self.alpha, *terms[abs(key)])[inv]
+            for (rows, row_idx, _, n_row), (cols, col_idx, _, n_col) in pairs:
+                g = table[np.ix_(row_idx, col_idx)]
                 block = out[rows, cols]
                 np.subtract(g[1:, :-1], g[1:, 1:], out=block)
                 block -= g[:-1, :-1]
                 block += g[:-1, 1:]
                 op(block, factor(n_row, n_col), out=block)
+                del g  # one gathered block live at a time
+            del table  # and one table
         return out
 
     @cached_property

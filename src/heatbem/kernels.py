@@ -99,8 +99,9 @@ def kernel_dt(d, tau, alpha=1.0):
 def _causal_terms(d, t, alpha):
     """sqrt(alpha t/pi), exp(-alpha d^2/(4t)), erfc(sqrt(alpha)|d|/(2 sqrt t)) at lags t > 0.
 
-    The Galerkin assembler evaluates these once per lag and derives I0, J0 and
-    J1 with the same ``_i0``/``_j0``/``_j1`` as the primitives: both agree bitwise.
+    The Galerkin assembler evaluates these once per distinct lag and derives I0,
+    J0 and J1 with the same ``_i0``/``_j0``/``_j1`` as the primitives: both agree
+    bitwise.
     """
     return (
         np.sqrt(alpha * t / np.pi),

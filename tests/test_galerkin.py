@@ -1,6 +1,7 @@
 """Galerkin assembly: frozen entries, oracle agreement, structure, RHS, potentials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from heatbem.galerkin import (
     write_matrix_text,
 )
 from heatbem.kernels import (
+    _causal_terms,
     _vectorize_integrand,
     primitive_I0,
     primitive_I1,
@@ -47,6 +49,21 @@ def nonuniform_mesh():
         left_breaks=np.array([0.0, 0.125, 0.25, 0.625, 1.0]),
         right_breaks=np.array([0.0, 0.5, 0.75, 1.0]),
     )
+
+
+def random_mesh():
+    """Random breakpoints on each side: no two corner lags are equal."""
+    rng = np.random.default_rng(2718)
+    left, right = (
+        np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n)), [1.0]]) for n in (15, 11)
+    )
+    return BoundaryMesh(1.0, (0.0, 1.0), left, right)
+
+
+def causal_break_pairs(mesh):
+    """Number of causal lags B_i - B_j, i > j, of the mesh's merged breakpoints."""
+    m = len(np.union1d(mesh.left_breaks, mesh.right_breaks))
+    return m * (m - 1) // 2
 
 
 def graded_mesh(h_min, interval=(0.0, 1.0)):
@@ -242,6 +259,12 @@ class TestBreakpointTable:
         "unequal_sides": nonuniform_mesh,
         "adaptive_2^-19": lambda: graded_mesh(2.0 ** -19),
         "interval_-0.5_1.5": lambda: graded_mesh(2.0 ** -6, (-0.5, 1.5)),
+        "random_breaks": random_mesh,
+        # k/3 - j/3 and k/5 - j/5 are near-equal, not equal, in binary: a lag
+        # merge by tolerance would move bits here
+        "thirds_fifths": lambda: BoundaryMesh(
+            1.0, (0.0, 1.0), np.arange(4) / 3.0, np.arange(6) / 5.0
+        ),
     }
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 2.0 * math.pi ** 2])
@@ -254,12 +277,53 @@ class TestBreakpointTable:
             assert np.array_equal(got, ref), kind
             assert np.array_equal(np.signbit(got), np.signbit(ref)), kind
 
+    def test_causal_terms_once_per_distinct_lag(self, monkeypatch):
+        sizes = []
+
+        def counting(d, t, alpha):
+            sizes.append(np.size(t))
+            return _causal_terms(d, t, alpha)
+
+        monkeypatch.setattr(galerkin, "_causal_terms", counting)
+
+        def lags_seen(mesh):  # by each _causal_terms call, one per distance |d|
+            sizes.clear()
+            mats = assemble_all(mesh, ALPHA)
+            assert mats.V.shape == mats.D.shape  # reads both
+            assert len(sizes) == 2
+            return sizes
+
+        for lv in range(9):  # the lags k 2^-L, k = 1..2^L
+            assert lags_seen(uniform_mesh(1.0, lv)) == [2 ** lv] * 2
+        graded = graded_mesh(2.0 ** -19)
+        assert max(lags_seen(graded)) < causal_break_pairs(graded)
+        unequal = random_mesh()
+        assert lags_seen(unequal) == [causal_break_pairs(unequal)] * 2
+
     def test_same_side_blocks_of_K_are_exact_zeros(self):
         mesh = graded_mesh(2.0 ** -8)
         K = OperatorMatrices(mesh, ALPHA).K
         nl = mesh.n_left
         for block in (K[:nl, :nl], K[nl:, nl:]):
             assert np.all(block == 0.0) and not np.any(np.signbit(block))
+
+
+class TestAssemblyMemory:
+    def test_build_peak_and_retained_memory(self):
+        # V and D are one N x N unit each; the build adds one breakpoint table
+        # and one gathered block, a quarter unit each on a uniform mesh, and
+        # keeps only the causal mask and the lag map beyond V and D
+        mesh = uniform_mesh(1.0, 9)
+        unit = mesh.n_elements ** 2 * 8
+        tracemalloc.start()
+        try:
+            mats = assemble_all(mesh, ALPHA)
+            held = mats.V.nbytes + mats.D.nbytes
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * unit
+        assert current - held <= 0.25 * unit
 
 
 class TestRhs:

@@ -324,6 +324,12 @@ class TestGoldenTables:
             name = table + suffix
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
+    def test_stdout_table_in_the_run_kappa_convention(self, tmp_path, capsys):
+        argv = ["study-uniform", "--levels", "2", "--kappa", "eig", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        fixture = (GOLDEN / "uniform_L2_eig_stdout.md").read_bytes()
+        assert capsys.readouterr().out.encode() == fixture
+
 
 class TestCli:
     def test_study_uniform_writes_outputs(self, tmp_path):
