@@ -10,7 +10,7 @@ this on both versions and comparing with one ``diff -r``:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 15 s on 2 cores, about half of it in the N = 4096 solve.
+Takes about 4 s on 2 cores, about half of it in the N = 4096 solve.
 """
 
 import contextlib
@@ -29,6 +29,8 @@ COMMANDS = {
                   "--points", "0.25,0.1;0.5,0.3;0.75,0.05;0.1,0.9"],
     "solve_L3_ex2_dump": ["solve", "--level", "3", "--example", "2", "--dump-matrices"],
     "check_invariants": ["check-invariants"],
+    "adaptive_ex2_eig": ["study-adaptive", "--example", "2", "--target-n", "60",
+                         "--kappa", "eig"],
 }
 
 

@@ -32,7 +32,7 @@ class StudyRecord:
     The fields are the table columns, in order.  Condition numbers carry both
     conventions: ``*_sv`` is the singular-value ratio, ``*_eig`` the
     eigenvalue-modulus ratio of the same explicitly formed matrix, taken from
-    its causal diagonal blocks (see condition_number).  Entries are None when
+    its slab blocks (see condition_number).  Entries are None when
     the stage was skipped (preconditioner not requested, N above the kappa cap).
     """
 
@@ -51,20 +51,19 @@ class StudyRecord:
     it_calderon: int | None = None
 
 
-def condition_number(A, method: str = "sv") -> float:
+def condition_number(A, method: str = "sv", blocks=None) -> float:
     """Condition number of a dense matrix.
 
     method="sv": ratio of extreme singular values; method="eig": ratio of
-    extreme eigenvalue moduli.  Raises NumericalError when the matrix is
-    singular to working precision.
+    extreme eigenvalue moduli over the diagonal blocks that ``blocks`` indexes
+    (None: A is one block).  Raises NumericalError when the matrix is singular
+    to working precision.
 
-    The eigenvalues are those of the diagonal blocks of A's block-triangular
-    form, the strong components of its exact nonzero pattern; an irreducible
-    A is one block.  Causality makes V, D and the preconditioned matrices
-    block lower triangular, with exact zeros above 2 x 2 diagonal blocks on
-    uniform meshes, so their spectra come from small eigenproblems instead
-    of one dense eigensolve of a highly defective matrix.  A large, strongly
-    non-normal block (graded meshes) still limits the accuracy.
+    Causality makes V, D and the preconditioned matrices block lower
+    triangular over the mesh's slabs (2 x 2 blocks on uniform meshes), so
+    their spectra come from small eigenproblems instead of one dense
+    eigensolve of a highly defective matrix.  A large, strongly non-normal
+    slab (graded meshes) still limits the accuracy.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -75,53 +74,13 @@ def condition_number(A, method: str = "sv") -> float:
             raise NumericalError("matrix is numerically singular (sv ratio > 1e14)")
         return float(s[0] / s[-1])
     if method == "eig":
-        blocks = _strong_components(A != 0.0)
-        ev = np.abs(np.concatenate([np.linalg.eigvals(A[np.ix_(idx, idx)]) for idx in blocks]))
+        parts = [A] if blocks is None else (A[np.ix_(idx, idx)] for idx in blocks)
+        ev = np.abs(np.concatenate([np.linalg.eigvals(part) for part in parts]))
         lo, hi = float(ev.min()), float(ev.max())
         if lo <= 1e-14 * hi:
             raise NumericalError("matrix is numerically singular (eig ratio > 1e14)")
         return hi / lo
     raise ValueError(f"unknown convention {method!r}")
-
-
-def _strong_components(pattern) -> list[np.ndarray]:
-    """Sorted index arrays of the strong components of a square boolean
-    adjacency matrix: Tarjan's algorithm with one vectorized row scan per step.
-
-    The components are the diagonal blocks of the block-triangular form.
-    scipy.sparse.csgraph would do the same, but importing it loads
-    scipy.sparse.linalg, about 9 MB of resident memory for the whole run.
-    """
-    n = len(pattern)
-    index = np.zeros(n, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    unvisited = np.ones(n, dtype=bool)
-    on_stack = np.zeros(n, dtype=bool)  # the stack holds its nodes in index order
-    blocks = []
-    count = 0
-    for root in range(n):
-        if not unvisited[root]:
-            continue
-        path = [root]
-        while path:
-            v = path[-1]
-            if unvisited[v]:
-                index[v] = low[v] = count
-                count += 1
-                unvisited[v] = False
-                on_stack[v] = True
-            successors = np.flatnonzero(pattern[v] & unvisited)
-            if successors.size:
-                path.append(int(successors[0]))
-                continue
-            path.pop()
-            # the low of any on-stack successor, tree child or not, is a valid lowlink
-            low[v] = low[pattern[v] & on_stack].min(initial=low[v])
-            if low[v] == index[v]:
-                block = np.flatnonzero(on_stack & (index >= index[v]))
-                on_stack[block] = False
-                blocks.append(block)
-    return blocks
 
 
 def element_means(mesh: BoundaryMesh, fn, gauss_order: int) -> np.ndarray:

@@ -46,6 +46,12 @@ def _precond_set(text: str) -> tuple[str, ...]:
     return PRECOND_CHOICES if text == "all" else (text,)
 
 
+def _seed(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 # The study options: flag dest and config-file key -> ExperimentConfig field,
 # value type, further argparse keywords.  Flags default to None, so that an
 # unset flag falls through to the config file and then to the field default.
@@ -100,7 +106,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="interior points 'x,t;x,t;...'")
 
     p_chk = sub.add_parser("check-invariants", help="run the cross-check battery")
-    p_chk.add_argument("--seed", type=int, default=1234)
+    p_chk.add_argument("--seed", type=_seed, default=1234)
     return ap
 
 

@@ -112,6 +112,14 @@ class BoundaryMesh:
     def h_min(self) -> float:
         return float(self.element_sizes.min())
 
+    @cached_property
+    def slabs(self) -> list[np.ndarray]:
+        """Sorted element indices per window between consecutive shared breakpoints."""
+        shared = np.intersect1d(self.left_breaks, self.right_breaks)
+        left = np.searchsorted(self.left_breaks, shared)
+        right = self.n_left + np.searchsorted(self.right_breaks, shared)
+        return [np.r_[a:b, c:d] for a, b, c, d in zip(left, left[1:], right, right[1:])]
+
     def side_of(self, index: int) -> Side:
         return Side.LEFT if index < self.n_left else Side.RIGHT
 
@@ -128,7 +136,7 @@ def uniform_mesh(
         raise ValueError("level must be >= 0")
     breaks = np.array([0.0, float(horizon)])
     for _ in range(level):
-        breaks = _bisect_all(breaks)
+        breaks = _bisect(breaks, np.arange(len(breaks) - 1))
     return BoundaryMesh(
         horizon=float(horizon),
         interval=(float(interval[0]), float(interval[1])),
@@ -138,23 +146,9 @@ def uniform_mesh(
     )
 
 
-def _bisect_all(breaks: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    out = np.empty(2 * len(breaks) - 1)
-    out[0::2] = breaks
-    out[1::2] = mids
-    return out
-
-
-def _bisect_marked(breaks: np.ndarray, marked: set[int]) -> np.ndarray:
-    if not marked:
-        return breaks.copy()
-    pieces = [breaks[:1]]
-    for i in range(len(breaks) - 1):
-        if i in marked:
-            pieces.append(np.array([0.5 * (breaks[i] + breaks[i + 1])]))
-        pieces.append(breaks[i + 1 : i + 2])
-    return np.concatenate(pieces)
+def _bisect(breaks: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Insert the midpoint of each marked interval (sorted indices)."""
+    return np.insert(breaks, marked + 1, 0.5 * (breaks[marked] + breaks[marked + 1]))
 
 
 def refine_uniform(mesh: BoundaryMesh) -> BoundaryMesh:
@@ -162,8 +156,8 @@ def refine_uniform(mesh: BoundaryMesh) -> BoundaryMesh:
     return BoundaryMesh(
         horizon=mesh.horizon,
         interval=mesh.interval,
-        left_breaks=_bisect_all(mesh.left_breaks),
-        right_breaks=_bisect_all(mesh.right_breaks),
+        left_breaks=_bisect(mesh.left_breaks, np.arange(mesh.n_left)),
+        right_breaks=_bisect(mesh.right_breaks, np.arange(mesh.n_right)),
         level=mesh.level + 1,
     )
 
@@ -188,18 +182,15 @@ def refine_adaptive(
 
     eta_max = eta.max()
     if eta_max == 0.0:
-        marked = {int(np.argmax(mesh.element_sizes))}
+        marked = np.argmax(mesh.element_sizes, keepdims=True)
     else:
-        marked = set(np.flatnonzero(eta >= theta * eta_max).tolist())
-
+        marked = np.flatnonzero(eta >= theta * eta_max)
     nl = mesh.n_left
-    marked_left = {i for i in marked if i < nl}
-    marked_right = {i - nl for i in marked if i >= nl}
     return BoundaryMesh(
         horizon=mesh.horizon,
         interval=mesh.interval,
-        left_breaks=_bisect_marked(mesh.left_breaks, marked_left),
-        right_breaks=_bisect_marked(mesh.right_breaks, marked_right),
+        left_breaks=_bisect(mesh.left_breaks, marked[marked < nl]),
+        right_breaks=_bisect(mesh.right_breaks, marked[marked >= nl] - nl),
         level=mesh.level + 1,
     )
 
@@ -232,11 +223,9 @@ def dumps(mesh: BoundaryMesh) -> str:
 def loads(text: str, level: int = 0) -> BoundaryMesh:
     """Parse the ``dumps`` format back into a mesh on the interval (0, 1)."""
     per_side: dict[str, list[tuple[float, float]]] = {"L": [], "R": []}
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        tag, t0, t1 = raw.split()
+    for tag, t0, t1 in (line.split() for line in text.splitlines() if line.strip()):
+        if tag not in per_side:
+            raise ValueError(f"unknown side tag {tag!r}")
         per_side[tag].append((float(t0), float(t1)))
     breaks = {}
     horizon = 0.0

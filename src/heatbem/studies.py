@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("alpha must be positive")
         if self.max_level < 0:
             raise ConfigError("levels must be >= 0")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be >= 0")
         if not adaptive and self.max_level > 11:
             raise ConfigError("uniform studies are capped at 11 levels (N = 4096)")
         if adaptive and self.max_steps > 200:
@@ -151,7 +153,8 @@ def _level_record(
             if name == "V" or name in cfg.preconds:
                 mat = form()
                 for conv in conventions:
-                    setattr(rec, f"kappa_{name}_{conv}", condition_number(mat, conv))
+                    blocks = mesh.slabs if conv == "eig" else None
+                    setattr(rec, f"kappa_{name}_{conv}", condition_number(mat, conv, blocks))
 
     for name in cfg.preconds:
         report = gmres(

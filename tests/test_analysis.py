@@ -8,17 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
 from test_galerkin import graded_mesh
 
 import heatbem
-from heatbem.analysis import (
-    _strong_components,
-    condition_number,
-    ellipticity_margin,
-    eoc,
-    l2_error,
-)
+from heatbem.analysis import condition_number, ellipticity_margin, eoc, l2_error
 from heatbem.galerkin import DiscreteFlux, assemble_all
 from heatbem.krylov import NumericalError
 from heatbem.mesh import BoundaryMesh, uniform_mesh
@@ -60,8 +53,8 @@ class TestConditionNumber:
 
 
 class TestBlockTriangularEig:
-    """The eig convention reads the spectrum off the diagonal blocks of the
-    block-triangular form, the strong components of the nonzero pattern."""
+    """The eig convention reads the spectrum off the given diagonal blocks of a
+    block-triangular matrix; the studies pass the mesh's slabs."""
 
     def test_permuted_block_triangular_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -78,7 +71,12 @@ class TestBlockTriangularEig:
             start += size
         perm = rng.permutation(n)
         B = A[np.ix_(perm, perm)]
-        assert condition_number(B, "eig") == pytest.approx(dense_eig_ratio(B), rel=1e-12)
+        # row k of B is row perm[k] of A, so block [start, stop) of A sits at these rows of B
+        where = np.argsort(perm)
+        stops = np.cumsum(sizes)
+        blocks = [np.sort(where[stop - size : stop]) for size, stop in zip(sizes, stops)]
+        kappa = condition_number(B, "eig", blocks)
+        assert kappa == pytest.approx(dense_eig_ratio(B), rel=1e-12)
 
     def test_irreducible_matrix_is_bitwise_dense(self):
         rng = np.random.default_rng(12)
@@ -88,11 +86,12 @@ class TestBlockTriangularEig:
     def test_stable_under_relative_perturbation(self):
         # the dense ratio reads 1.737 here, and 1.741 after the perturbation
         rng = np.random.default_rng(13)
-        V = assemble_all(uniform_mesh(1.0, 5), 1.0).V
+        mesh = uniform_mesh(1.0, 5)
+        V = assemble_all(mesh, 1.0).V
         perturbed = V * (1.0 + 1e-15 * rng.standard_normal(V.shape))
-        kappa = condition_number(V, "eig")
+        kappa = condition_number(V, "eig", mesh.slabs)
         assert kappa == pytest.approx(1.0, abs=1e-4)
-        assert abs(condition_number(perturbed, "eig") - kappa) < 1e-12
+        assert abs(condition_number(perturbed, "eig", mesh.slabs) - kappa) < 1e-12
 
     @pytest.mark.parametrize(
         "mesh",
@@ -108,27 +107,19 @@ class TestBlockTriangularEig:
         ],
         ids=["uniform_L5", "unequal_sides", "graded_2^-10"],
     )
-    def test_strong_components_lie_in_slabs(self, mesh):
-        # a slab is the window between consecutive breakpoints both sides share
-        shared = np.intersect1d(mesh.left_breaks, mesh.right_breaks)
-        slab = np.searchsorted(shared, mesh.t_begin_all, side="right")
-        assert np.all(mesh.t_end_all <= shared[slab])
+    def test_zero_above_the_slab_blocks(self, mesh):
+        # exact zeros above the slab blocks make the slab spectrum that of A
+        assert len(mesh.slabs) > 1
+        order = np.sort(np.concatenate(mesh.slabs))
+        np.testing.assert_array_equal(order, np.arange(mesh.n_elements))  # a partition
+        slab = np.empty(mesh.n_elements, dtype=int)
+        for k, idx in enumerate(mesh.slabs):
+            slab[idx] = k
+        above = slab[:, None] < slab[None, :]
         mats = assemble_all(mesh, 1.0)
         cv = mats.D / np.outer(mats.mass, mats.mass) @ mats.V
         for A in (mats.V, mats.D, cv):
-            blocks = _strong_components(A != 0.0)
-            assert len(blocks) > 1
-            for block in blocks:
-                assert len(np.unique(slab[block])) == 1
-
-    def test_components_match_scipy(self):
-        rng = np.random.default_rng(14)
-        for _ in range(300):
-            n = int(rng.integers(1, 30))
-            pattern = rng.random((n, n)) < rng.uniform(0.0, 0.3)
-            count, labels = connected_components(pattern, directed=True, connection="strong")
-            expected = sorted(tuple(np.flatnonzero(labels == k)) for k in range(count))
-            assert sorted(tuple(b) for b in _strong_components(pattern)) == expected
+            assert np.all(A[above] == 0.0)
 
     def test_import_leaves_csgraph_unloaded(self):
         # csgraph loads scipy.sparse.linalg: ~90 ms of start-up and ~9 MB resident

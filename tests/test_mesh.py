@@ -59,10 +59,14 @@ class TestRefinement:
         assert fine.h_max == pytest.approx(0.5)
 
     def test_two_refinements_match_level2_bitwise(self):
-        twice = refine_uniform(refine_uniform(uniform_mesh(1.0, 0)))
-        direct = uniform_mesh(1.0, 2)
-        np.testing.assert_array_equal(twice.left_breaks, direct.left_breaks)
-        np.testing.assert_array_equal(twice.right_breaks, direct.right_breaks)
+        # L refinements of level 0 give uniform_mesh(L), whose nodes are k / 2**L
+        refined = uniform_mesh(1.0, 0)
+        for level in range(12):
+            direct = uniform_mesh(1.0, level)
+            np.testing.assert_array_equal(refined.left_breaks, direct.left_breaks)
+            np.testing.assert_array_equal(refined.right_breaks, direct.right_breaks)
+            np.testing.assert_array_equal(direct.left_breaks, np.arange(2**level + 1) / 2**level)
+            refined = refine_uniform(refined)
 
     def test_uniform_children_at_2i_and_2i_plus_1(self):
         m = refine_adaptive(uniform_mesh(1.0, 1), [1.0, 0.0, 0.0, 0.0])
@@ -108,14 +112,41 @@ class TestRefinement:
             rng = np.random.default_rng(seed)
             old_left = set(mesh.left_breaks.tolist())
             old_right = set(mesh.right_breaks.tolist())
-            mesh = refine_adaptive(mesh, rng.random(mesh.n_elements), theta=0.6)
-            # nodes never move
+            eta = rng.random(mesh.n_elements)
+            marked = np.flatnonzero(eta >= 0.6 * eta.max())
+            expected = [
+                np.sort(np.r_[old, [0.5 * (old[i] + old[i + 1]) for i in ids]])
+                for old, ids in (
+                    (mesh.left_breaks, marked[marked < mesh.n_left]),
+                    (mesh.right_breaks, marked[marked >= mesh.n_left] - mesh.n_left),
+                )
+            ]
+            mesh = refine_adaptive(mesh, eta, theta=0.6)
+            # nodes never move, and each marked element gains its midpoint bitwise
             assert old_left <= set(mesh.left_breaks.tolist())
             assert old_right <= set(mesh.right_breaks.tolist())
+            np.testing.assert_array_equal(mesh.left_breaks, expected[0])
+            np.testing.assert_array_equal(mesh.right_breaks, expected[1])
         assert partition_defect(mesh) <= 1e-12
         for breaks in (mesh.left_breaks, mesh.right_breaks):
             assert np.all(np.diff(breaks) > 0.0)
         assert np.isfinite(quasi_uniformity_constant(mesh))
+
+
+class TestSlabs:
+    def test_uniform_slabs_pair_the_sides(self):
+        m = uniform_mesh(1.0, 2)
+        assert [idx.tolist() for idx in m.slabs] == [[0, 4], [1, 5], [2, 6], [3, 7]]
+
+    def test_unequal_sides(self):
+        m = BoundaryMesh(
+            horizon=1.0,
+            interval=(0.0, 1.0),
+            left_breaks=np.array([0.0, 0.125, 0.25, 0.5, 0.625, 1.0]),
+            right_breaks=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+        )
+        slabs = [idx.tolist() for idx in m.slabs]
+        assert slabs == [[0, 1, 5], [2, 6], [3, 4, 7, 8]]
 
 
 class TestIndexing:
@@ -167,6 +198,10 @@ class TestSerialization:
     def test_gap_detected(self):
         with pytest.raises(ValueError):
             loads("L 0 0.5\nL 0.6 1\nR 0 1\n")
+
+    def test_unknown_side_tag(self):
+        with pytest.raises(ValueError, match="unknown side tag 'X'"):
+            loads("L 0 1\nX 0 1\nR 0 1\n")
 
 
 def test_mesh_geometry_validation():

@@ -64,6 +64,8 @@ class TestConfig:
             ExperimentConfig(max_level=12).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(preconds=("cholesky",)).validate()
+        with pytest.raises(ConfigError, match="max_steps must be >= 0"):
+            ExperimentConfig(max_steps=-1).validate(adaptive=True)
 
 
 class TestUniformStudy:
@@ -429,6 +431,18 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["study-uniform", "--precond", "ilu"])
         assert err.value.code == 2
+
+    def test_negative_max_steps_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["study-adaptive", "--max-steps", "-1", "--out", str(out)]) == 2
+        assert "max_steps must be >= 0" in capsys.readouterr().err
+        assert not (out / "table2.csv").exists()
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["check-invariants", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_bad_config_value_exits_2(self, tmp_path):
         code = main(["study-uniform", "--levels", "20", "--out", str(tmp_path / "y")])
