@@ -52,12 +52,13 @@ class StudyRecord:
 
 
 def condition_number(A, method: str = "sv", blocks=None) -> float:
-    """Condition number of a dense matrix.
+    """Condition number of a dense matrix, or of a mirror matrix given by its halves.
 
     method="sv": ratio of extreme singular values; method="eig": ratio of
     extreme eigenvalue moduli over the diagonal blocks that ``blocks`` indexes
     (None: A is one block).  Raises NumericalError when the matrix is singular
-    to working precision.
+    to working precision.  A tuple (P + Q, P - Q) stands for the mirror matrix
+    [[P, Q], [Q, P]], which (u, v) -> (u + v, u - v)/sqrt(2) maps to diag(P + Q, P - Q).
 
     Causality makes V, D and the preconditioned matrices block lower
     triangular over the mesh's slabs (2 x 2 blocks on uniform meshes), so
@@ -65,22 +66,22 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
     eigensolve of a highly defective matrix.  A large, strongly non-normal
     slab (graded meshes) still limits the accuracy.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    parts = [np.asarray(P, dtype=float) for P in (A if isinstance(A, tuple) else (A,))]
+    if any(P.ndim != 2 or P.shape[0] != P.shape[1] for P in parts):
         raise ValueError("need a square matrix")
     if method == "sv":
-        s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] <= 1e-14 * s[0]:
-            raise NumericalError("matrix is numerically singular (sv ratio > 1e14)")
-        return float(s[0] / s[-1])
-    if method == "eig":
-        parts = [A] if blocks is None else (A[np.ix_(idx, idx)] for idx in blocks)
-        ev = np.abs(np.concatenate([np.linalg.eigvals(part) for part in parts]))
-        lo, hi = float(ev.min()), float(ev.max())
-        if lo <= 1e-14 * hi:
-            raise NumericalError("matrix is numerically singular (eig ratio > 1e14)")
-        return hi / lo
-    raise ValueError(f"unknown convention {method!r}")
+        s = np.concatenate([np.linalg.svd(P, compute_uv=False) for P in parts])
+    elif method == "eig":
+        if blocks is not None:
+            (A,) = parts
+            parts = (A[np.ix_(idx, idx)] for idx in blocks)
+        s = np.abs(np.concatenate([np.linalg.eigvals(P) for P in parts]))
+    else:
+        raise ValueError(f"unknown convention {method!r}")
+    lo, hi = float(s.min()), float(s.max())
+    if lo <= 1e-14 * hi:
+        raise NumericalError(f"matrix is numerically singular ({method} ratio > 1e14)")
+    return hi / lo
 
 
 def element_means(mesh: BoundaryMesh, fn, gauss_order: int) -> np.ndarray:

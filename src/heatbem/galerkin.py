@@ -18,6 +18,9 @@ causal exactly when i > j, and d is 0 or +-(b - a).  The exp/erfc factors of
 each |d| are evaluated once per distinct causal lag (lags repeat on uniform
 and dyadic meshes) and give T[i, j] = F2(d, B_i - B_j); a side block is the
 second difference of T on its sides' breakpoints, and one T is live at a time.
+When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
+(i - j) h bitwise and T is Toeplitz: the second difference is taken once on
+the vector of its 2n + 1 lags, and each side block is one strided copy of it.
 ``OperatorMatrices`` assembles each of V, K and D on first read only.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
@@ -27,11 +30,13 @@ formula test pins the remaining signs end to end.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     QuadratureError,
@@ -109,6 +114,21 @@ class OperatorMatrices:
         self.alpha = float(alpha)
         self.mass = mesh.element_sizes.copy()  # mass diagonal; trace 2T
 
+    def _terms(self, tau):
+        """tau and the exp/erfc factors of both distances at tau, shared by V, K and D."""
+        (a, b) = self.mesh.interval
+        return tau, {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
+
+    @cached_property
+    def _toeplitz_lags(self):
+        """_terms of the lags k h, k = 1..n, if both sides' breaks are arange(n + 1) * h
+        with h a power of two (then B_i - B_j == (i - j) h bitwise), else None."""
+        mesh, h = self.mesh, self.mesh.left_breaks[1]
+        k = np.arange(mesh.n_left + 1)
+        if mesh.mirror and math.frexp(h)[0] == 0.5 and np.array_equal(mesh.left_breaks, k * h):
+            return self._terms(k[1:] * h)
+        return None
+
     @cached_property
     def _lags(self):
         mesh = self.mesh
@@ -116,21 +136,17 @@ class OperatorMatrices:
         lag = breaks[:, None] - breaks[None, :]
         causal = lag > 0.0  # i > j: breaks are strictly increasing
         lags = lag[causal]
-        # exact float equality only, no tolerance: one path for every mesh, and
-        # a mesh whose lags never repeat gets no reuse
+        # exact float equality only, no tolerance: lags that never repeat get no reuse
         tau = np.unique(lags)
         inv = np.searchsorted(tau, lags)  # causal lag -> index of its distinct lag
-        (a, b), n = mesh.interval, mesh.n_left
-        # the exp/erfc factors of both distances, shared by V, K and D
-        terms = {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
-        # per side: element rows, breakpoint indices into breaks, x, outward normal
-        sides = ((slice(0, n), np.searchsorted(breaks, mesh.left_breaks), a, -1.0),
-                 (slice(n, None), np.searchsorted(breaks, mesh.right_breaks), b, 1.0))
-        return causal, tau, inv, terms, sides
+        return (breaks, causal, inv) + self._terms(tau)
 
     def _corner_sums(self, formula, op, factor, odd=False) -> np.ndarray:
         """Corner sums of every side block, then block = op(block, factor(n_row, n_col))."""
-        causal, tau, inv, terms, sides = self._lags
+        (a, b), n = self.mesh.interval, self.mesh.n_left
+        # per side: element rows, breakpoints, x, outward normal
+        sides = ((slice(0, n), self.mesh.left_breaks, a, -1.0),
+                 (slice(n, None), self.mesh.right_breaks, b, 1.0))
         out = np.zeros((self.mesh.n_elements,) * 2)
         blocks = {}  # table key -> the side blocks read from that table
         for row in sides:
@@ -140,11 +156,22 @@ class OperatorMatrices:
                     continue
                 # an even primitive shares the table of d and -d
                 blocks.setdefault(d if odd else abs(d), []).append((row, col))
+        if self._toeplitz_lags is not None:  # each side block is Toeplitz
+            tau, terms = self._toeplitz_lags
+            for key, pairs in blocks.items():
+                t = np.zeros(2 * n + 1)  # T at the lags -n h ... n h
+                t[n + 1:] = formula(key, tau, self.alpha, *terms[abs(key)])
+                s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order, lag i - j
+                for (rows, _, _, n_row), (cols, _, _, n_col) in pairs:
+                    s_op = op(s, factor(n_row, n_col))[::-1]  # block[i, j] = s[n - 1 + i - j]
+                    out[rows, cols] = sliding_window_view(s_op, n)[::-1]  # one strided view
+            return out
+        breaks, causal, inv, tau, terms = self._lags
         for key, pairs in blocks.items():
             table = np.zeros(causal.shape)
             table[causal] = formula(key, tau, self.alpha, *terms[abs(key)])[inv]
-            for (rows, row_idx, _, n_row), (cols, col_idx, _, n_col) in pairs:
-                g = table[np.ix_(row_idx, col_idx)]
+            for (rows, row_b, _, n_row), (cols, col_b, _, n_col) in pairs:
+                g = table[np.ix_(np.searchsorted(breaks, row_b), np.searchsorted(breaks, col_b))]
                 block = out[rows, cols]
                 np.subtract(g[1:, :-1], g[1:, 1:], out=block)
                 block -= g[:-1, :-1]

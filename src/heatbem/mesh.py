@@ -113,6 +113,11 @@ class BoundaryMesh:
         return float(self.element_sizes.min())
 
     @cached_property
+    def mirror(self) -> bool:
+        """Both sides share one grid: V, K, D and the mass are [[P, Q], [Q, P]] bitwise."""
+        return bool(np.array_equal(self.left_breaks, self.right_breaks))
+
+    @cached_property
     def slabs(self) -> list[np.ndarray]:
         """Sorted element indices per window between consecutive shared breakpoints."""
         shared = np.intersect1d(self.left_breaks, self.right_breaks)

@@ -10,6 +10,7 @@ the uniformly bisected mesh.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import astuple, dataclass, fields
 
@@ -86,8 +87,8 @@ class ExperimentConfig:
             raise ConfigError("tol must lie in (0, 1)")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]")
-        if self.alpha <= 0.0:
-            raise ConfigError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError("alpha must be positive and finite")
         if self.max_level < 0:
             raise ConfigError("levels must be >= 0")
         if self.max_steps < 0:
@@ -132,6 +133,7 @@ def _level_record(
     level: int,
     prev_error: float | None,
 ):
+    """One table row and its LU flux; on a mirror mesh the sv columns read the halves."""
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
     w = direct_solve(mats.V, f)
@@ -143,23 +145,32 @@ def _level_record(
         rec.eoc = eoc([prev_error, err])[0]
 
     if mesh.n_elements <= cfg.max_kappa_n:
-        systems = {  # formed only when requested
-            "V": lambda: mats.V,
-            "diag": lambda: mats.V / np.diag(mats.V)[:, None],
-            "calderon": lambda: mats.D / np.outer(mats.mass, mats.mass) @ mats.V,  # M^-1 D M^-1 V
+        n, m = mesh.n_left, mats.mass
+
+        def halves(A):  # (P + Q, P - Q) of a mirror matrix [[P, Q], [Q, P]]
+            return A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]
+
+        systems = {  # (full matrix, its halves on a mirror mesh), formed only when requested
+            "V": (lambda: mats.V, lambda: halves(mats.V)),
+            "diag": (lambda: mats.V / np.diag(mats.V)[:, None],
+                     lambda: halves(mats.V / np.diag(mats.V)[:, None])),
+            # M^-1 D M^-1 V; the formed product is not bitwise mirror, D's and V's halves are
+            "calderon": (lambda: mats.D / np.outer(m, m) @ mats.V, lambda: tuple(
+                E / np.outer(m[:n], m[:n]) @ P for E, P in zip(halves(mats.D), halves(mats.V)))),
         }
         conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
-        for name, form in systems.items():
+        for name, forms in systems.items():
             if name == "V" or name in cfg.preconds:
-                mat = form()
+                formed = {}  # the latest form only
                 for conv in conventions:
-                    blocks = mesh.slabs if conv == "eig" else None
+                    split = conv == "sv" and mesh.mirror
+                    if split not in formed:
+                        formed = {split: forms[split]()}
+                    mat, blocks = formed[split], (mesh.slabs if conv == "eig" else None)
                     setattr(rec, f"kappa_{name}_{conv}", condition_number(mat, conv, blocks))
 
     for name in cfg.preconds:
-        report = gmres(
-            mats.V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats)
-        )
+        report = gmres(mats.V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats))
         setattr(rec, f"it_{name}", report.iterations)
     return rec, flux
 

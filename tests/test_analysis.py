@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_galerkin import graded_mesh
+from test_galerkin import graded_mesh, mirror_graded_mesh, nonuniform_mesh
 
 import heatbem
 from heatbem.analysis import condition_number, ellipticity_margin, eoc, l2_error
@@ -16,6 +16,7 @@ from heatbem.galerkin import DiscreteFlux, assemble_all
 from heatbem.krylov import NumericalError
 from heatbem.mesh import BoundaryMesh, uniform_mesh
 from heatbem.reference import example1_series
+from heatbem.studies import ExperimentConfig, _level_record, build_problem
 from heatbem.verification import best_approximation
 
 
@@ -123,14 +124,63 @@ class TestBlockTriangularEig:
 
     def test_import_leaves_csgraph_unloaded(self):
         # csgraph loads scipy.sparse.linalg: ~90 ms of start-up and ~9 MB resident
-        code = "import sys, heatbem.cli; print('scipy.sparse.csgraph' in sys.modules)"
-        src = str(Path(heatbem.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        )
-        assert out.stdout.strip() == "False"
+        assert not loaded_by_cli_import("scipy.sparse.csgraph")
+
+
+def loaded_by_cli_import(module):
+    """Whether ``import heatbem.cli`` in a fresh interpreter loads ``module``."""
+    code = f"import sys, heatbem.cli; print({module!r} in sys.modules)"
+    src = str(Path(heatbem.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return out.stdout.strip() == "True"
+
+
+class TestMirrorHalves:
+    """On a mirror mesh the study's sv columns come from the even/odd halves."""
+
+    @staticmethod
+    def study_sv(mesh):
+        cfg = ExperimentConfig()
+        problem, series = build_problem(cfg)
+        rec, _ = _level_record(mesh, problem, series, cfg, 0, None)
+        return [rec.kappa_V_sv, rec.kappa_diag_sv, rec.kappa_calderon_sv]
+
+    @staticmethod
+    def dense_sv(mesh):
+        mats = assemble_all(mesh, 1.0)
+        V, D, m = mats.V, mats.D, mats.mass
+        return [condition_number(A) for A in (V, V / np.diag(V)[:, None], D / np.outer(m, m) @ V)]
+
+    @pytest.mark.parametrize(
+        "make", [*(lambda lv=lv: uniform_mesh(1.0, lv) for lv in range(9)), mirror_graded_mesh],
+        ids=[*(f"uniform_L{lv}" for lv in range(9)), "mirror_graded"],
+    )
+    def test_halves_agree_with_dense_svd(self, make):
+        mesh = make()
+        assert mesh.mirror
+        np.testing.assert_allclose(self.study_sv(mesh), self.dense_sv(mesh), rtol=1e-14, atol=0)
+
+    def test_other_meshes_take_the_dense_svd(self):
+        mesh = nonuniform_mesh()
+        assert not mesh.mirror
+        assert self.study_sv(mesh) == self.dense_sv(mesh)
+
+    def test_halves_stand_for_the_mirror_matrix(self):
+        rng = np.random.default_rng(5)
+        P, Q = np.eye(6) + 0.3 * rng.standard_normal((2, 6, 6))
+        A = np.block([[P, Q], [Q, P]])
+        for method in ("sv", "eig"):
+            assert condition_number((P + Q, P - Q), method) == pytest.approx(
+                condition_number(A, method), rel=1e-12
+            )
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # the halves use numpy's svd and strided views, not scipy.linalg
+        assert not loaded_by_cli_import("scipy.linalg")
 
 
 class TestEoc:

@@ -77,6 +77,12 @@ def graded_mesh(h_min, interval=(0.0, 1.0)):
     return mesh
 
 
+def mirror_graded_mesh():
+    """The left side of graded_mesh(2^-5) on both sides: mirror, not a uniform grid."""
+    breaks = graded_mesh(2.0 ** -5).left_breaks
+    return BoundaryMesh(1.0, (0.0, 1.0), breaks, breaks.copy())
+
+
 def reference_matrices(mesh, alpha):
     """V, K and D from four N x N corner-lag matrices, one primitive pass each."""
     t1, t2 = mesh.t_begin_all, mesh.t_end_all
@@ -255,7 +261,7 @@ class TestEllipticity:
 
 class TestBreakpointTable:
     MESHES = {
-        **{f"uniform_L{lv}": (lambda lv=lv: uniform_mesh(1.0, lv)) for lv in range(9)},
+        **{f"uniform_L{lv}": (lambda lv=lv: uniform_mesh(1.0, lv)) for lv in range(11)},
         "unequal_sides": nonuniform_mesh,
         "adaptive_2^-19": lambda: graded_mesh(2.0 ** -19),
         "interval_-0.5_1.5": lambda: graded_mesh(2.0 ** -6, (-0.5, 1.5)),
@@ -265,7 +271,21 @@ class TestBreakpointTable:
         "thirds_fifths": lambda: BoundaryMesh(
             1.0, (0.0, 1.0), np.arange(4) / 3.0, np.arange(6) / 5.0
         ),
+        # h = 0.3/16 and h = 0.1 are no powers of two: i h - j h need not equal
+        # (i - j) h (3 * 0.1 - 0.1 != 2 * 0.1), even where B_i == i h bitwise
+        "uniform_T0.3_L4": lambda: uniform_mesh(0.3, 4),
+        "arange_tenths": lambda: BoundaryMesh(
+            1.0, (0.0, 1.0), np.arange(11) * 0.1, np.arange(11) * 0.1
+        ),
+        "uniform_interval_-0.5_1.5": lambda: uniform_mesh(1.0, 5, (-0.5, 1.5)),
+        # a uniform left side alone is no Toeplitz mesh
+        "uniform_left_only": lambda: BoundaryMesh(
+            1.0, (0.0, 1.0), np.arange(9) / 8.0, np.delete(np.arange(9) / 8.0, 3)
+        ),
+        "mirror_graded": mirror_graded_mesh,
     }
+    # the meshes whose side blocks are Toeplitz in the lags k h, bitwise
+    TOEPLITZ = {f"uniform_L{lv}" for lv in range(11)} | {"uniform_interval_-0.5_1.5"}
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 2.0 * math.pi ** 2])
     @pytest.mark.parametrize("name", list(MESHES))
@@ -276,6 +296,28 @@ class TestBreakpointTable:
             got = getattr(mats, kind)
             assert np.array_equal(got, ref), kind
             assert np.array_equal(np.signbit(got), np.signbit(ref)), kind
+
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_toeplitz_path_equal_to_general_path(self, name, monkeypatch):
+        mesh = self.MESHES[name]()
+        fast = assemble_all(mesh, ALPHA)
+        assert (fast._toeplitz_lags is not None) == (name in self.TOEPLITZ)
+        built = {kind: getattr(fast, kind) for kind in "VKD"}
+        monkeypatch.setattr(OperatorMatrices, "_toeplitz_lags", None)  # the table path
+        general = assemble_all(mesh, ALPHA)
+        for kind, got in built.items():
+            ref = getattr(general, kind)
+            assert np.array_equal(got, ref), kind
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), kind
+
+    @pytest.mark.parametrize("name", ["uniform_L6", "mirror_graded"])
+    def test_mirror_meshes_give_mirror_blocks(self, name):
+        mesh = self.MESHES[name]()
+        assert mesh.mirror
+        mats, n = assemble_all(mesh, ALPHA), mesh.n_left
+        for A in (mats.V, mats.K, mats.D):
+            np.testing.assert_array_equal(A[:n, :n], A[n:, n:])
+            np.testing.assert_array_equal(A[:n, n:], A[n:, :n])
 
     def test_causal_terms_once_per_distinct_lag(self, monkeypatch):
         sizes = []
@@ -309,11 +351,9 @@ class TestBreakpointTable:
 
 
 class TestAssemblyMemory:
-    def test_build_peak_and_retained_memory(self):
-        # V and D are one N x N unit each; the build adds one breakpoint table
-        # and one gathered block, a quarter unit each on a uniform mesh, and
-        # keeps only the causal mask and the lag map beyond V and D
-        mesh = uniform_mesh(1.0, 9)
+    @staticmethod
+    def build_peak_and_held(mesh):
+        """Traced peak and memory held beyond V and D, in N x N units of doubles."""
         unit = mesh.n_elements ** 2 * 8
         tracemalloc.start()
         try:
@@ -322,8 +362,25 @@ class TestAssemblyMemory:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * unit
-        assert current - held <= 0.25 * unit
+        return peak / unit, (current - held) / unit
+
+    def test_build_peak_and_retained_memory(self):
+        # V and D are one N x N unit each; the build adds one breakpoint table
+        # and one gathered block, a quarter unit each here, and keeps only the
+        # causal mask and the lag map beyond V and D.  One right-side break
+        # fewer than uniform L9 keeps the merged breaks and takes the table path.
+        left = uniform_mesh(1.0, 9).left_breaks
+        mesh = BoundaryMesh(1.0, (0.0, 1.0), left, np.delete(left, 1))
+        assert not mesh.mirror
+        peak, held = self.build_peak_and_held(mesh)
+        assert peak <= 3.0
+        assert held <= 0.25
+
+    def test_toeplitz_build_forms_no_table(self):
+        # uniform: the side blocks are strided copies of 1-D second differences
+        peak, held = self.build_peak_and_held(uniform_mesh(1.0, 9))
+        assert peak <= 2.05
+        assert held <= 0.01
 
 
 class TestRhs:

@@ -444,6 +444,12 @@ class TestCli:
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, tmp_path, capsys, alpha):
+        argv = ["study-uniform", "--levels", "1", "--alpha", alpha]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+
     def test_bad_config_value_exits_2(self, tmp_path):
         code = main(["study-uniform", "--levels", "20", "--out", str(tmp_path / "y")])
         assert code == 2
