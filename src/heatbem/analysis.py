@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galerkin import DiscreteFlux
+from .kernels import gauss_legendre
 from .krylov import NumericalError
-from .mesh import BoundaryMesh
+from .mesh import BoundaryMesh, Side
 from .reference import SineSeries
 
 __all__ = [
@@ -85,13 +86,13 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
 
 
 def element_means(mesh: BoundaryMesh, fn, gauss_order: int) -> np.ndarray:
-    """Gauss-rule mean of fn(i, ts) over each element i at its quadrature times ts."""
-    xi, wt = np.polynomial.legendre.leggauss(gauss_order)
-    out = np.empty(mesh.n_elements)
-    for i in range(mesh.n_elements):
-        ts = mesh.t_begin_all[i] + 0.5 * (xi + 1.0) * mesh.element_sizes[i]
-        out[i] = 0.5 * float(np.dot(wt, fn(i, ts)))
-    return out
+    """Gauss-rule mean of fn over each element, one weight dot product per element.
+    fn(side, ts) is called once per side, with one row of quadrature times per
+    element of that side, and returns values of the same shape."""
+    xi, wt = gauss_legendre(gauss_order)
+    ts = mesh.t_begin_all[:, None] + 0.5 * (xi + 1.0) * mesh.element_sizes[:, None]
+    vals = np.concatenate([fn(Side.LEFT, ts[: mesh.n_left]), fn(Side.RIGHT, ts[mesh.n_left :])])
+    return np.array([0.5 * float(np.dot(wt, row)) for row in vals])
 
 
 def l2_error(
@@ -99,9 +100,10 @@ def l2_error(
 ) -> float:
     """Element-wise Gauss quadrature of ||w_ref - w_h||_{L2(Sigma)}."""
     mesh = flux.mesh
+    own = dict(zip((Side.LEFT, Side.RIGHT), np.split(flux.coefficients[:, None], [mesh.n_left])))
 
-    def squared_error(i, ts):
-        diff = reference.flux(mesh.side_of(i), ts) - flux.coefficients[i]
+    def squared_error(side, ts):
+        diff = reference.flux(side, ts) - own[side]
         return diff * diff
 
     means = element_means(mesh, squared_error, gauss_order)

@@ -46,6 +46,7 @@ from .kernels import (
     _j1,
     _vectorize_integrand,
     adaptive_quadrature,
+    gauss_legendre,
     heat_kernel,
     primitive_I0,
     primitive_I1,
@@ -228,14 +229,11 @@ def _graded_breaks(a: float, b: float) -> tuple[float, ...]:
 
 
 def _composite_nodes(breaks: np.ndarray, order: int):
-    xi, wt = np.polynomial.legendre.leggauss(order)
-    lo = breaks[:-1]
-    hi = breaks[1:]
+    xi, wt = gauss_legendre(order)
+    lo, hi = breaks[:-1], breaks[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    ys = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    ws = (half[:, None] * wt[None, :]).ravel()
-    return ys, ws
+    return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wt).ravel()
 
 
 def _spatial_moments(mesh, problem, primitive):

@@ -21,6 +21,7 @@ All functions broadcast over numpy arrays and return floats for scalar input.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc  # complementary error function, ~1 ulp
@@ -36,6 +37,7 @@ __all__ = [
     "primitive_J0",
     "primitive_J1",
     "adaptive_quadrature",
+    "gauss_legendre",
 ]
 
 SQRT_PI = float(np.sqrt(np.pi))
@@ -180,10 +182,18 @@ def primitive_J1(d, tau, alpha=1.0):
 # adaptive quadrature
 
 
+@lru_cache(maxsize=32)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 # panel rules of adaptive_quadrature: the error estimate compares the
 # 10-point with the 20-point Gauss-Legendre rule
-_X1, _W1 = np.polynomial.legendre.leggauss(10)
-_X2, _W2 = np.polynomial.legendre.leggauss(20)
+_X1, _W1 = gauss_legendre(10)
+_X2, _W2 = gauss_legendre(20)
 
 
 def _vectorize_integrand(f):

@@ -9,7 +9,9 @@ basis orthogonal to working precision ("twice is enough": Giraud, Langou &
 Rozloznik, Comput. Math. Appl. 2005).  The basis and the Hessenberg matrix
 grow in doubling chunks, so a solve that converges early never reserves the
 full ``max_iter`` columns.  The least-squares problem is updated with Givens
-rotations, whose running residual estimate is exact in exact arithmetic.
+rotations, whose running residual estimate is exact in exact arithmetic.  They
+rotate each new Hessenberg column as Python floats, IEEE doubles like numpy's
+float64 scalars in the same operation order: bitwise, without scalar overhead.
 """
 
 from __future__ import annotations
@@ -86,6 +88,14 @@ class SolveReport:
 _FIRST_CHUNK = 32  # Krylov columns reserved before the first doubling
 
 
+def _rotate(col: list[float], cs: list[float], sn: list[float], j: int) -> None:
+    """Apply the first j Givens rotations (cs[i], sn[i]) to the column ``col`` in place."""
+    for i in range(j):
+        hi, hj = col[i], col[i + 1]
+        col[i] = cs[i] * hi + sn[i] * hj
+        col[i + 1] = -sn[i] * hi + cs[i] * hj
+
+
 def gmres(
     A,
     b,
@@ -126,8 +136,7 @@ def gmres(
     basis = np.zeros((cap + 1, n))
     basis[0] = b / norm_b
     H = np.zeros((cap + 1, cap))
-    cs = np.zeros(max_iter)
-    sn = np.zeros(max_iter)
+    cs, sn = [], []  # Givens cosines and sines, Python floats
     rhs = np.zeros(max_iter + 1)
     rhs[0] = norm_b
 
@@ -150,20 +159,17 @@ def gmres(
         H[j + 1, j] = h_next
         h_scale = max(h_scale, float(np.max(np.abs(H[: j + 2, j]))))
 
-        # apply accumulated Givens rotations to the new column
-        for i in range(j):
-            hi, hj = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * hi + sn[i] * hj
-            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        denom = float(np.hypot(H[j, j], H[j + 1, j]))
+        col = H[: j + 2, j].tolist()
+        _rotate(col, cs, sn, j)
+        denom = float(np.hypot(col[j], col[j + 1]))
         if denom <= 1e-14 * max(h_scale, 1e-300):
             # column adds nothing solvable: discard it and stop
             breakdown = True
             break
-        cs[j] = H[j, j] / denom
-        sn[j] = H[j + 1, j] / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
+        cs.append(col[j] / denom)
+        sn.append(col[j + 1] / denom)
+        col[j], col[j + 1] = denom, 0.0
+        H[: j + 2, j] = col
         rhs[j + 1] = -sn[j] * rhs[j]
         rhs[j] = cs[j] * rhs[j]
 

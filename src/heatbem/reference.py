@@ -78,24 +78,25 @@ class SineSeries:
         )
 
     def flux(self, side: Side, t):
-        """Boundary flux du/dn at the given side; t > 0 scalar or array."""
+        """Boundary flux du/dn at the given side; t >= 0 scalar, 1-D or 2-D array.
+        Modes below machine noise at the earliest time of a batch are dropped.  A
+        scalar or 1-D t is one batch; each row of a 2-D t is its own, bitwise."""
         n, rates = self._modes()
         if side is Side.LEFT:
             c = -self.coefficients * n * np.pi
         else:
             c = self.coefficients * n * np.pi * (-1.0) ** n
         t_arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t_arr).ravel()
-        # drop modes that are below machine noise for the earliest time in
-        # this batch; keeps the mode x time matrix small for fine meshes
-        t_min = float(flat.min())
-        cutoff = self.n_max
-        if t_min > 0.0:
-            alive = rates * t_min < 46.0  # exp(-46) ~ 1e-20
-            cutoff = max(1, int(np.max(np.flatnonzero(alive)) + 1)) if alive.any() else 1
-        vals = np.exp(-np.outer(flat, rates[:cutoff])) @ c[:cutoff]
-        vals = vals.reshape(t_arr.shape)
-        return float(vals) if t_arr.ndim == 0 else vals
+        rows = t_arr if t_arr.ndim == 2 else t_arr.reshape(1, -1)
+        t_min = rows.min(axis=1)
+        # rates increase, so the alive modes (exp(-46) ~ 1e-20) are a prefix
+        alive = np.count_nonzero(rates * t_min[:, None] < 46.0, axis=1)
+        cutoffs = np.where(t_min > 0.0, np.maximum(alive, 1), self.n_max)
+        vals = np.empty(rows.shape)
+        for k in np.unique(cutoffs):  # one gemv per row, as the row's own call
+            same = cutoffs == k
+            vals[same] = np.exp(-(rows[same][:, :, None] * rates[:k])) @ c[:k]
+        return float(vals[0, 0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
 
     def flux_l2_norm(self, horizon: float) -> float:
         """Exact L2(Sigma) norm of the flux over both sides up to ``horizon``."""

@@ -147,9 +147,7 @@ def rhs_moment_oracle(mesh: BoundaryMesh, index: int, problem, tol=1e-9) -> floa
 
 def best_approximation(mesh: BoundaryMesh, reference):
     """Element means of the reference flux: the L2(Sigma)-projection onto S_h^0."""
-    return element_means(
-        mesh, lambda i, ts: reference.flux(mesh.side_of(i), ts), gauss_order=30
-    )
+    return element_means(mesh, reference.flux, gauss_order=30)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,17 @@ import pytest
 from test_galerkin import graded_mesh, mirror_graded_mesh, nonuniform_mesh
 
 import heatbem
-from heatbem.analysis import condition_number, ellipticity_margin, eoc, l2_error
+from heatbem.analysis import (
+    condition_number,
+    element_means,
+    ellipticity_margin,
+    eoc,
+    l2_error,
+)
 from heatbem.galerkin import DiscreteFlux, assemble_all
 from heatbem.krylov import NumericalError
 from heatbem.mesh import BoundaryMesh, uniform_mesh
-from heatbem.reference import example1_series
+from heatbem.reference import example1_series, example2_series
 from heatbem.studies import ExperimentConfig, _level_record, build_problem
 from heatbem.verification import best_approximation
 
@@ -249,6 +255,54 @@ class TestL2Error:
         e8 = l2_error(flux, ref, gauss_order=8)
         e32 = l2_error(flux, ref, gauss_order=32)
         assert e8 == pytest.approx(e32, rel=1e-4)
+
+
+def loop_element_means(mesh, fn, gauss_order):
+    """Oracle: one fn(i, ts) call and one weight dot product per element i."""
+    xi, wt = np.polynomial.legendre.leggauss(gauss_order)
+    out = np.empty(mesh.n_elements)
+    for i in range(mesh.n_elements):
+        ts = mesh.t_begin_all[i] + 0.5 * (xi + 1.0) * mesh.element_sizes[i]
+        out[i] = 0.5 * float(np.dot(wt, fn(i, ts)))
+    return out
+
+
+def loop_l2_error(flux, reference, gauss_order):
+    """Oracle: l2_error on the per-element loop, summed in element order."""
+    mesh = flux.mesh
+
+    def squared_error(i, ts):
+        diff = reference.flux(mesh.side_of(i), ts) - flux.coefficients[i]
+        return diff * diff
+
+    total = 0.0
+    for h, mean in zip(mesh.element_sizes, loop_element_means(mesh, squared_error, gauss_order)):
+        total += h * mean
+    return math.sqrt(total)
+
+
+class TestElementMeans:
+    """One flux call per side gives the per-element loop's values, bitwise."""
+
+    MESHES = {
+        "uniform_L5": lambda: uniform_mesh(1.0, 5),
+        "unequal_sides": nonuniform_mesh,
+        "graded_2^-19": lambda: graded_mesh(2.0 ** -19),
+    }
+
+    @pytest.mark.parametrize("order", [8, 30])
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_equal_to_per_element_loop(self, name, order):
+        mesh = self.MESHES[name]()
+        ref = example2_series()
+        got = element_means(mesh, ref.flux, order)
+        oracle = loop_element_means(mesh, lambda i, ts: ref.flux(mesh.side_of(i), ts), order)
+        assert np.array_equal(got.view(np.int64), oracle.view(np.int64))
+        if order == 30:
+            assert np.array_equal(best_approximation(mesh, ref), oracle)
+        rng = np.random.default_rng(order)
+        flux = DiscreteFlux(oracle + 0.01 * rng.standard_normal(mesh.n_elements), mesh)
+        assert l2_error(flux, ref, order) == loop_l2_error(flux, ref, order)
 
 
 class TestUniformRefinementTrends:

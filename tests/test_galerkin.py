@@ -84,17 +84,27 @@ def mirror_graded_mesh():
 
 
 def reference_matrices(mesh, alpha):
-    """V, K and D from four N x N corner-lag matrices, one primitive pass each."""
+    """V, K and D from four N x N corner-lag matrices, one primitive pass each.
+
+    A primitive is exactly +0.0 at lags <= 0, so each pass evaluates it only
+    at the positive lags and writes +0.0 elsewhere.
+    """
     t1, t2 = mesh.t_begin_all, mesh.t_end_all
     x, n = mesh.x_all, mesh.normal_all
     dmat = x[:, None] - x[None, :]
 
+    def causal(primitive, lag):
+        out = np.zeros_like(lag)
+        pos = lag > 0.0
+        out[pos] = primitive(dmat[pos], lag[pos], alpha)
+        return out
+
     def corner_sum(primitive):
         return (
-            primitive(dmat, t2[:, None] - t1[None, :], alpha)
-            - primitive(dmat, t2[:, None] - t2[None, :], alpha)
-            - primitive(dmat, t1[:, None] - t1[None, :], alpha)
-            + primitive(dmat, t1[:, None] - t2[None, :], alpha)
+            causal(primitive, t2[:, None] - t1[None, :])
+            - causal(primitive, t2[:, None] - t2[None, :])
+            - causal(primitive, t1[:, None] - t1[None, :])
+            + causal(primitive, t1[:, None] - t2[None, :])
         )
 
     V = corner_sum(primitive_J0) / alpha

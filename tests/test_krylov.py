@@ -10,6 +10,7 @@ from heatbem.galerkin import Problem, assemble_all, assemble_rhs
 from heatbem.krylov import (
     NumericalError,
     Preconditioner,
+    _rotate,
     direct_solve,
     gmres,
 )
@@ -156,6 +157,29 @@ class TestGmres:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             gmres(np.eye(2), np.ones(2), tol=0.0)
+
+
+class TestRotate:
+    @staticmethod
+    def numpy_scalar_rotate(col, cs, sn, j):
+        """The rotation loop on float64 scalars read from and written to arrays."""
+        H, cs, sn = np.array(col), np.array(cs), np.array(sn)
+        for i in range(j):
+            hi, hj = H[i], H[i + 1]
+            H[i] = cs[i] * hi + sn[i] * hj
+            H[i + 1] = -sn[i] * hi + cs[i] * hj
+        return H
+
+    def test_bitwise_equal_to_numpy_scalar_loop(self):
+        rng = np.random.default_rng(13)
+        for j in [0, 1] + list(rng.integers(2, 120, 198)):
+            col = rng.standard_normal(j + 2) * 10.0 ** rng.uniform(-8.0, 8.0, j + 2)
+            theta = rng.uniform(-np.pi, np.pi, j)
+            cs, sn = np.cos(theta), np.sin(theta)
+            expected = self.numpy_scalar_rotate(col, cs, sn, j)
+            got = col.tolist()
+            _rotate(got, cs.tolist(), sn.tolist(), j)
+            assert np.array_equal(np.array(got).view(np.int64), expected.view(np.int64)), j
 
 
 class TestBlockGramSchmidt:

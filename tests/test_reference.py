@@ -68,6 +68,43 @@ class TestFlux:
         for t, v in zip(ts, vals):
             assert v == pytest.approx(series.flux(Side.LEFT, float(t)), rel=1e-13)
 
+    @staticmethod
+    def one_batch_flux(series, side, t):
+        """The flux of a 1-D t as one outer product, cut at the modes alive at min(t)."""
+        n, rates = series._modes()
+        if side is Side.LEFT:
+            c = -series.coefficients * n * np.pi
+        else:
+            c = series.coefficients * n * np.pi * (-1.0) ** n
+        cutoff = series.n_max
+        if t.min() > 0.0:
+            alive = np.flatnonzero(rates * t.min() < 46.0)
+            cutoff = max(1, int(alive[-1]) + 1) if len(alive) else 1
+        return np.exp(-np.outer(t, rates[:cutoff])) @ c[:cutoff], cutoff
+
+    @pytest.mark.parametrize("width", [8, 30])
+    def test_rows_get_their_own_cutoff(self, width):
+        # each row of a 2-D t is evaluated as the 1-D call on that row, bitwise
+        series = example2_series()  # 2048 modes
+        rows = np.array([
+            np.geomspace(2.0 ** -20, 1.0, width),
+            np.geomspace(1e-7, 1e-6, width),
+            np.linspace(0.3, 0.9, width),
+            np.linspace(49.0, 51.0, width),
+            np.linspace(0.0, 0.5, width),
+            np.geomspace(1e-3, 1e-2, width)[::-1],
+        ])
+        cutoffs = []
+        for side in Side:
+            got = series.flux(side, rows)
+            for row, vals in zip(rows, got):
+                assert np.array_equal(vals, series.flux(side, row))
+                expected, cutoff = self.one_batch_flux(series, side, row)
+                assert np.array_equal(vals, expected)
+                cutoffs.append(cutoff)
+        # the rows cover: all modes kept (small t, and t = 0), only mode 1 kept
+        assert cutoffs[:6] == [2048, 2048, 3, 1, 2048, 68]
+
     def test_truncation_control(self):
         # doubling n_max moves the flux by less than 1e-10 at resolved times
         coarse = example2_series(n_max=256)
