@@ -21,7 +21,9 @@ second difference of T on its sides' breakpoints, and one T is live at a time.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 (i - j) h bitwise and T is Toeplitz: the second difference is taken once on
 the vector of its 2n + 1 lags, and each side block is one strided copy of it.
-``OperatorMatrices`` assembles each of V, K and D on first read only.
+``OperatorMatrices`` assembles each of V, K and D on first read only.  Its
+``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
+blocks' first columns, applied in O(N log N) without an N x N array.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -57,6 +59,7 @@ __all__ = [
     "Problem",
     "DiscreteFlux",
     "OperatorMatrices",
+    "MirrorToeplitz",
     "assemble_all",
     "assemble_rhs",
     "initial_dirichlet_moments",
@@ -72,6 +75,7 @@ QUAD_TOL = 1e-10
 QUAD_ORDER = 8  # first composite Gauss order of the initial-datum moments
 QUAD_MAX_ORDER = 64
 GRADING_DEPTH = 40  # geometric panels toward each interval endpoint
+RHS_ROW_BLOCK = 64  # side breakpoints per primitive call of the initial-datum moments
 
 
 @dataclass(frozen=True)
@@ -136,20 +140,19 @@ class OperatorMatrices:
         breaks = np.union1d(mesh.left_breaks, mesh.right_breaks)
         lag = breaks[:, None] - breaks[None, :]
         causal = lag > 0.0  # i > j: breaks are strictly increasing
-        lags = lag[causal]
         # exact float equality only, no tolerance: lags that never repeat get no reuse
-        tau = np.unique(lags)
-        inv = np.searchsorted(tau, lags)  # causal lag -> index of its distinct lag
+        tau, inv = np.unique(lag[causal], return_inverse=True)  # causal lag -> distinct lag
         return (breaks, causal, inv) + self._terms(tau)
 
-    def _corner_sums(self, formula, op, factor, odd=False) -> np.ndarray:
-        """Corner sums of every side block, then block = op(block, factor(n_row, n_col))."""
+    def _side_blocks(self, odd):
+        """Table key -> the (row side, col side) blocks read from its table.
+
+        A side is (element rows, breakpoints, x, outward normal).
+        """
         (a, b), n = self.mesh.interval, self.mesh.n_left
-        # per side: element rows, breakpoints, x, outward normal
         sides = ((slice(0, n), self.mesh.left_breaks, a, -1.0),
                  (slice(n, None), self.mesh.right_breaks, b, 1.0))
-        out = np.zeros((self.mesh.n_elements,) * 2)
-        blocks = {}  # table key -> the side blocks read from that table
+        blocks = {}
         for row in sides:
             for col in sides:
                 d = row[2] - col[2]
@@ -157,18 +160,40 @@ class OperatorMatrices:
                     continue
                 # an even primitive shares the table of d and -d
                 blocks.setdefault(d if odd else abs(d), []).append((row, col))
+        return blocks
+
+    def _toeplitz_symbols(self, name):
+        """V, K or D on a Toeplitz mesh: (n_row, n_col) -> s, block[i, j] = s[n - 1 + i - j].
+
+        The side blocks are keyed by their outward normals.  s is op(second
+        difference of T at the lags -n h ... n h, factor), in the table's
+        order; it is +0.0 at the negative lags i - j.
+        """
+        formula, op, factor, odd = self._form(name)
+        tau, terms = self._toeplitz_lags
+        n = self.mesh.n_left
+        symbols = {}
+        for key, pairs in self._side_blocks(odd).items():
+            t = np.zeros(2 * n + 1)  # T at the lags -n h ... n h
+            t[n + 1:] = formula(key, tau, self.alpha, *terms[abs(key)])
+            s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order, lag i - j
+            for row, col in pairs:
+                symbols[row[3], col[3]] = op(s, factor(row[3], col[3]))
+        return symbols
+
+    def _corner_sums(self, name) -> np.ndarray:
+        """Dense V, K or D: corner sums of every side block, then op(block, factor)."""
+        n = self.mesh.n_left
+        out = np.zeros((self.mesh.n_elements,) * 2)
         if self._toeplitz_lags is not None:  # each side block is Toeplitz
-            tau, terms = self._toeplitz_lags
-            for key, pairs in blocks.items():
-                t = np.zeros(2 * n + 1)  # T at the lags -n h ... n h
-                t[n + 1:] = formula(key, tau, self.alpha, *terms[abs(key)])
-                s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order, lag i - j
-                for (rows, _, _, n_row), (cols, _, _, n_col) in pairs:
-                    s_op = op(s, factor(n_row, n_col))[::-1]  # block[i, j] = s[n - 1 + i - j]
-                    out[rows, cols] = sliding_window_view(s_op, n)[::-1]  # one strided view
+            side_rows = {-1.0: slice(0, n), 1.0: slice(n, None)}  # normal -> element rows
+            for (n_row, n_col), s in self._toeplitz_symbols(name).items():
+                # one strided view: block[i, j] = s[n - 1 + i - j]
+                out[side_rows[n_row], side_rows[n_col]] = sliding_window_view(s[::-1], n)[::-1]
             return out
+        formula, op, factor, odd = self._form(name)
         breaks, causal, inv, tau, terms = self._lags
-        for key, pairs in blocks.items():
+        for key, pairs in self._side_blocks(odd).items():
             table = np.zeros(causal.shape)
             table[causal] = formula(key, tau, self.alpha, *terms[abs(key)])[inv]
             for (rows, row_b, _, n_row), (cols, col_b, _, n_col) in pairs:
@@ -182,10 +207,28 @@ class OperatorMatrices:
             del table  # and one table
         return out
 
+    def _form(self, name):
+        """(formula, op, factor(n_row, n_col), odd): block = op(corner sums, factor)."""
+        alpha = self.alpha
+        return {
+            "V": (_j0, np.divide, lambda nr, nc: alpha, False),
+            "K": (_j1, np.multiply, lambda nr, nc: -nc / alpha, True),
+            "D": (_i0, np.multiply, lambda nr, nc: nr * nc, False),
+        }[name]
+
+    def operator(self, name: str):
+        """V or D as a square operator with ``shape`` and ``@``, never formed densely
+        on a Toeplitz mesh (there a ``MirrorToeplitz``); elsewhere the dense matrix."""
+        if self._toeplitz_lags is None:
+            return getattr(self, name)
+        symbols, n = self._toeplitz_symbols(name), self.mesh.n_left
+        # first columns (lags 0 .. n - 1) of P = block(left, left), Q = block(left, right)
+        return MirrorToeplitz(symbols[-1.0, -1.0][n - 1:], symbols[-1.0, 1.0][n - 1:])
+
     @cached_property
     def V(self) -> np.ndarray:
         """Single layer: (1/alpha) double integral of the heat kernel."""
-        return self._corner_sums(_j0, np.divide, lambda nr, nc: self.alpha)
+        return self._corner_sums("V")
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -194,7 +237,7 @@ class OperatorMatrices:
         The kernel is odd in d, so same-side entries vanish identically; only
         the cross-side blocks are populated.  d/dn_y G = -n_y dG/dd.
         """
-        return self._corner_sums(_j1, np.multiply, lambda nr, nc: -nc / self.alpha, odd=True)
+        return self._corner_sums("K")
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -205,7 +248,29 @@ class OperatorMatrices:
         realizes the finite-part value without any numerical regularization.
         The global sign makes the symmetric part positive definite.
         """
-        return self._corner_sums(_i0, np.multiply, lambda nr, nc: nr * nc)
+        return self._corner_sums("D")
+
+
+class MirrorToeplitz:
+    """[[P, Q], [Q, P]] with P, Q lower-triangular Toeplitz, applied without forming it.
+
+    Holds the rfft of P's and Q's first columns zero-padded to 2n.  Each half
+    of a product is a sum of two causal convolutions, so a product takes two
+    forward and two inverse FFTs of length 2n (the fast Volterra convolution of
+    Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 1985).
+    """
+
+    def __init__(self, p: np.ndarray, q: np.ndarray):
+        n = len(p)
+        self.shape = (2 * n, 2 * n)
+        self._pq = np.fft.rfft(np.stack([p, q]), 2 * n)
+
+    def __matmul__(self, x):
+        n = self.shape[0] // 2
+        xf = np.fft.rfft(np.reshape(x, (2, n)), 2 * n)  # both halves, one call
+        (p, q), (x1, x2) = self._pq, xf
+        y = np.fft.irfft(np.stack([p * x1 + q * x2, q * x1 + p * x2]), 2 * n)
+        return y[:, :n].ravel()
 
 
 def assemble_all(mesh: BoundaryMesh, alpha: float) -> OperatorMatrices:
@@ -241,9 +306,10 @@ def _spatial_moments(mesh, problem, primitive):
 
     The time integral is exact (F is the kernel's time antiderivative); the
     y-integral uses a composite Gauss rule graded toward both endpoints, with
-    order doubling until the moments stabilize.  Each order evaluates one
-    table F(x_side - y, t) per side, one row per breakpoint t of that side,
-    and an element's window is the difference of two consecutive rows.
+    order doubling until the moments stabilize.  Each order evaluates
+    F(x_side - y, t) once per breakpoint t of each side, RHS_ROW_BLOCK rows at
+    a time, and an element's window is the difference of two consecutive rows;
+    each block carries its last row into the next.
     """
     u0 = _vectorize_integrand(problem.u0)
     alpha = problem.alpha
@@ -253,9 +319,14 @@ def _spatial_moments(mesh, problem, primitive):
 
     def compute(order):
         ys, ws = _composite_nodes(breaks, order)
-        win = np.concatenate([
-            np.diff(primitive(x - ys, t[:, None], alpha), axis=0) for x, t in sides
-        ])
+        win = np.empty((mesh.n_elements, len(ys)))
+        at = 0  # first window row of the block
+        for x, t in sides:
+            d, carry = x - ys, np.empty((0, len(ys)))
+            for lo in range(0, len(t), RHS_ROW_BLOCK):
+                rows = np.concatenate([carry, primitive(d, t[lo:lo + RHS_ROW_BLOCK, None], alpha)])
+                np.subtract(rows[1:], rows[:-1], out=win[at:at + len(rows) - 1])
+                at, carry = at + len(rows) - 1, rows[-1:]
         return win @ (ws * u0(ys))
 
     order = QUAD_ORDER

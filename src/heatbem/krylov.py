@@ -12,6 +12,8 @@ full ``max_iter`` columns.  The least-squares problem is updated with Givens
 rotations, whose running residual estimate is exact in exact arithmetic.  They
 rotate each new Hessenberg column as Python floats, IEEE doubles like numpy's
 float64 scalars in the same operation order: bitwise, without scalar overhead.
+A: array or square operator with ``@``, e.g. a ``galerkin.MirrorToeplitz``
+that is never formed densely.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class Preconditioner:
 
     @classmethod
     def calderon(cls, mass_diag, hyper) -> "Preconditioner":
+        """``hyper``: array or square operator with ``shape`` and ``@``."""
         mass_diag = np.asarray(mass_diag, dtype=float)
-        hyper = np.asarray(hyper, dtype=float)
         n = len(mass_diag)
         if hyper.shape != (n, n):
             raise NumericalError("hypersingular matrix shape does not match the mass diagonal")
@@ -105,14 +107,14 @@ def gmres(
 ) -> SolveReport:
     """Full-memory GMRES on A x = b with right preconditioning.
 
-    ``A`` is a square array.  Stops when the relative
+    ``A``: array or square operator with ``shape`` and ``@``; the stopping
+    test's true residual uses the same operator.  Stops when the relative
     residual ||b - A x|| / ||b|| drops below ``tol`` (the Givens estimate,
     which for right preconditioning is the true residual up to roundoff; the
     returned history ends with the explicitly recomputed true value).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(b)
     prec = preconditioner or Preconditioner.identity()

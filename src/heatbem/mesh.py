@@ -218,10 +218,9 @@ def quasi_uniformity_constant(mesh: BoundaryMesh) -> float:
 
 def dumps(mesh: BoundaryMesh) -> str:
     """One line per element: ``side t_begin t_end`` with 17 significant digits."""
-    spans = zip(mesh.t_begin_all.tolist(), mesh.t_end_all.tolist())
-    lines = [
-        f"{mesh.side_of(i).value} {t0:.17g} {t1:.17g}" for i, (t0, t1) in enumerate(spans)
-    ]
+    tags = [Side.LEFT.value] * mesh.n_left + [Side.RIGHT.value] * mesh.n_right
+    spans = zip(tags, mesh.t_begin_all.tolist(), mesh.t_end_all.tolist())
+    lines = [f"{tag} {t0:.17g} {t1:.17g}" for tag, t0, t1 in spans]
     return "\n".join(lines) + "\n"
 
 

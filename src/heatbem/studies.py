@@ -266,10 +266,11 @@ def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
                 f"point ({x}, {t}) lies outside the space-time cylinder"
             )
     mesh = uniform_mesh(HORIZON, cfg.max_level, INTERVAL)
-    mats = assemble_all(mesh, problem.alpha)
+    mats = assemble_all(mesh, problem.alpha)  # V and D stay unformed unless dumped
     f = assemble_rhs(mesh, problem)
     report = gmres(
-        mats.V, f, tol=cfg.tol, preconditioner=Preconditioner.calderon(mats.mass, mats.D)
+        mats.operator("V"), f, tol=cfg.tol,
+        preconditioner=Preconditioner.calderon(mats.mass, mats.operator("D")),
     )
     if not report.converged:
         raise NumericalError(

@@ -30,7 +30,7 @@ from heatbem.kernels import (
     primitive_J1,
 )
 from heatbem.krylov import direct_solve
-from heatbem.mesh import BoundaryMesh, refine_adaptive, uniform_mesh
+from heatbem.mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
 from heatbem.reference import example1_initial_datum, example2_initial_datum
 from heatbem.verification import (
     entry_defect,
@@ -75,6 +75,11 @@ def graded_mesh(h_min, interval=(0.0, 1.0)):
         h = mesh.element_sizes
         mesh = refine_adaptive(mesh, h / (np.abs(mid - focus) + h))
     return mesh
+
+
+def two_block_mesh():
+    """graded_mesh(2^-19) bisected: 77 and 111 breakpoints, each side past one RHS row block."""
+    return refine_uniform(graded_mesh(2.0 ** -19))
 
 
 def mirror_graded_mesh():
@@ -352,6 +357,24 @@ class TestBreakpointTable:
         unequal = random_mesh()
         assert lags_seen(unequal) == [causal_break_pairs(unequal)] * 2
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_mirror_operator_matches_dense(self, alpha):
+        rng = np.random.default_rng(31)
+        for lv in range(10):
+            mats = assemble_all(uniform_mesh(1.0, lv), alpha)
+            for kind in "VD":
+                op, dense = mats.operator(kind), getattr(mats, kind)
+                assert isinstance(op, galerkin.MirrorToeplitz) and op.shape == dense.shape
+                x = rng.standard_normal(dense.shape[0])
+                ref = dense @ x
+                assert np.linalg.norm(op @ x - ref) <= 1e-14 * np.linalg.norm(ref), (lv, kind)
+
+    @pytest.mark.parametrize("name", ["mirror_graded", "unequal_sides"])
+    def test_operator_is_the_dense_matrix_off_the_toeplitz_meshes(self, name):
+        mats = assemble_all(self.MESHES[name](), ALPHA)
+        for kind in "VD":
+            assert mats.operator(kind) is getattr(mats, kind)
+
     def test_same_side_blocks_of_K_are_exact_zeros(self):
         mesh = graded_mesh(2.0 ** -8)
         K = OperatorMatrices(mesh, ALPHA).K
@@ -423,6 +446,7 @@ class TestRhs:
         "unequal_sides": nonuniform_mesh,
         "adaptive_2^-19": lambda: graded_mesh(2.0 ** -19),
         "interval_-0.5_1.5": lambda: graded_mesh(2.0 ** -6, (-0.5, 1.5)),
+        "two_row_blocks": two_block_mesh,
     }
 
     @pytest.mark.parametrize("u0", [example1_initial_datum, example2_initial_datum])
@@ -438,15 +462,18 @@ class TestRhs:
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
-    def test_one_primitive_row_per_side_breakpoint(self, monkeypatch):
-        rows = []
+    @pytest.mark.parametrize("make_mesh", [lambda: graded_mesh(2.0 ** -10), two_block_mesh])
+    def test_one_primitive_row_per_side_breakpoint(self, monkeypatch, make_mesh):
+        rows = []  # rows evaluated per side table, over its row blocks
 
         def counting(d, tau, alpha):
-            rows.append(np.broadcast_shapes(np.shape(d), np.shape(tau))[0])
+            if np.ravel(tau)[0] == 0.0:  # t = 0 starts each side's first block
+                rows.append(0)
+            rows[-1] += np.broadcast_shapes(np.shape(d), np.shape(tau))[0]
             return primitive_I0(d, tau, alpha)
 
         monkeypatch.setattr(galerkin, "primitive_I0", counting)
-        mesh = graded_mesh(2.0 ** -10)
+        mesh = make_mesh()
         initial_dirichlet_moments(mesh, Problem(u0=example2_initial_datum))
         per_order = [len(mesh.left_breaks), len(mesh.right_breaks)]
         assert rows == per_order * (len(rows) // 2)

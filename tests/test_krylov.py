@@ -154,6 +154,24 @@ class TestGmres:
             assert report.converged
             assert gmres_lu_deviation(mats.V, f, report) < 1e-7
 
+    def test_square_operator_gives_the_array_result(self):
+        class Wrapped:  # only shape and @, no array interface
+            def __init__(self, A):
+                self.shape, self._A = A.shape, A
+
+            def __matmul__(self, x):
+                return self._A @ x
+
+        mats, f = example1_system(4)
+        for prec in (Preconditioner.identity(),
+                     Preconditioner.calderon(mats.mass, mats.D),
+                     Preconditioner.calderon(mats.mass, Wrapped(mats.D))):
+            got = gmres(Wrapped(mats.V), f, tol=1e-10, preconditioner=prec)
+            ref = gmres(mats.V, f, tol=1e-10, preconditioner=prec)
+            assert got.iterations == ref.iterations
+            assert got.relative_residual_history == ref.relative_residual_history
+            np.testing.assert_array_equal(got.solution, ref.solution)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             gmres(np.eye(2), np.ones(2), tol=0.0)

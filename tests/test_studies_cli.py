@@ -1,6 +1,7 @@
 """Study drivers, table emission, and the command-line interface."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -221,6 +222,32 @@ class TestSingleSolve:
         assert report.converged and report.iterations == 0
         np.testing.assert_array_equal(report.solution, 0.0)
         assert evaluate_interior(0.5, 0.5, DiscreteFlux(report.solution, mesh), problem) == 0.0
+
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_operator_path_matches_the_dense_path(self, example):
+        for level in range(10):
+            cfg = ExperimentConfig(example=example, max_level=level)
+            result = run_single_solve(cfg)
+            assert not {"V", "D"} & set(vars(result.matrices)), level  # never formed
+            mats = result.matrices
+            dense = gmres(mats.V, result.rhs, tol=cfg.tol,
+                          preconditioner=Preconditioner.calderon(mats.mass, mats.D))
+            assert result.iterations == dense.iterations, level
+            w = result.flux.coefficients
+            assert np.linalg.norm(w - dense.solution) <= 1e-12 * np.linalg.norm(dense.solution)
+
+    def test_solve_peak_and_retained_memory(self):
+        # in N x N units of doubles: the dense V and D alone would be two units
+        run_single_solve(ExperimentConfig(example=1, max_level=1))  # fill the small caches
+        tracemalloc.start()
+        try:
+            result = run_single_solve(ExperimentConfig(example=1, max_level=10))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = result.mesh.n_elements ** 2 * 8
+        assert peak / unit <= 1.0
+        assert current / unit <= 0.05
 
     def test_point_outside_rejected(self):
         with pytest.raises(ConfigError):
