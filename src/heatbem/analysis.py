@@ -33,8 +33,11 @@ class StudyRecord:
     The fields are the table columns, in order.  Condition numbers carry both
     conventions: ``*_sv`` is the singular-value ratio, ``*_eig`` the
     eigenvalue-modulus ratio of the same explicitly formed matrix, taken from
-    its slab blocks (see condition_number).  Entries are None when
-    the stage was skipped (preconditioner not requested, N above the kappa cap).
+    its slab blocks by one batched eigensolve per slab size (see
+    condition_number).  Where diag(V) is constant (every uniform level),
+    diag^-1 V is V over a scalar, so the kappa_diag_* entries are copied
+    from kappa_V_*.  Entries are None when the stage was skipped
+    (preconditioner not requested, N above the kappa cap).
     """
 
     L: int
@@ -63,9 +66,9 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
 
     Causality makes V, D and the preconditioned matrices block lower
     triangular over the mesh's slabs (2 x 2 blocks on uniform meshes), so
-    their spectra come from small eigenproblems instead of one dense
-    eigensolve of a highly defective matrix.  A large, strongly non-normal
-    slab (graded meshes) still limits the accuracy.
+    their spectra come from the slab blocks, one batched eigensolve per slab
+    size, instead of one dense eigensolve of a highly defective matrix.  A
+    large, strongly non-normal slab (graded meshes) still limits the accuracy.
     """
     parts = [np.asarray(P, dtype=float) for P in (A if isinstance(A, tuple) else (A,))]
     if any(P.ndim != 2 or P.shape[0] != P.shape[1] for P in parts):
@@ -74,9 +77,13 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
         s = np.concatenate([np.linalg.svd(P, compute_uv=False) for P in parts])
     elif method == "eig":
         if blocks is not None:
-            (A,) = parts
-            parts = (A[np.ix_(idx, idx)] for idx in blocks)
-        s = np.abs(np.concatenate([np.linalg.eigvals(P) for P in parts]))
+            if len(parts) != 1:
+                raise ValueError("eig blocks index one full matrix, not mirror halves")
+            A, by_size = parts[0], {}  # one (k, s, s) stack, one eigvals call, per slab size
+            for idx in blocks:
+                by_size.setdefault(len(idx), []).append(idx)
+            parts = (A[ix[:, :, None], ix[:, None, :]] for ix in map(np.array, by_size.values()))
+        s = np.abs(np.concatenate([np.linalg.eigvals(P).ravel() for P in parts]))
     else:
         raise ValueError(f"unknown convention {method!r}")
     lo, hi = float(s.min()), float(s.max())

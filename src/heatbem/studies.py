@@ -145,22 +145,24 @@ def _level_record(
         rec.eoc = eoc([prev_error, err])[0]
 
     if mesh.n_elements <= cfg.max_kappa_n:
-        n, m = mesh.n_left, mats.mass
+        n, m, d = mesh.n_left, mats.mass, np.diag(mats.V)
 
         def halves(A):  # (P + Q, P - Q) of a mirror matrix [[P, Q], [Q, P]]
             return A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]
 
         systems = {  # (full matrix, its halves on a mirror mesh), formed only when requested
             "V": (lambda: mats.V, lambda: halves(mats.V)),
-            "diag": (lambda: mats.V / np.diag(mats.V)[:, None],
-                     lambda: halves(mats.V / np.diag(mats.V)[:, None])),
+            "diag": (lambda: mats.V / d[:, None], lambda: halves(mats.V / d[:, None])),
             # M^-1 D M^-1 V; the formed product is not bitwise mirror, D's and V's halves are
             "calderon": (lambda: mats.D / np.outer(m, m) @ mats.V, lambda: tuple(
                 E / np.outer(m[:n], m[:n]) @ P for E, P in zip(halves(mats.D), halves(mats.V)))),
         }
         conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
         for name, forms in systems.items():
-            if name == "V" or name in cfg.preconds:
+            if name == "diag" and name in cfg.preconds and np.all(d == d[0]):
+                for conv in conventions:  # diag^-1 V = V / d[0]; kappa is scale invariant
+                    setattr(rec, f"kappa_diag_{conv}", getattr(rec, f"kappa_V_{conv}"))
+            elif name == "V" or name in cfg.preconds:
                 formed = {}  # the latest form only
                 for conv in conventions:
                     split = conv == "sv" and mesh.mirror

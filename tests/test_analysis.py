@@ -26,6 +26,15 @@ from heatbem.studies import ExperimentConfig, _level_record, build_problem
 from heatbem.verification import best_approximation
 
 
+def unequal_sides_mesh():
+    return BoundaryMesh(
+        horizon=1.0,
+        interval=(0.0, 1.0),
+        left_breaks=np.array([0.0, 0.125, 0.25, 0.5, 0.625, 1.0]),
+        right_breaks=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+    )
+
+
 def dense_eig_ratio(A):
     ev = np.abs(np.linalg.eigvals(A))
     return ev.max() / ev.min()
@@ -102,16 +111,7 @@ class TestBlockTriangularEig:
 
     @pytest.mark.parametrize(
         "mesh",
-        [
-            uniform_mesh(1.0, 5),
-            BoundaryMesh(
-                horizon=1.0,
-                interval=(0.0, 1.0),
-                left_breaks=np.array([0.0, 0.125, 0.25, 0.5, 0.625, 1.0]),
-                right_breaks=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
-            ),
-            graded_mesh(2.0 ** -10),
-        ],
+        [uniform_mesh(1.0, 5), unequal_sides_mesh(), graded_mesh(2.0 ** -10)],
         ids=["uniform_L5", "unequal_sides", "graded_2^-10"],
     )
     def test_zero_above_the_slab_blocks(self, mesh):
@@ -127,6 +127,46 @@ class TestBlockTriangularEig:
         cv = mats.D / np.outer(mats.mass, mats.mass) @ mats.V
         for A in (mats.V, mats.D, cv):
             assert np.all(A[above] == 0.0)
+
+    @staticmethod
+    def per_slab_ratio(A, blocks):
+        """The oracle: one eigvals call per block."""
+        ev = np.abs(np.concatenate([np.linalg.eigvals(A[np.ix_(idx, idx)]) for idx in blocks]))
+        return float(ev.max()) / float(ev.min())
+
+    @pytest.mark.parametrize(
+        "make, merge",
+        [
+            *((lambda lv=lv: uniform_mesh(1.0, lv), False) for lv in range(10)),
+            (unequal_sides_mesh, False),
+            (lambda: graded_mesh(2.0 ** -10), False),
+            (lambda: uniform_mesh(1.0, 5), True),
+        ],
+        ids=[*(f"uniform_L{lv}" for lv in range(10)), "unequal_sides", "graded_2^-10",
+             "mixed_sizes"],
+    )
+    def test_batched_is_bitwise_the_per_slab_loop(self, make, merge, monkeypatch):
+        mesh = make()
+        blocks = mesh.slabs
+        if merge:  # merge runs of 1, 2 and 3 consecutive slabs: blocks of 2, 4 and 6 rows
+            cuts = np.cumsum([1, 2, 3] * len(blocks))
+            blocks = [np.concatenate(g) for g in np.split(blocks, cuts[cuts < len(blocks)])]
+        mats = assemble_all(mesh, 1.0)
+        V, D, m = mats.V, mats.D, mats.mass
+        systems = (V, V / np.diag(V)[:, None], D / np.outer(m, m) @ V)
+        expected = [self.per_slab_ratio(A, blocks) for A in systems]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        assert [condition_number(A, "eig", blocks) for A in systems] == expected
+        assert len(calls) == 3 * len({len(idx) for idx in blocks})  # one call per slab size
+
+    def test_halves_with_blocks_rejected(self):
+        mesh = uniform_mesh(1.0, 2)
+        V, n = assemble_all(mesh, 1.0).V, mesh.n_left
+        P, Q = V[:n, :n], V[:n, n:]
+        with pytest.raises(ValueError, match="eig blocks index one full matrix, not mirror halves"):
+            condition_number((P + Q, P - Q), "eig", mesh.slabs)
 
     def test_import_leaves_csgraph_unloaded(self):
         # csgraph loads scipy.sparse.linalg: ~90 ms of start-up and ~9 MB resident

@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_galerkin import graded_mesh, nonuniform_mesh
+
 from heatbem import cli, galerkin, studies
+from heatbem.analysis import condition_number
 from heatbem.cli import main
 from heatbem.galerkin import (
     DiscreteFlux,
@@ -102,6 +105,57 @@ class TestUniformStudy:
         )
         assert records[0].it_none is None
         assert records[0].it_calderon == 1
+
+
+class TestConstantDiagonal:
+    """Where diag(V) is constant, diag^-1 V is V over a scalar: the diag kappa is V's."""
+
+    CFG = ExperimentConfig(kappa_convention="both")
+
+    def record(self, mesh):
+        problem, series = build_problem(self.CFG)
+        return studies._level_record(mesh, problem, series, self.CFG, 0, None)[0]
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_uniform_diag_kappa_is_the_v_kappa(self, level, monkeypatch):
+        calls = []
+        kappa = studies.condition_number
+        monkeypatch.setattr(studies, "condition_number", lambda *a: calls.append(a) or kappa(*a))
+        rec = self.record(uniform_mesh(1.0, level))
+        for conv in ("sv", "eig"):
+            assert getattr(rec, f"kappa_diag_{conv}") == getattr(rec, f"kappa_V_{conv}")
+        assert len(calls) == 4  # V and C^-1 V in both conventions; V / diag is never formed
+
+    @staticmethod
+    def computed(mesh, V):
+        """kappa_diag_{sv, eig} of V / diag(V), on halves for sv on a mirror mesh."""
+        A, n = V / np.diag(V)[:, None], mesh.n_left
+        mat = (A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]) if mesh.mirror else A
+        return condition_number(mat, "sv"), condition_number(A, "eig", mesh.slabs)
+
+    @pytest.mark.parametrize(
+        "make", [nonuniform_mesh, lambda: graded_mesh(2.0 ** -6)], ids=["unequal_sides", "graded"]
+    )
+    def test_other_meshes_compute_the_diag_kappa(self, make):
+        mesh = make()
+        V = assemble_all(mesh, 1.0).V
+        assert not np.all(np.diag(V) == V[0, 0])
+        rec = self.record(mesh)
+        assert (rec.kappa_diag_sv, rec.kappa_diag_eig) == self.computed(mesh, V)
+
+    def test_one_ulp_off_the_constant_diagonal_is_computed(self, monkeypatch):
+        mesh = uniform_mesh(1.0, 3)
+        V = assemble_all(mesh, 1.0).V.copy()
+        V[5, 5] = np.nextafter(V[5, 5], np.inf)
+
+        def assemble_perturbed(mesh, alpha):
+            mats = assemble_all(mesh, alpha)
+            mats.V = V  # shadows the cached property
+            return mats
+
+        monkeypatch.setattr(studies, "assemble_all", assemble_perturbed)
+        rec = self.record(mesh)
+        assert (rec.kappa_diag_sv, rec.kappa_diag_eig) == self.computed(mesh, V)
 
 
 class TestAdaptiveStudy:
