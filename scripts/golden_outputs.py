@@ -10,7 +10,7 @@ this on both versions and comparing with one ``diff -r``:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 4 s on 2 cores; the N = 4096 solve is about 0.3 s of it.
+Takes about 3 s on 2 cores; the N = 4096 solve is under 0.1 s of it.
 """
 
 import contextlib

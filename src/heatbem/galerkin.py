@@ -74,8 +74,9 @@ __all__ = [
 QUAD_TOL = 1e-10
 QUAD_ORDER = 8  # first composite Gauss order of the initial-datum moments
 QUAD_MAX_ORDER = 64
-GRADING_DEPTH = 40  # geometric panels toward each interval endpoint
-RHS_ROW_BLOCK = 64  # side breakpoints per primitive call of the initial-datum moments
+GRADING_DEPTH = 40  # geometric panels toward each interval endpoint, all kept at tiny t
+LAYER_CUTOFF = 0.1  # a block keeps the breaks >= LAYER_CUTOFF sqrt(t_min / alpha) from an end
+RHS_ROW_BLOCK = 64  # side breakpoints per primitive call and per panel set of the RHS moments
 
 
 @dataclass(frozen=True)
@@ -286,11 +287,8 @@ def assemble_all(mesh: BoundaryMesh, alpha: float) -> OperatorMatrices:
 def _graded_breaks(a: float, b: float) -> tuple[float, ...]:
     # geometric grading toward both endpoints: resolves kernel layers of
     # width down to (b - a) * 2^-GRADING_DEPTH
-    w = b - a
-    left = [a + w * 2.0 ** (-j) for j in range(GRADING_DEPTH, 0, -1)]
-    right = [b - w * 2.0 ** (-j) for j in range(GRADING_DEPTH, 0, -1)]
-    pts = np.unique(np.concatenate([[a], left, right, [b]]))
-    return tuple(pts.tolist())
+    steps = (b - a) * 2.0 ** -np.arange(GRADING_DEPTH, 0, -1.0)
+    return tuple(np.unique(np.r_[a, a + steps, b - steps, b]).tolist())
 
 
 def _composite_nodes(breaks: np.ndarray, order: int):
@@ -305,29 +303,38 @@ def _spatial_moments(mesh, problem, primitive):
     """int_a^b u0(y) [F(x_l - y, t_l2) - F(x_l - y, t_l1)] dy for every element.
 
     The time integral is exact (F is the kernel's time antiderivative); the
-    y-integral uses a composite Gauss rule graded toward both endpoints, with
-    order doubling until the moments stabilize.  Each order evaluates
-    F(x_side - y, t) once per breakpoint t of each side, RHS_ROW_BLOCK rows at
-    a time, and an element's window is the difference of two consecutive rows;
-    each block carries its last row into the next.
+    y-integral is a composite Gauss rule, its order doubled until the moments
+    stabilize.  Each order evaluates F(x_side - y, t) once per breakpoint t of
+    each side, RHS_ROW_BLOCK rows at a time, and reduces each block at once to
+    its elements' moments (differences of consecutive rows); a block carries
+    its last row into the next.  At lag t the integrand's layer at an end is
+    about sqrt(t / alpha) wide, so a block keeps the graded breaks at least
+    LAYER_CUTOFF sqrt(t_min / alpha) from the ends, and the ends (t_min: its
+    smallest positive t, the carry's included); the carry is evaluated again
+    when that panel set changes.
     """
     u0 = _vectorize_integrand(problem.u0)
     alpha = problem.alpha
     breaks = np.asarray(_graded_breaks(*mesh.interval))
     a, b = mesh.interval
+    depth = np.r_[np.inf, np.minimum(breaks - a, b - breaks)[1:-1], np.inf]  # the ends stay
     sides = ((a, mesh.left_breaks), (b, mesh.right_breaks))  # x_all order
 
     def compute(order):
-        ys, ws = _composite_nodes(breaks, order)
-        win = np.empty((mesh.n_elements, len(ys)))
-        at = 0  # first window row of the block
+        out, at = np.empty(mesh.n_elements), 0
         for x, t in sides:
-            d, carry = x - ys, np.empty((0, len(ys)))
+            kept = None
             for lo in range(0, len(t), RHS_ROW_BLOCK):
+                ts = t[max(lo - 1, 0):lo + RHS_ROW_BLOCK]  # the carry's t and the block's
+                keep = depth >= LAYER_CUTOFF * math.sqrt(ts[ts > 0.0][0] / alpha)
+                if not np.array_equal(keep, kept):
+                    kept, (ys, ws) = keep, _composite_nodes(breaks[keep], order)
+                    d, wu = x - ys, ws * u0(ys)
+                    carry = primitive(d, ts[:1, None], alpha) if lo else np.empty((0, len(ys)))
                 rows = np.concatenate([carry, primitive(d, t[lo:lo + RHS_ROW_BLOCK, None], alpha)])
-                np.subtract(rows[1:], rows[:-1], out=win[at:at + len(rows) - 1])
+                out[at:at + len(rows) - 1] = (rows[1:] - rows[:-1]) @ wu
                 at, carry = at + len(rows) - 1, rows[-1:]
-        return win @ (ws * u0(ys))
+        return out
 
     order = QUAD_ORDER
     prev = compute(order)

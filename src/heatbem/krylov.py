@@ -82,10 +82,6 @@ class SolveReport:
     converged: bool
     breakdown: bool = False
 
-    @property
-    def final_relative_residual(self) -> float:
-        return self.relative_residual_history[-1]
-
 
 _FIRST_CHUNK = 32  # Krylov columns reserved before the first doubling
 

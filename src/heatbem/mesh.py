@@ -34,10 +34,6 @@ class Side(Enum):
     LEFT = "L"
     RIGHT = "R"
 
-    @property
-    def outward_normal(self) -> float:
-        return -1.0 if self is Side.LEFT else 1.0
-
 
 def _check_breaks(breaks: np.ndarray, horizon: float, side: str) -> None:
     if breaks.ndim != 1 or len(breaks) < 2:
@@ -103,10 +99,6 @@ class BoundaryMesh:
         return np.concatenate(
             [np.full(self.n_left, -1.0), np.full(self.n_right, 1.0)]
         )
-
-    @property
-    def h_max(self) -> float:
-        return float(self.element_sizes.max())
 
     @property
     def h_min(self) -> float:

@@ -131,9 +131,13 @@ def rhs_moment_oracle(mesh: BoundaryMesh, index: int, problem, tol=1e-9) -> floa
     of the raw heat kernel over the element's time span; independent of the
     closed-form time primitives used in production.
     """
-    x_l = mesh.x_all[index]
-    t1 = mesh.t_begin_all[index]
-    t2 = mesh.t_end_all[index]
+    (a, b), x_l = mesh.interval, mesh.x_all[index]
+    t1, t2 = mesh.t_begin_all[index], mesh.t_end_all[index]
+    # the kernel's layer at y = x_l is about sqrt(t2 / alpha) wide: cutting the
+    # outer integral 1, 4 and 16 widths into the interval keeps its rule from
+    # stepping over the layer (and reading 0) on short early elements
+    inward = np.sqrt(t2 / problem.alpha) * (1.0 if x_l == a else -1.0)
+    ys = np.unique(np.clip(np.r_[a, x_l + inward * np.array([1.0, 4.0, 16.0]), b], a, b))
 
     def outer(y):
         y = float(y)
@@ -142,7 +146,8 @@ def rhs_moment_oracle(mesh: BoundaryMesh, index: int, problem, tol=1e-9) -> floa
         )
         return float(np.asarray(problem.u0(y))) * inner
 
-    return -adaptive_quadrature(outer, *mesh.interval, tol=tol)
+    pieces = zip(ys[:-1], ys[1:])
+    return -sum(adaptive_quadrature(outer, lo, hi, tol=tol / (len(ys) - 1)) for lo, hi in pieces)
 
 
 def best_approximation(mesh: BoundaryMesh, reference):

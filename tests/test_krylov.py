@@ -122,7 +122,7 @@ class TestGmres:
         mats, f = example1_system(3)
         report = gmres(mats.V, f, tol=1e-8)
         true_rel = np.linalg.norm(f - mats.V @ report.solution) / np.linalg.norm(f)
-        assert report.final_relative_residual == pytest.approx(true_rel, rel=1e-9)
+        assert report.relative_residual_history[-1] == pytest.approx(true_rel, rel=1e-9)
         assert true_rel <= 1e-8
 
     def test_non_convergence_flagged(self):

@@ -19,8 +19,8 @@ from heatbem.verification import partition_defect, zero_indicator_growth
 
 
 def test_side_normals():
-    assert Side.LEFT.outward_normal == -1.0
-    assert Side.RIGHT.outward_normal == 1.0
+    m = uniform_mesh(1.0, 0)
+    assert {m.side_of(i): m.normal_all[i] for i in range(2)} == {Side.LEFT: -1.0, Side.RIGHT: 1.0}
 
 
 class TestUniformMesh:
@@ -34,8 +34,8 @@ class TestUniformMesh:
     def test_level5(self):
         m = uniform_mesh(1.0, 5)
         assert m.n_elements == 64
-        assert m.h_max == pytest.approx(1.0 / 32.0)
-        assert m.h_max == m.h_min
+        assert m.element_sizes.max() == pytest.approx(1.0 / 32.0)
+        assert m.element_sizes.max() == m.h_min
 
     def test_level1_breakpoints(self):
         m = uniform_mesh(1.0, 1)
@@ -56,7 +56,7 @@ class TestRefinement:
         m = uniform_mesh(1.0, 0)
         fine = refine_uniform(m)
         assert fine.n_elements == 4
-        assert fine.h_max == pytest.approx(0.5)
+        assert fine.element_sizes.max() == pytest.approx(0.5)
 
     def test_two_refinements_match_level2_bitwise(self):
         # L refinements of level 0 give uniform_mesh(L), whose nodes are k / 2**L

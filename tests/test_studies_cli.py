@@ -303,6 +303,18 @@ class TestSingleSolve:
         assert peak / unit <= 1.0
         assert current / unit <= 0.05
 
+    def test_solve_peak_at_level_11(self):
+        # in N x N units of doubles: no N x N array and no N x nodes window
+        # array of the initial-datum moments (a third of a unit at N = 4096)
+        run_single_solve(ExperimentConfig(example=1, max_level=1))  # fill the small caches
+        tracemalloc.start()
+        try:
+            result = run_single_solve(ExperimentConfig(example=1, max_level=11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (result.mesh.n_elements ** 2 * 8) <= 0.05
+
     def test_point_outside_rejected(self):
         with pytest.raises(ConfigError):
             run_single_solve(ExperimentConfig(max_level=1), [(1.5, 0.5)])
