@@ -52,14 +52,17 @@ def _seed(text: str) -> int:
     return value
 
 
-# The study options: flag dest and config-file key -> ExperimentConfig field,
-# value type, further argparse keywords.  Flags default to None, so that an
-# unset flag falls through to the config file and then to the field default.
+_DEFAULTS = {"level": 4}  # keys whose default is not their field's: solve at N = 32
+# flag dest and config-file key -> ExperimentConfig field, value type, further
+# argparse keywords.  Flags default to None, so that an unset flag falls
+# through to the config file, then to _DEFAULTS, then to the field default.
 _OPTIONS = {
     "example": ("example", int, dict(
         choices=(1, 2), help="built-in problem: 1 smooth datum, 2 boundary layer")),
     "alpha": ("alpha", float, dict(help="heat capacity")),
-    "levels": ("max_level", int, dict(help="refinement levels (uniform) or steps (adaptive)")),
+    "levels": ("max_level", int, dict(help="refinement levels 0..11")),
+    "level": ("max_level", int, dict(
+        help=f"uniform mesh level 0..11 (default {_DEFAULTS['level']})")),
     "tol": ("tol", float, dict(help="GMRES relative tolerance")),
     "precond": ("preconds", _precond_set, dict(
         metavar="{none,diag,calderon,all}", help="preconditioner set for iteration counts")),
@@ -70,19 +73,27 @@ _OPTIONS = {
     "target_n": ("target_n", int, dict(help="stop after the first step whose N exceeds this")),
     "max_steps": ("max_steps", int, dict(help="cap on the adaptive steps")),
 }
-_ADAPTIVE_ONLY = ("target_n", "max_steps")  # flags of study-adaptive alone
+# The keys each command's driver reads, as flags and as config-file keys.
+_COMMAND_KEYS = {
+    "study-uniform": ("example", "alpha", "levels", "tol", "precond", "kappa", "max_kappa_n"),
+    "study-adaptive": ("example", "alpha", "tol", "precond", "theta", "kappa", "max_kappa_n",
+                       "target_n", "max_steps"),
+    "solve": ("example", "alpha", "level", "tol"),
+}
 
 
-def _study_flags(p: argparse.ArgumentParser, adaptive: bool) -> None:
-    for key, (_, kind, keywords) in _OPTIONS.items():
-        if adaptive or key not in _ADAPTIVE_ONLY:
-            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None, **keywords)
+def _command_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for key in _COMMAND_KEYS[command]:
+        _, kind, keywords = _OPTIONS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=None, **keywords)
     p.add_argument("--out", type=Path, default=Path("results"),
                    help="output directory (default %(default)s)")
     p.add_argument("--dump-matrices", action="store_true",
                    help="write V/D/rhs plain-text dumps per level")
     p.add_argument("--config", type=Path, default=None,
                    help="key=value file keyed like the flags; explicit flags override it")
+    if command == "solve":
+        p.add_argument("--points", default="", help="interior points 'x,t;x,t;...'")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -91,38 +102,31 @@ def _parser() -> argparse.ArgumentParser:
         description="Space-time boundary element studies for the 1D heat equation",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_uni = sub.add_parser("study-uniform", help="dyadic refinement study")
-    _study_flags(p_uni, adaptive=False)
-
-    p_ada = sub.add_parser("study-adaptive", help="adaptive refinement study")
-    _study_flags(p_ada, adaptive=True)
-
-    p_sol = sub.add_parser("solve", help="single solve with interior samples")
-    _study_flags(p_sol, adaptive=False)
-    p_sol.add_argument("--level", type=int, default=4,
-                       help="uniform mesh level 0..11 (default %(default)s); wins over --levels")
-    p_sol.add_argument("--points", type=str, default="",
-                       help="interior points 'x,t;x,t;...'")
+    for command, text in (("study-uniform", "dyadic refinement study"),
+                          ("study-adaptive", "adaptive refinement study"),
+                          ("solve", "single solve with interior samples")):
+        _command_flags(sub.add_parser(command, help=text, allow_abbrev=False), command)
 
     p_chk = sub.add_parser("check-invariants", help="run the cross-check battery")
     p_chk.add_argument("--seed", type=_seed, default=1234)
     return ap
 
 
-def _load_config_file(path: Path) -> dict:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+def _load_config_file(path: Path, command: str) -> dict:
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     table = {}
-    for raw in path.read_text().splitlines():
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"bad config line (need key=value): {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in _OPTIONS:
-            raise ConfigError(f"unknown config key: {key!r}")
+        if key not in _COMMAND_KEYS[command]:
+            raise ConfigError(f"unknown config key for {command}: {key!r}")
         try:
             table[key] = _OPTIONS[key][1](text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -130,24 +134,23 @@ def _load_config_file(path: Path) -> dict:
     return table
 
 
-def _build_config(args: argparse.Namespace, adaptive: bool) -> ExperimentConfig:
-    """Explicit flag > config file > ExperimentConfig default, key by key."""
-    file = _load_config_file(args.config) if args.config is not None else {}
-    flags = {key: v for key in _OPTIONS if (v := getattr(args, key, None)) is not None}
-    values: dict = {}
-    for source in (file, flags):
-        if adaptive and "levels" in source:  # levels count the steps, over max_steps
-            source["max_steps"] = source["levels"]
-        values.update(source)
-    if getattr(args, "level", None) is not None:  # solve's mesh level wins over levels
-        values["levels"] = args.level
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Explicit flag > config file > _DEFAULTS > ExperimentConfig default, key by key."""
+    keys = _COMMAND_KEYS[args.command]
+    values = {key: _DEFAULTS[key] for key in keys if key in _DEFAULTS}
+    if args.config is not None:
+        values.update(_load_config_file(args.config, args.command))
+    values.update((key, v) for key in keys if (v := getattr(args, key)) is not None)
     cfg = ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
-    cfg.validate(adaptive=adaptive)
+    cfg.validate(adaptive=args.command == "study-adaptive")
     return cfg
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {args.out}: {exc}") from exc
     return args.out
 
 
@@ -159,7 +162,7 @@ def _dump_level(out: Path, mats, rhs, tag: str) -> None:
 
 def _cmd_study(args) -> int:
     adaptive = args.command == "study-adaptive"
-    cfg = _build_config(args, adaptive=adaptive)
+    cfg = _build_config(args)
     out = _out_dir(args)
     problem, _ = build_problem(cfg)
     if adaptive:
@@ -184,24 +187,17 @@ def _cmd_study(args) -> int:
 
 def _parse_points(text: str):
     pts = []
-    if not text.strip():
-        return pts
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad point {chunk!r}; expected 'x,t'")
+    for chunk in filter(None, (part.strip() for part in text.split(";"))):
         try:
-            pts.append((float(parts[0]), float(parts[1])))
+            x, t = (float(value) for value in chunk.split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad point {chunk!r}: {exc}") from exc
+            raise ConfigError(f"bad point {chunk!r}; expected 'x,t': {exc}") from exc
+        pts.append((x, t))
     return pts
 
 
 def _cmd_solve(args) -> int:
-    cfg = _build_config(args, adaptive=False)
+    cfg = _build_config(args)
     points = _parse_points(args.points)
     out = _out_dir(args)
     result = run_single_solve(cfg, points)

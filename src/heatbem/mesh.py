@@ -117,9 +117,6 @@ class BoundaryMesh:
         right = self.n_left + np.searchsorted(self.right_breaks, shared)
         return [np.r_[a:b, c:d] for a, b, c, d in zip(left, left[1:], right, right[1:])]
 
-    def side_of(self, index: int) -> Side:
-        return Side.LEFT if index < self.n_left else Side.RIGHT
-
 
 def uniform_mesh(
     horizon: float, level: int, interval: tuple[float, float] = (0.0, 1.0)

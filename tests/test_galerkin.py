@@ -25,11 +25,12 @@ from heatbem.galerkin import (
 )
 from heatbem.kernels import (
     _causal_terms,
+    _i0,
+    _j0,
+    _j1,
     _vectorize_integrand,
     primitive_I0,
     primitive_I1,
-    primitive_J0,
-    primitive_J1,
 )
 from heatbem.krylov import direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
@@ -100,32 +101,33 @@ def adaptive_ex2_final_mesh():
 
 
 def reference_matrices(mesh, alpha):
-    """V, K and D from four N x N corner-lag matrices, one primitive pass each.
+    """V, K and D from four N x N corner-lag matrices, one term pass each.
 
-    A primitive is exactly +0.0 at lags <= 0, so each pass evaluates it only
-    at the positive lags and writes +0.0 elsewhere.
+    A primitive is exactly +0.0 at lags <= 0, so each pass evaluates the
+    causal terms only at the positive lags, derives J0, J1 and I0 from them
+    as the primitives do, and writes +0.0 elsewhere.  The corners add up as
+    a - b - c + d.
     """
     t1, t2 = mesh.t_begin_all, mesh.t_end_all
     x, n = mesh.x_all, mesh.normal_all
     dmat = x[:, None] - x[None, :]
-
-    def causal(primitive, lag):
-        out = np.zeros_like(lag)
+    corners = (
+        (None, t2, t1), (np.subtract, t2, t2), (np.subtract, t1, t1), (np.add, t1, t2),
+    )
+    sums = {}
+    for op, ends, begins in corners:
+        lag = ends[:, None] - begins[None, :]
         pos = lag > 0.0
-        out[pos] = primitive(dmat[pos], lag[pos], alpha)
-        return out
+        d, t = dmat[pos], lag[pos]
+        terms = _causal_terms(d, t, alpha)
+        for name, formula in (("J0", _j0), ("J1", _j1), ("I0", _i0)):
+            value = np.zeros_like(lag)
+            value[pos] = formula(d, t, alpha, *terms)
+            sums[name] = value if op is None else op(sums[name], value, out=sums[name])
 
-    def corner_sum(primitive):
-        return (
-            causal(primitive, t2[:, None] - t1[None, :])
-            - causal(primitive, t2[:, None] - t2[None, :])
-            - causal(primitive, t1[:, None] - t1[None, :])
-            + causal(primitive, t1[:, None] - t2[None, :])
-        )
-
-    V = corner_sum(primitive_J0) / alpha
-    K = np.where(x[:, None] != x[None, :], (-n[None, :] / alpha) * corner_sum(primitive_J1), 0.0)
-    D = np.outer(n, n) * corner_sum(primitive_I0)
+    V = sums["J0"] / alpha
+    K = np.where(x[:, None] != x[None, :], (-n[None, :] / alpha) * sums["J1"], 0.0)
+    D = np.outer(n, n) * sums["I0"]
     return {"V": V, "K": K, "D": D}
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from heatbem.mesh import (
     BoundaryMesh,
-    Side,
     dumps,
     loads,
     quasi_uniformity_constant,
@@ -20,14 +19,15 @@ from heatbem.verification import partition_defect, zero_indicator_growth
 
 def test_side_normals():
     m = uniform_mesh(1.0, 0)
-    assert {m.side_of(i): m.normal_all[i] for i in range(2)} == {Side.LEFT: -1.0, Side.RIGHT: 1.0}
+    assert m.n_left == 1
+    assert m.normal_all.tolist() == [-1.0, 1.0]  # left, then right
 
 
 class TestUniformMesh:
     def test_level0(self):
         m = uniform_mesh(1.0, 0)
         assert m.n_elements == 2
-        assert [m.side_of(i) for i in range(2)] == [Side.LEFT, Side.RIGHT]
+        assert (m.n_left, m.n_right) == (1, 1)
         np.testing.assert_array_equal(m.t_begin_all, [0.0, 0.0])
         np.testing.assert_array_equal(m.t_end_all, [1.0, 1.0])
 
@@ -74,7 +74,7 @@ class TestRefinement:
         fine = refine_uniform(m)
         for i in range(m.n_elements):
             first, second = 2 * i, 2 * i + 1
-            assert fine.side_of(first) is m.side_of(i) is fine.side_of(second)
+            assert fine.normal_all[first] == m.normal_all[i] == fine.normal_all[second]
             assert fine.t_begin_all[first] == m.t_begin_all[i]
             assert fine.t_end_all[first] == fine.t_begin_all[second]
             assert fine.t_end_all[second] == m.t_end_all[i]
@@ -152,8 +152,8 @@ class TestSlabs:
 class TestIndexing:
     def test_left_block_then_right_block(self):
         m = uniform_mesh(1.0, 1)
-        sides = [Side.LEFT, Side.LEFT, Side.RIGHT, Side.RIGHT]
-        assert [m.side_of(i) for i in range(m.n_elements)] == sides
+        assert (m.n_left, m.n_right) == (2, 2)
+        assert m.normal_all.tolist() == [-1.0, -1.0, 1.0, 1.0]
         np.testing.assert_array_equal(m.t_begin_all, [0.0, 0.5, 0.0, 0.5])
         np.testing.assert_array_equal(m.t_end_all, [0.5, 1.0, 0.5, 1.0])
         assert dumps(m).splitlines() == ["L 0 0.5", "L 0.5 1", "R 0 0.5", "R 0.5 1"]

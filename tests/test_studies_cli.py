@@ -1,5 +1,6 @@
 """Study drivers, table emission, and the command-line interface."""
 
+import argparse
 import dataclasses
 import tracemalloc
 import warnings
@@ -192,7 +193,7 @@ class TestIndicator:
         for i in range(mesh.n_elements):
             children = [
                 k for k in range(fine.n_elements)
-                if fine.side_of(k) is mesh.side_of(i)
+                if fine.normal_all[k] == mesh.normal_all[i]
                 and mesh.t_begin_all[i] <= fine.t_begin_all[k] < mesh.t_end_all[i]
             ]
             assert len(children) == 2
@@ -322,20 +323,45 @@ class TestSingleSolve:
             run_single_solve(ExperimentConfig(max_level=1), [(0.5, 0.0)])
 
 
-# config key -> (command, ExperimentConfig field, value, other value); the
-# value differs from the default, the other value from the value
-PRECEDENCE_KEYS = {
-    "example": ("study-uniform", "example", "2", "1"),
-    "alpha": ("study-uniform", "alpha", "2.5", "3.0"),
-    "levels": ("study-uniform", "max_level", "3", "5"),
-    "tol": ("study-uniform", "tol", "1e-06", "0.0001"),
-    "precond": ("study-uniform", "preconds", "diag", "calderon"),
-    "theta": ("study-uniform", "theta", "0.25", "0.75"),
-    "kappa": ("study-uniform", "kappa_convention", "both", "eig"),
-    "max_kappa_n": ("study-uniform", "max_kappa_n", "64", "128"),
-    "target_n": ("study-adaptive", "target_n", "40", "60"),
-    "max_steps": ("study-adaptive", "max_steps", "5", "7"),
+# config key -> (ExperimentConfig field, value, other value); the value differs
+# from the key's default, the other value from the value
+KEY_VALUES = {
+    "example": ("example", "2", "1"),
+    "alpha": ("alpha", "2.5", "3.0"),
+    "levels": ("max_level", "3", "5"),
+    "level": ("max_level", "2", "6"),
+    "tol": ("tol", "1e-06", "0.0001"),
+    "precond": ("preconds", "diag", "calderon"),
+    "theta": ("theta", "0.25", "0.75"),
+    "kappa": ("kappa_convention", "both", "eig"),
+    "max_kappa_n": ("max_kappa_n", "64", "128"),
+    "target_n": ("target_n", "40", "60"),
+    "max_steps": ("max_steps", "5", "7"),
 }
+# each command's options (argparse dests), its config with no option set, its
+# driver, and the changes that make the driver's run small
+COMMANDS = {
+    "study-uniform": (
+        {"example", "alpha", "levels", "tol", "precond", "kappa", "max_kappa_n",
+         "out", "dump_matrices", "config"},
+        ExperimentConfig(), run_uniform_study, dict(max_level=1),
+    ),
+    "study-adaptive": (
+        {"example", "alpha", "tol", "precond", "theta", "kappa", "max_kappa_n",
+         "target_n", "max_steps", "out", "dump_matrices", "config"},
+        ExperimentConfig(), run_adaptive_study, dict(target_n=4),
+    ),
+    "solve": (
+        {"example", "alpha", "level", "tol", "out", "dump_matrices", "config", "points"},
+        ExperimentConfig(max_level=4), lambda cfg: run_single_solve(cfg, [(0.5, 0.5)]),
+        dict(max_level=1),
+    ),
+}
+COMMAND_KEYS = [(command, key) for command, keys in cli._COMMAND_KEYS.items() for key in keys]
+FOREIGN_KEYS = [
+    (command, key) for command, keys in cli._COMMAND_KEYS.items()
+    for key in cli._OPTIONS if key not in keys
+]
 
 
 def _config_of(tmp_path, argv, file_text=None):
@@ -343,8 +369,7 @@ def _config_of(tmp_path, argv, file_text=None):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(file_text)
         argv = [*argv, "--config", str(cfgfile)]
-    args = cli._parser().parse_args(argv)
-    return cli._build_config(args, adaptive=argv[0] == "study-adaptive")
+    return cli._build_config(cli._parser().parse_args(argv))
 
 
 def _parsed(field, text):
@@ -354,13 +379,33 @@ def _parsed(field, text):
     return type(default)(text)
 
 
+def _fields_read(driver, cfg, monkeypatch):
+    """The ExperimentConfig fields that driver(cfg) reads, validation aside.
+
+    driver must not copy cfg (dataclasses.replace, asdict): a copy reads every
+    field.
+    """
+    reads = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", lambda self, adaptive=False: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        driver(Recording(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}))
+    return reads & {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 class TestPrecedence:
-    """Explicit flag > config file > ExperimentConfig default, key by key."""
+    """Explicit flag > config file > command default, key by key."""
 
     @pytest.mark.parametrize("source", ["flag", "file", "both", "neither"])
-    @pytest.mark.parametrize("key", sorted(PRECEDENCE_KEYS))
-    def test_flag_over_file_over_default(self, tmp_path, key, source):
-        command, field, value, other = PRECEDENCE_KEYS[key]
+    @pytest.mark.parametrize("command, key", COMMAND_KEYS)
+    def test_flag_over_file_over_default(self, tmp_path, command, key, source):
+        field, value, other = KEY_VALUES[key]
         argv = [command]
         if source in ("flag", "both"):
             argv += ["--" + key.replace("_", "-"), value]
@@ -368,33 +413,52 @@ class TestPrecedence:
         if source != "neither":
             file_text = f"{key}={value if source == 'file' else other}\n"
         cfg = _config_of(tmp_path, argv, file_text)
-        expected = ExperimentConfig()
+        expected = COMMANDS[command][1]
         if source != "neither":
             expected = dataclasses.replace(expected, **{field: _parsed(field, value)})
         assert cfg == expected
 
     @pytest.mark.parametrize(
-        "argv, file_text, changes",
+        "argv, file_text, expected",
         [
-            # adaptive: levels count the steps and win over max_steps, within a source
-            (["study-adaptive", "--levels", "3"], None, dict(max_level=3, max_steps=3)),
-            (["study-adaptive", "--levels", "3", "--max-steps", "9"], None,
-             dict(max_level=3, max_steps=3)),
-            (["study-adaptive", "--levels", "3"], "max_steps=9\n", dict(max_level=3, max_steps=3)),
-            (["study-adaptive", "--max-steps", "5"], "levels=7\n", dict(max_level=7, max_steps=5)),
-            (["study-adaptive"], "levels=4\nmax_steps=9\n", dict(max_level=4, max_steps=4)),
-            (["study-adaptive", "--levels", "2"], "levels=4\n", dict(max_level=2, max_steps=2)),
-            (["study-uniform"], "levels=3\n", dict(max_level=3)),
-            # solve: the mesh level, given or by default, wins over levels
-            (["solve", "--level", "2"], "levels=6\n", dict(max_level=2)),
-            (["solve", "--level", "2", "--levels", "6"], None, dict(max_level=2)),
-            (["solve"], "levels=6\n", dict(max_level=4)),
-            (["study-uniform", "--precond", "all"], "precond=none\n", {}),
+            (["study-uniform", "--precond", "all"], "precond=none\n", ExperimentConfig()),
+            # an explicit flag at the default value still wins over the file
+            (["solve", "--level", "4"], "level=6\n", ExperimentConfig(max_level=4)),
         ],
     )
-    def test_overrides(self, tmp_path, argv, file_text, changes):
-        cfg = _config_of(tmp_path, argv, file_text)
-        assert cfg == dataclasses.replace(ExperimentConfig(), **changes)
+    def test_overrides(self, tmp_path, argv, file_text, expected):
+        assert _config_of(tmp_path, argv, file_text) == expected
+
+
+class TestCommandOptions:
+    """Each command takes exactly the options its driver reads, one name each."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_subparser_options_are_the_table(self, command):
+        sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        assert dests == COMMANDS[command][0]
+        common = {"out", "dump_matrices", "config", "points"}
+        assert dests - common == set(cli._COMMAND_KEYS[command])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_key_fields_are_the_fields_the_driver_reads(self, command, monkeypatch):
+        _, base, driver, small = COMMANDS[command]
+        read = _fields_read(driver, dataclasses.replace(base, **small), monkeypatch)
+        assert {cli._OPTIONS[key][0] for key in cli._COMMAND_KEYS[command]} == read
+
+    @pytest.mark.parametrize("command, key", FOREIGN_KEYS)
+    def test_foreign_key_exits_2(self, tmp_path, capsys, command, key):
+        value, out = KEY_VALUES[key][1], str(tmp_path / "out")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--" + key.replace("_", "-"), value, "--out", out])
+        assert err.value.code == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key}={value}\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfgfile), "--out", out]) == 2
+        assert f"unknown config key for {command}: {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGoldenTables:
@@ -513,12 +577,21 @@ class TestCli:
         code = main(["solve", "--level", level, "--out", str(tmp_path / "x")])
         assert code == 2
 
-    def test_solve_level_wins_over_levels(self, tmp_path):
-        out = tmp_path / "solve"
-        code = main(["solve", "--level", "2", "--levels", "50", "--out", str(out)])
-        assert code == 0
-        assert (out / "flux_L2.txt").is_file()
-        assert "max_level=2" in (out / "meta.txt").read_text().splitlines()
+    def test_solve_level_from_config_file_and_default(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("level=6\n")
+        assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out.startswith("solved N=128 ")
+        assert main(["solve", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out.startswith("solved N=32 ")
+        assert "max_level=4" in (tmp_path / "b" / "meta.txt").read_text().splitlines()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        for out in ("taken", "taken/sub"):
+            argv = ["study-uniform", "--levels", "0", "--out", str(tmp_path / out)]
+            assert main(argv) == 2, out
+            assert "cannot make output directory" in capsys.readouterr().err
 
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -573,9 +646,16 @@ class TestCli:
         code = main(["study-adaptive", "--config", str(cfgfile), "--out", str(tmp_path / "t")])
         assert code == 2
 
-    def test_config_levels_counts_adaptive_steps(self, tmp_path):
+    @pytest.mark.parametrize("path", ["latin1.cfg", ".", "missing.cfg"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, path):
+        (tmp_path / "latin1.cfg").write_bytes(b"alpha=1\xff\n")
+        argv = ["study-uniform", "--config", str(tmp_path / path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_max_steps_counts_adaptive_steps(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("example=2\nlevels=2\n")
+        cfgfile.write_text("example=2\nmax_steps=2\n")
         out = tmp_path / "steps"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -584,9 +664,9 @@ class TestCli:
         body = (out / "table2.csv").read_text().splitlines()
         assert len(body) == 1 + 3  # header + steps 0, 1, 2
 
-    def test_config_levels_above_step_cap_exits_2(self, tmp_path):
+    def test_config_max_steps_above_step_cap_exits_2(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("levels=300\n")
+        cfgfile.write_text("max_steps=300\n")
         code = main(["study-adaptive", "--config", str(cfgfile), "--out", str(tmp_path / "c")])
         assert code == 2
 
