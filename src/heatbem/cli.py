@@ -112,6 +112,16 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``; an unknown argument is reported with its command's usage."""
+    ap = _parser()
+    args, unknown = ap.parse_known_args(argv)
+    if unknown:
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
 def _load_config_file(path: Path, command: str) -> dict:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -244,7 +254,7 @@ def _cmd_check_invariants(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     handlers = {
         "study-uniform": _cmd_study,
         "study-adaptive": _cmd_study,

@@ -23,7 +23,8 @@ When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 the vector of its 2n + 1 lags, and each side block is one strided copy of it.
 ``OperatorMatrices`` assembles each of V, K and D on first read only.  Its
 ``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
-blocks' first columns, applied in O(N log N) without an N x N array.
+blocks' first columns, applied and (for V) inverted in O(N log N) without an
+N x N array; ``halves`` gives their even/odd halves as n x n arrays.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -60,6 +61,7 @@ __all__ = [
     "DiscreteFlux",
     "OperatorMatrices",
     "MirrorToeplitz",
+    "mirror_halves",
     "assemble_all",
     "assemble_rhs",
     "initial_dirichlet_moments",
@@ -125,6 +127,13 @@ class OperatorMatrices:
         (a, b) = self.mesh.interval
         return tau, {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
 
+    @property
+    def toeplitz(self) -> bool:
+        """True when both sides' breaks are arange(n + 1) * h with h a power of two:
+        V, K and D are then [[P, Q], [Q, P]] with P, Q lower-triangular Toeplitz,
+        and the mass is h, one power of two, on every element."""
+        return self._toeplitz_lags is not None
+
     @cached_property
     def _toeplitz_lags(self):
         """_terms of the lags k h, k = 1..n, if both sides' breaks are arange(n + 1) * h
@@ -186,11 +195,10 @@ class OperatorMatrices:
         """Dense V, K or D: corner sums of every side block, then op(block, factor)."""
         n = self.mesh.n_left
         out = np.zeros((self.mesh.n_elements,) * 2)
-        if self._toeplitz_lags is not None:  # each side block is Toeplitz
+        if self.toeplitz:  # each side block is Toeplitz
             side_rows = {-1.0: slice(0, n), 1.0: slice(n, None)}  # normal -> element rows
             for (n_row, n_col), s in self._toeplitz_symbols(name).items():
-                # one strided view: block[i, j] = s[n - 1 + i - j]
-                out[side_rows[n_row], side_rows[n_col]] = sliding_window_view(s[::-1], n)[::-1]
+                out[side_rows[n_row], side_rows[n_col]] = _toeplitz(s, n)
             return out
         formula, op, factor, odd = self._form(name)
         breaks, causal, inv, tau, terms = self._lags
@@ -218,13 +226,25 @@ class OperatorMatrices:
         }[name]
 
     def operator(self, name: str):
-        """V or D as a square operator with ``shape`` and ``@``, never formed densely
-        on a Toeplitz mesh (there a ``MirrorToeplitz``); elsewhere the dense matrix."""
-        if self._toeplitz_lags is None:
+        """V or D as a square operator with ``shape``, ``@`` and ``diagonal``, never
+        formed densely on a Toeplitz mesh (there a ``MirrorToeplitz``); elsewhere
+        the dense matrix."""
+        if not self.toeplitz:
             return getattr(self, name)
         symbols, n = self._toeplitz_symbols(name), self.mesh.n_left
         # first columns (lags 0 .. n - 1) of P = block(left, left), Q = block(left, right)
         return MirrorToeplitz(symbols[-1.0, -1.0][n - 1:], symbols[-1.0, 1.0][n - 1:])
+
+    def halves(self, name: str):
+        """(P + Q, P - Q) of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, as n x n
+        arrays; on a Toeplitz mesh built from the symbols, with no N x N array."""
+        n = self.mesh.n_left
+        if not self.toeplitz:
+            return mirror_halves(getattr(self, name), n)
+        symbols = self._toeplitz_symbols(name)
+        p, q = symbols[-1.0, -1.0], symbols[-1.0, 1.0]
+        # bitwise the dense sums: the blocks are copies of p and q
+        return np.array(_toeplitz(p + q, n)), np.array(_toeplitz(p - q, n))
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -252,19 +272,64 @@ class OperatorMatrices:
         return self._corner_sums("D")
 
 
+def mirror_halves(A, n):
+    """(P + Q, P - Q) of a mirror matrix A = [[P, Q], [Q, P]] with n x n blocks."""
+    return A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]
+
+
+def _toeplitz(s, n):
+    """The n x n read-only strided view block[i, j] = s[n - 1 + i - j] of a symbol s."""
+    return sliding_window_view(s[::-1], n)[::-1]
+
+
+def _causal_product(a, b, m):
+    """The first m terms of the convolutions of the rows of a and b, by FFT."""
+    size = 1 << (a.shape[-1] + b.shape[-1] - 2).bit_length()  # >= the full length
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :m]
+
+
 class MirrorToeplitz:
     """[[P, Q], [Q, P]] with P, Q lower-triangular Toeplitz, applied without forming it.
 
     Holds the rfft of P's and Q's first columns zero-padded to 2n.  Each half
     of a product is a sum of two causal convolutions, so a product takes two
     forward and two inverse FFTs of length 2n (the fast Volterra convolution of
-    Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 1985).
+    Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 1985).  ``solve``
+    inverts it the same way: (u, v) -> (u + v, u - v) / 2 maps the system to
+    the lower-triangular Toeplitz P + Q and P - Q, whose inverses are Toeplitz
+    with first columns the power-series inverses of theirs.
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray):
         n = len(p)
         self.shape = (2 * n, 2 * n)
         self._pq = np.fft.rfft(np.stack([p, q]), 2 * n)
+        self._columns = np.stack([p + q, p - q])  # first columns of P + Q and P - Q
+        self._diagonal = p[0]
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, P's lag-0 entry on both sides (as ``ndarray.diagonal``)."""
+        return np.full(self.shape[0], self._diagonal)
+
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        """First columns of (P + Q)^-1 and (P - Q)^-1: Newton's step g <- g (2 - c g)
+        on the power series, which doubles the number of correct terms.  The k
+        terms of g are kept; the next m - k are -g (c g)[k:m]."""
+        c = self._columns
+        g = 1.0 / c[:, :1]
+        while (k := g.shape[1]) < c.shape[1]:
+            m = min(2 * k, c.shape[1])
+            cg = _causal_product(c[:, :m], g, m)  # 1, 0, ..., 0 up to rounding below k
+            g = np.concatenate([g, -_causal_product(g, cg[:, k:], m - k)], axis=1)
+        return g
+
+    def solve(self, b) -> np.ndarray:
+        """x with self @ x = b, in O(n log n): two lower-triangular Toeplitz solves."""
+        n = self.shape[0] // 2
+        b1, b2 = np.reshape(b, (2, n))
+        u, v = _causal_product(self._inverses, np.stack([b1 + b2, b1 - b2]), n)
+        return 0.5 * np.concatenate([u + v, u - v])
 
     def __matmul__(self, x):
         n = self.shape[0] // 2

@@ -1,8 +1,9 @@
 """Experiment drivers: uniform and adaptive refinement studies, single solves.
 
 Each refinement level assembles the operators once, takes the flux for the
-error column from a direct LU solve (deterministic, solver-error free), and
-runs GMRES separately per requested preconditioner for the iteration counts.
+error column from a direct solve (deterministic, solver-error free: the fast
+Volterra inversion on uniform meshes, LU elsewhere), and runs GMRES separately
+per requested preconditioner for the iteration counts.
 The adaptive driver uses a two-level hierarchical indicator: the L2 norm per
 element of the difference between the current solution and the solution on
 the uniformly bisected mesh.
@@ -24,6 +25,7 @@ from .galerkin import (
     assemble_all,
     assemble_rhs,
     evaluate_interior,
+    mirror_halves,
 )
 from .krylov import NumericalError, Preconditioner, direct_solve, gmres
 from .mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
@@ -93,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("levels must be >= 0")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
+        if self.max_kappa_n < 0:
+            raise ConfigError("max_kappa_n must be >= 0")
         if not adaptive and self.max_level > 11:
             raise ConfigError("uniform studies are capped at 11 levels (N = 4096)")
         if adaptive and self.max_steps > 200:
@@ -115,14 +119,55 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Problem, SineSeries]:
     return Problem(alpha=cfg.alpha, u0=u0), series
 
 
-def _preconditioner(name: str, mats) -> Preconditioner:
+def _preconditioner(name: str, V, mass, D) -> Preconditioner:
+    """``V``: the system matrix or operator; ``D()``: the hypersingular one, read for calderon."""
     if name == "none":
         return Preconditioner.identity()
     if name == "diag":
-        return Preconditioner.diagonal(np.diag(mats.V))
+        return Preconditioner.diagonal(V.diagonal())
     if name == "calderon":
-        return Preconditioner.calderon(mats.mass, mats.D)
+        return Preconditioner.calderon(mass, D())
     raise ConfigError(f"unknown preconditioner {name!r}")
+
+
+def _calderon_form(E, P, mats: OperatorMatrices) -> np.ndarray:
+    """M^-1 E M^-1 P of two full matrices, or of two halves (whose mass is one side's)."""
+    m = mats.mass[:len(E)]
+    if mats.toeplitz:  # M = h I, h a power of two: bitwise E / outer(m, m) @ P
+        out = E @ P
+        out /= m[0] * m[0]
+        return out
+    return E / np.outer(m, m) @ P
+
+
+def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig) -> None:
+    """The requested kappa columns of ``rec``; on a mirror mesh the sv columns read the halves.
+
+    One formed matrix (or pair of halves) is live at a time, beside V and D.
+    """
+    mesh, d = mats.mesh, mats.V.diagonal()
+    systems = {  # (full matrix, its halves on a mirror mesh), formed only when requested
+        "V": (lambda: mats.V, lambda: mats.halves("V")),
+        "diag": (lambda: mats.V / d[:, None],
+                 lambda: mirror_halves(mats.V / d[:, None], mesh.n_left)),
+        # the formed product is not bitwise mirror, D's and V's halves are
+        "calderon": (lambda: _calderon_form(mats.D, mats.V, mats), lambda: tuple(
+            _calderon_form(E, P, mats) for E, P in zip(mats.halves("D"), mats.halves("V")))),
+    }
+    conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
+    for name, forms in systems.items():
+        if name == "diag" and name in cfg.preconds and np.all(d == d[0]):
+            for conv in conventions:  # diag^-1 V = V / d[0]; kappa is scale invariant
+                setattr(rec, f"kappa_diag_{conv}", getattr(rec, f"kappa_V_{conv}"))
+        elif name == "V" or name in cfg.preconds:
+            formed = {}  # the latest form only
+            for conv in conventions:
+                split = conv == "sv" and mesh.mirror
+                if split not in formed:
+                    formed.clear()  # drop the last form before the next is formed
+                    formed[split] = forms[split]()
+                blocks = mesh.slabs if conv == "eig" else None
+                setattr(rec, f"kappa_{name}_{conv}", condition_number(formed[split], conv, blocks))
 
 
 def _level_record(
@@ -133,10 +178,18 @@ def _level_record(
     level: int,
     prev_error: float | None,
 ):
-    """One table row and its LU flux; on a mirror mesh the sv columns read the halves."""
+    """One table row and its direct flux.
+
+    On a Toeplitz mesh (every uniform level) the flux comes from the fast
+    Volterra inversion of V, elsewhere from LU.  At or below the kappa cap
+    GMRES runs on the dense V and D, which the kappa columns read anyway (the
+    FFT operators round differently and can move an iteration count by one);
+    above it, on the FFT operators, and no N x N array is formed.
+    """
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
-    w = direct_solve(mats.V, f)
+    V = mats.operator("V")
+    w = V.solve(f) if mats.toeplitz else direct_solve(V, f)
     flux = DiscreteFlux(coefficients=w, mesh=mesh)
     err = l2_error(flux, series)
 
@@ -144,35 +197,14 @@ def _level_record(
     if prev_error is not None:
         rec.eoc = eoc([prev_error, err])[0]
 
-    if mesh.n_elements <= cfg.max_kappa_n:
-        n, m, d = mesh.n_left, mats.mass, np.diag(mats.V)
-
-        def halves(A):  # (P + Q, P - Q) of a mirror matrix [[P, Q], [Q, P]]
-            return A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]
-
-        systems = {  # (full matrix, its halves on a mirror mesh), formed only when requested
-            "V": (lambda: mats.V, lambda: halves(mats.V)),
-            "diag": (lambda: mats.V / d[:, None], lambda: halves(mats.V / d[:, None])),
-            # M^-1 D M^-1 V; the formed product is not bitwise mirror, D's and V's halves are
-            "calderon": (lambda: mats.D / np.outer(m, m) @ mats.V, lambda: tuple(
-                E / np.outer(m[:n], m[:n]) @ P for E, P in zip(halves(mats.D), halves(mats.V)))),
-        }
-        conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
-        for name, forms in systems.items():
-            if name == "diag" and name in cfg.preconds and np.all(d == d[0]):
-                for conv in conventions:  # diag^-1 V = V / d[0]; kappa is scale invariant
-                    setattr(rec, f"kappa_diag_{conv}", getattr(rec, f"kappa_V_{conv}"))
-            elif name == "V" or name in cfg.preconds:
-                formed = {}  # the latest form only
-                for conv in conventions:
-                    split = conv == "sv" and mesh.mirror
-                    if split not in formed:
-                        formed = {split: forms[split]()}
-                    mat, blocks = formed[split], (mesh.slabs if conv == "eig" else None)
-                    setattr(rec, f"kappa_{name}_{conv}", condition_number(mat, conv, blocks))
+    dense = mesh.n_elements <= cfg.max_kappa_n
+    if dense:
+        _kappa_columns(rec, mats, cfg)
+        V = mats.V
 
     for name in cfg.preconds:
-        report = gmres(mats.V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats))
+        prec = _preconditioner(name, V, mats.mass, lambda: mats.D if dense else mats.operator("D"))
+        report = gmres(V, f, tol=cfg.tol, preconditioner=prec)
         setattr(rec, f"it_{name}", report.iterations)
     return rec, flux
 
@@ -378,6 +410,7 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
         "#   ratio of the explicitly formed (preconditioned) matrix",
         "# kappa_*_eig: causality makes the matrices block lower triangular, so the",
         "#   eigenvalues are those of the diagonal blocks (2x2 on uniform meshes)",
-        "# error column: direct (LU) flux, element-wise Gauss quadrature",
+        "# error column: direct flux (fast Toeplitz inversion on uniform meshes,",
+        "#   LU elsewhere), element-wise Gauss quadrature",
     ]
     return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from heatbem import galerkin
 from heatbem.analysis import ellipticity_margin
@@ -394,6 +395,58 @@ class TestBreakpointTable:
         nl = mesh.n_left
         for block in (K[:nl, :nl], K[nl:, nl:]):
             assert np.all(block == 0.0) and not np.any(np.signbit(block))
+
+
+class TestMirrorToeplitzSolve:
+    """On a Toeplitz mesh V is solved by the fast Volterra inversion; its diagonal and
+    the halves of V and D come from the symbols, bitwise as from the dense matrices."""
+
+    ALPHAS = [1.0, 2.5, 2.0 * math.pi ** 2]
+
+    @staticmethod
+    def refined(V, f):
+        """LU solution of V x = f refined with long-double residuals: x to about eps."""
+        lu = scipy.linalg.lu_factor(V)
+        x = scipy.linalg.lu_solve(lu, f)
+        VL = V.astype(np.longdouble)
+        for _ in range(2):
+            x = x + scipy.linalg.lu_solve(lu, (f - VL @ x).astype(float))
+        return x
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_inversion_matches_the_solution(self, alpha):
+        rng = np.random.default_rng(7)
+        for lv in range(11):
+            mesh = uniform_mesh(1.0, lv)
+            mats = assemble_all(mesh, alpha)
+            op, V = mats.operator("V"), mats.V
+            f = rng.standard_normal(mesh.n_elements)
+            w, lu = op.solve(f), direct_solve(V, f)
+            assert np.linalg.norm(w - lu) <= 1e-14 * np.linalg.norm(lu), lv
+            # the study's right-hand side: there LU itself is off the solution by up
+            # to 2.3e-14 (L10 at alpha = 2 pi^2), the inversion by at most 6.1e-15
+            f = assemble_rhs(mesh, Problem(alpha, example1_initial_datum))
+            w, ref = op.solve(f), self.refined(V, f)
+            assert np.linalg.norm(w - ref) <= 1e-14 * np.linalg.norm(ref), lv
+            assert np.linalg.norm(V @ w - f) <= 1e-14 * np.linalg.norm(f), lv
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_diagonal_and_halves_are_the_dense_ones_bitwise(self, alpha):
+        for lv in range(10):
+            mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
+            for kind in "VD":
+                dense = getattr(mats, kind)
+                assert np.array_equal(mats.operator(kind).diagonal(), np.diag(dense)), lv
+                for got, ref in zip(mats.halves(kind), galerkin.mirror_halves(dense, n)):
+                    assert got.flags.c_contiguous and got.flags.writeable
+                    assert np.array_equal(got, ref) and np.array_equal(
+                        np.signbit(got), np.signbit(ref)), (lv, kind)
+
+    def test_halves_off_the_toeplitz_meshes_are_the_dense_ones(self):
+        mats = assemble_all(mirror_graded_mesh(), ALPHA)
+        assert not mats.toeplitz and mats.mesh.mirror
+        for got, ref in zip(mats.halves("D"), galerkin.mirror_halves(mats.D, mats.mesh.n_left)):
+            assert np.array_equal(got, ref)
 
 
 class TestAssemblyMemory:

@@ -71,6 +71,10 @@ class TestConfig:
             ExperimentConfig(preconds=("cholesky",)).validate()
         with pytest.raises(ConfigError, match="max_steps must be >= 0"):
             ExperimentConfig(max_steps=-1).validate(adaptive=True)
+        for adaptive in (False, True):
+            with pytest.raises(ConfigError, match="max_kappa_n must be >= 0"):
+                ExperimentConfig(max_kappa_n=-5).validate(adaptive=adaptive)
+        ExperimentConfig(max_kappa_n=0).validate()  # 0: no kappa at all
 
 
 class TestUniformStudy:
@@ -230,6 +234,84 @@ class TestLazyAssembly:
             second_bie_residual(problem, flux, level),
             second_bie_residual(problem, flux),
         )
+
+
+class TestToeplitzLevels:
+    """Uniform levels: the flux by the fast Volterra inversion, only V, D and C^-1 V
+    at the kappa cap, and no N x N array above it."""
+
+    ALPHAS = [1.0, 2.5, 2.0 * np.pi ** 2]
+
+    @staticmethod
+    def traced_record(level, monkeypatch, **changes):
+        """_level_record of uniform level ``level``: its tracemalloc peak in N x N
+        units of doubles, and the matrices it assembled."""
+        built = []
+
+        def recording(mesh, alpha):
+            built.append(galerkin.assemble_all(mesh, alpha))
+            return built[-1]
+
+        monkeypatch.setattr(studies, "assemble_all", recording)
+        cfg = ExperimentConfig(**changes)
+        problem, series = build_problem(cfg)
+        studies._level_record(uniform_mesh(1.0, 1), problem, series, cfg, 1, None)  # warm caches
+        mesh = uniform_mesh(1.0, level)
+        tracemalloc.start()
+        try:
+            studies._level_record(mesh, problem, series, cfg, level, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (mesh.n_elements ** 2 * 8), built[-1]
+
+    def test_uniform_flux_takes_no_lu(self, monkeypatch):
+        def no_lu(A, b):
+            raise AssertionError("LU on a Toeplitz mesh")
+
+        monkeypatch.setattr(studies, "direct_solve", no_lu)
+        cfg = ExperimentConfig(example=2, max_level=4, max_steps=0)
+        run_uniform_study(cfg)
+        run_adaptive_study(cfg)  # step 0 is uniform level 0
+        problem, series = build_problem(cfg)
+        with pytest.raises(AssertionError, match="LU"):  # the inversion needs a Toeplitz mesh
+            studies._level_record(nonuniform_mesh(), problem, series, cfg, 0, None)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_scaled_calderon_products_are_bitwise_the_outer_form(self, alpha):
+        for lv in range(10):
+            mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
+            m = mats.mass
+            assert np.array_equal(studies._calderon_form(mats.D, mats.V, mats),
+                                  mats.D / np.outer(m, m) @ mats.V), lv
+            for E, P in zip(mats.halves("D"), mats.halves("V")):
+                assert np.array_equal(studies._calderon_form(E, P, mats),
+                                      E / np.outer(m[:n], m[:n]) @ P), lv
+
+    def test_peak_at_the_kappa_cap(self, monkeypatch):
+        # V, D and the formed C^-1 V are one unit each; the halves and kappa add little
+        peak, mats = self.traced_record(9, monkeypatch, kappa_convention="both")
+        assert peak <= 3.25
+        assert {"V", "D"} <= set(vars(mats))
+
+    @pytest.mark.parametrize("level", [10, 11])
+    def test_no_matrix_above_the_kappa_cap(self, level, monkeypatch):
+        peak, mats = self.traced_record(level, monkeypatch, preconds=("calderon",))
+        assert peak <= 0.05
+        assert not {"V", "K", "D"} & set(vars(mats))
+        # unpreconditioned GMRES keeps its Krylov basis, 84 to 98 vectors of N doubles
+        # in storage that doubles (129 + 65 rows while it grows): the level adds at
+        # most 0.05 units to that
+        peak, mats = self.traced_record(level, monkeypatch)
+        assert not {"V", "K", "D"} & set(vars(mats))
+        op, f = mats.operator("V"), assemble_rhs(mats.mesh, build_problem(ExperimentConfig())[0])
+        tracemalloc.start()
+        try:
+            gmres(op, f)
+            _, krylov = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - krylov / (mats.mesh.n_elements ** 2 * 8) <= 0.05
 
 
 class TestEmission:
@@ -603,6 +685,22 @@ class TestCli:
         assert main(["study-adaptive", "--max-steps", "-1", "--out", str(out)]) == 2
         assert "max_steps must be >= 0" in capsys.readouterr().err
         assert not (out / "table2.csv").exists()
+
+    @pytest.mark.parametrize("command", ["study-uniform", "study-adaptive"])
+    def test_negative_max_kappa_n_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "neg"
+        assert main([command, "--max-kappa-n", "-5", "--out", str(out)]) == 2
+        assert "max_kappa_n must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [*COMMANDS, "check-invariants"])
+    def test_unknown_argument_shows_the_command_usage(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--levels-of", "6"])
+        assert err.value.code == 2
+        text = capsys.readouterr().err
+        assert text.startswith(f"usage: heatbem {command} ")
+        assert f"heatbem {command}: error: unrecognized arguments: --levels-of 6" in text
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
