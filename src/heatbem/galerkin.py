@@ -24,7 +24,8 @@ the vector of its 2n + 1 lags, and each side block is one strided copy of it.
 ``OperatorMatrices`` assembles each of V, K and D on first read only.  Its
 ``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
 blocks' first columns, applied and (for V) inverted in O(N log N) without an
-N x N array; ``halves`` gives their even/odd halves as n x n arrays.
+N x N array; ``halves`` gives their even/odd halves as n x n arrays, and
+``solve`` solves V w = f by that inversion there, by dense LU elsewhere.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -54,6 +55,7 @@ from .kernels import (
     primitive_I0,
     primitive_I1,
 )
+from .krylov import direct_solve
 from .mesh import BoundaryMesh
 
 __all__ = [
@@ -234,6 +236,10 @@ class OperatorMatrices:
         symbols, n = self._toeplitz_symbols(name), self.mesh.n_left
         # first columns (lags 0 .. n - 1) of P = block(left, left), Q = block(left, right)
         return MirrorToeplitz(symbols[-1.0, -1.0][n - 1:], symbols[-1.0, 1.0][n - 1:])
+
+    def solve(self, f) -> np.ndarray:
+        """w with V w = f: the fast Volterra inversion on a Toeplitz mesh, dense LU elsewhere."""
+        return self.operator("V").solve(f) if self.toeplitz else direct_solve(self.V, f)
 
     def halves(self, name: str):
         """(P + Q, P - Q) of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, as n x n

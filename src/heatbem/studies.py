@@ -1,9 +1,10 @@
 """Experiment drivers: uniform and adaptive refinement studies, single solves.
 
 Each refinement level assembles the operators once, takes the flux for the
-error column from a direct solve (deterministic, solver-error free: the fast
-Volterra inversion on uniform meshes, LU elsewhere), and runs GMRES separately
-per requested preconditioner for the iteration counts.
+error column from a direct solve (``OperatorMatrices.solve``: deterministic,
+solver-error free), and runs GMRES on ``OperatorMatrices.operator`` per
+requested preconditioner for the iteration counts; ``galerkin`` alone picks
+the FFT operators of a uniform mesh or the dense matrices.
 The adaptive driver uses a two-level hierarchical indicator: the L2 norm per
 element of the difference between the current solution and the solution on
 the uniformly bisected mesh.
@@ -27,7 +28,7 @@ from .galerkin import (
     evaluate_interior,
     mirror_halves,
 )
-from .krylov import NumericalError, Preconditioner, direct_solve, gmres
+from .krylov import NumericalError, Preconditioner, gmres
 from .mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
 from .reference import (
     SineSeries,
@@ -93,10 +94,9 @@ class ExperimentConfig:
             raise ConfigError("alpha must be positive and finite")
         if self.max_level < 0:
             raise ConfigError("levels must be >= 0")
-        if self.max_steps < 0:
-            raise ConfigError("max_steps must be >= 0")
-        if self.max_kappa_n < 0:
-            raise ConfigError("max_kappa_n must be >= 0")
+        for name in ("max_steps", "max_kappa_n", "target_n"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if not adaptive and self.max_level > 11:
             raise ConfigError("uniform studies are capped at 11 levels (N = 4096)")
         if adaptive and self.max_steps > 200:
@@ -119,14 +119,14 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Problem, SineSeries]:
     return Problem(alpha=cfg.alpha, u0=u0), series
 
 
-def _preconditioner(name: str, V, mass, D) -> Preconditioner:
-    """``V``: the system matrix or operator; ``D()``: the hypersingular one, read for calderon."""
+def _preconditioner(name: str, mats: OperatorMatrices) -> Preconditioner:
+    """The right preconditioner ``name`` of V, built from ``mats.operator``."""
     if name == "none":
         return Preconditioner.identity()
     if name == "diag":
-        return Preconditioner.diagonal(V.diagonal())
+        return Preconditioner.diagonal(mats.operator("V").diagonal())
     if name == "calderon":
-        return Preconditioner.calderon(mass, D())
+        return Preconditioner.calderon(mats.mass, mats.operator("D"))
     raise ConfigError(f"unknown preconditioner {name!r}")
 
 
@@ -143,9 +143,9 @@ def _calderon_form(E, P, mats: OperatorMatrices) -> np.ndarray:
 def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig) -> None:
     """The requested kappa columns of ``rec``; on a mirror mesh the sv columns read the halves.
 
-    One formed matrix (or pair of halves) is live at a time, beside V and D.
+    One formed matrix (or pair of halves) is live at a time, beside V and D if read.
     """
-    mesh, d = mats.mesh, mats.V.diagonal()
+    mesh, d = mats.mesh, mats.operator("V").diagonal()
     systems = {  # (full matrix, its halves on a mirror mesh), formed only when requested
         "V": (lambda: mats.V, lambda: mats.halves("V")),
         "diag": (lambda: mats.V / d[:, None],
@@ -170,41 +170,28 @@ def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConf
                 setattr(rec, f"kappa_{name}_{conv}", condition_number(formed[split], conv, blocks))
 
 
-def _level_record(
-    mesh: BoundaryMesh,
-    problem: Problem,
-    series: SineSeries,
-    cfg: ExperimentConfig,
-    level: int,
-    prev_error: float | None,
-):
+def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
+                  cfg: ExperimentConfig, level: int, prev_error: float | None):
     """One table row and its direct flux.
 
-    On a Toeplitz mesh (every uniform level) the flux comes from the fast
-    Volterra inversion of V, elsewhere from LU.  At or below the kappa cap
-    GMRES runs on the dense V and D, which the kappa columns read anyway (the
-    FFT operators round differently and can move an iteration count by one);
-    above it, on the FFT operators, and no N x N array is formed.
+    The flux and GMRES read V and D only through ``mats.solve`` and
+    ``mats.operator``; the kappa cap decides only whether the kappa columns
+    are computed, the one stage that forms a matrix on a uniform mesh.
     """
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
-    V = mats.operator("V")
-    w = V.solve(f) if mats.toeplitz else direct_solve(V, f)
-    flux = DiscreteFlux(coefficients=w, mesh=mesh)
+    flux = DiscreteFlux(coefficients=mats.solve(f), mesh=mesh)
     err = l2_error(flux, series)
 
     rec = StudyRecord(L=level, N=mesh.n_elements, l2_error=err)
     if prev_error is not None:
         rec.eoc = eoc([prev_error, err])[0]
 
-    dense = mesh.n_elements <= cfg.max_kappa_n
-    if dense:
+    if mesh.n_elements <= cfg.max_kappa_n:
         _kappa_columns(rec, mats, cfg)
-        V = mats.V
-
+    V = mats.operator("V")
     for name in cfg.preconds:
-        prec = _preconditioner(name, V, mats.mass, lambda: mats.D if dense else mats.operator("D"))
-        report = gmres(V, f, tol=cfg.tol, preconditioner=prec)
+        report = gmres(V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats))
         setattr(rec, f"it_{name}", report.iterations)
     return rec, flux
 
@@ -235,7 +222,7 @@ def two_level_indicator(problem: Problem, flux: DiscreteFlux) -> np.ndarray:
     """
     mesh = flux.mesh
     fine = refine_uniform(mesh)
-    w_f = direct_solve(assemble_all(fine, problem.alpha).V, assemble_rhs(fine, problem))
+    w_f = assemble_all(fine, problem.alpha).solve(assemble_rhs(fine, problem))
     w = flux.coefficients
     half = 0.5 * mesh.element_sizes
     return np.sqrt(half * ((w_f[0::2] - w) ** 2 + (w_f[1::2] - w) ** 2))
@@ -302,10 +289,8 @@ def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
     mesh = uniform_mesh(HORIZON, cfg.max_level, INTERVAL)
     mats = assemble_all(mesh, problem.alpha)  # V and D stay unformed unless dumped
     f = assemble_rhs(mesh, problem)
-    report = gmres(
-        mats.operator("V"), f, tol=cfg.tol,
-        preconditioner=Preconditioner.calderon(mats.mass, mats.operator("D")),
-    )
+    prec = _preconditioner("calderon", mats)
+    report = gmres(mats.operator("V"), f, tol=cfg.tol, preconditioner=prec)
     if not report.converged:
         raise NumericalError(
             f"GMRES did not reach tol={cfg.tol:g} within {report.iterations} iterations"
@@ -394,23 +379,28 @@ def records_to_markdown(records, style: str = "uniform", convention: str = "sv")
 
 
 def meta_text(cfg: ExperimentConfig, command: str) -> str:
-    """Deterministic run metadata (config echo plus standing assumptions)."""
+    """Deterministic run metadata (config echo plus standing assumptions); ``solve``
+    echoes only the fields it reads and no line on the table columns."""
+    study = command != "solve"
+    echoed = [f.name for f in fields(cfg)] if study else ["example", "alpha", "max_level", "tol"]
     lines = [
         f"command={command}",
-        *(f"{f.name}={_fmt(getattr(cfg, f.name))}" for f in fields(cfg)),
+        *(f"{name}={_fmt(getattr(cfg, name))}" for name in echoed),
         f"horizon={_fmt(HORIZON)}",
         f"interval={_fmt(INTERVAL)}",
-        f"gauss_order={L2_GAUSS_ORDER}",
+        *[f"gauss_order={L2_GAUSS_ORDER}"] * study,
         "",
         "# assumptions",
         "# alpha defaults to 1; the smooth-example flux then decays like exp(-4 pi^2 t)",
         "# GMRES: right preconditioning, x0 = 0, stopping on the true relative",
         "#   residual ||b - A x|| / ||b|| <= tol (preconditioner independent)",
-        "# kappa columns: sv = singular-value ratio, eig = eigenvalue-modulus",
-        "#   ratio of the explicitly formed (preconditioned) matrix",
-        "# kappa_*_eig: causality makes the matrices block lower triangular, so the",
-        "#   eigenvalues are those of the diagonal blocks (2x2 on uniform meshes)",
-        "# error column: direct flux (fast Toeplitz inversion on uniform meshes,",
-        "#   LU elsewhere), element-wise Gauss quadrature",
+        *[
+            "# kappa columns: sv = singular-value ratio, eig = eigenvalue-modulus",
+            "#   ratio of the explicitly formed (preconditioned) matrix",
+            "# kappa_*_eig: causality makes the matrices block lower triangular, so the",
+            "#   eigenvalues are those of the diagonal blocks (2x2 on uniform meshes)",
+            "# error column: direct flux (fast Toeplitz inversion on uniform meshes,",
+            "#   LU elsewhere), element-wise Gauss quadrature",
+        ] * study,
     ]
     return "\n".join(lines) + "\n"

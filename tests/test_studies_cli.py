@@ -76,6 +76,11 @@ class TestConfig:
                 ExperimentConfig(max_kappa_n=-5).validate(adaptive=adaptive)
         ExperimentConfig(max_kappa_n=0).validate()  # 0: no kappa at all
 
+    def test_negative_target_n(self):
+        with pytest.raises(ConfigError, match="target_n must be >= 0"):
+            ExperimentConfig(target_n=-5).validate(adaptive=True)
+        ExperimentConfig(target_n=0).validate(adaptive=True)  # 0: stop after step 0
+
 
 class TestUniformStudy:
     def test_degenerate_single_row(self):
@@ -103,6 +108,21 @@ class TestUniformStudy:
         )
         assert records[0].kappa_V_sv is not None
         assert records[2].kappa_V_sv is None
+
+    @pytest.mark.parametrize(
+        "run, changes",
+        [(run_uniform_study, dict(max_level=8)), (run_adaptive_study, dict(target_n=60))],
+        ids=["uniform", "adaptive"],
+    )
+    def test_iteration_counts_ignore_the_kappa_cap(self, run, changes):
+        # GMRES reads the same operators whether or not the kappa columns are computed
+        def counts(max_kappa_n):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                records, _ = run(ExperimentConfig(example=2, max_kappa_n=max_kappa_n, **changes))
+            return [(r.N, r.it_none, r.it_diag, r.it_calderon) for r in records]
+
+        assert counts(0) == counts(ExperimentConfig.max_kappa_n)
 
     def test_precond_subset(self):
         records, _ = run_uniform_study(
@@ -149,8 +169,12 @@ class TestConstantDiagonal:
         assert (rec.kappa_diag_sv, rec.kappa_diag_eig) == self.computed(mesh, V)
 
     def test_one_ulp_off_the_constant_diagonal_is_computed(self, monkeypatch):
-        mesh = uniform_mesh(1.0, 3)
-        V = assemble_all(mesh, 1.0).V.copy()
+        # h = 3/8: a mirror mesh with a bitwise constant diagonal but no Toeplitz
+        # operator, so the shadowed V below is the one the diagonal is read from
+        mesh = uniform_mesh(3.0, 3)
+        mats = assemble_all(mesh, 1.0)
+        assert mesh.mirror and not mats.toeplitz and np.all(np.diag(mats.V) == mats.V[0, 0])
+        V = mats.V.copy()
         V[5, 5] = np.nextafter(V[5, 5], np.inf)
 
         def assemble_perturbed(mesh, alpha):
@@ -269,11 +293,13 @@ class TestToeplitzLevels:
         def no_lu(A, b):
             raise AssertionError("LU on a Toeplitz mesh")
 
-        monkeypatch.setattr(studies, "direct_solve", no_lu)
+        monkeypatch.setattr(galerkin, "direct_solve", no_lu)
         cfg = ExperimentConfig(example=2, max_level=4, max_steps=0)
         run_uniform_study(cfg)
         run_adaptive_study(cfg)  # step 0 is uniform level 0
         problem, series = build_problem(cfg)
+        _, flux = studies._level_record(uniform_mesh(1.0, 0), problem, series, cfg, 0, None)
+        two_level_indicator(problem, flux)  # its fine mesh is uniform level 1
         with pytest.raises(AssertionError, match="LU"):  # the inversion needs a Toeplitz mesh
             studies._level_record(nonuniform_mesh(), problem, series, cfg, 0, None)
 
@@ -293,6 +319,12 @@ class TestToeplitzLevels:
         peak, mats = self.traced_record(9, monkeypatch, kappa_convention="both")
         assert peak <= 3.25
         assert {"V", "D"} <= set(vars(mats))
+
+    def test_sv_kappa_forms_no_v_or_d(self, monkeypatch):
+        # the sv columns read n x n halves from the symbols, and GMRES the FFT operators
+        peak, mats = self.traced_record(9, monkeypatch, kappa_convention="sv")
+        assert peak <= 1.6
+        assert not {"V", "K", "D"} & set(vars(mats))
 
     @pytest.mark.parametrize("level", [10, 11])
     def test_no_matrix_above_the_kappa_cap(self, level, monkeypatch):
@@ -679,6 +711,22 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["study-uniform", "--precond", "ilu"])
         assert err.value.code == 2
+
+    def test_negative_target_n_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["study-adaptive", "--target-n", "-5", "--out", str(out)]) == 2
+        assert "target_n must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("target_n=-5\n")
+        assert main(["study-adaptive", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "target_n must be >= 0" in capsys.readouterr().err
+
+    def test_solve_meta_has_no_table_lines(self, tmp_path):
+        assert main(["solve", "--level", "2", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "meta.txt").read_text().lower().splitlines()
+        assert "tol=1e-08" in lines
+        assert not [line for line in lines if "kappa" in line or "error column" in line]
 
     def test_negative_max_steps_exits_2(self, tmp_path, capsys):
         out = tmp_path / "neg"
