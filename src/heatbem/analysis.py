@@ -61,8 +61,10 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
     method="sv": ratio of extreme singular values; method="eig": ratio of
     extreme eigenvalue moduli over the diagonal blocks that ``blocks`` indexes
     (None: A is one block).  Raises NumericalError when the matrix is singular
-    to working precision.  A tuple (P + Q, P - Q) stands for the mirror matrix
-    [[P, Q], [Q, P]], which (u, v) -> (u + v, u - v)/sqrt(2) maps to diag(P + Q, P - Q).
+    to working precision or LAPACK fails.  An iterable (P + Q, P - Q) other than
+    an ndarray stands for the mirror matrix [[P, Q], [Q, P]], which (u, v) ->
+    (u + v, u - v)/sqrt(2) maps to diag(P + Q, P - Q); each half is reduced to
+    its extremes before the next is read, so a lazy one keeps one half live.
 
     Causality makes V, D and the preconditioned matrices block lower
     triangular over the mesh's slabs (2 x 2 blocks on uniform meshes), so
@@ -70,26 +72,33 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
     size, instead of one dense eigensolve of a highly defective matrix.  A
     large, strongly non-normal slab (graded meshes) still limits the accuracy.
     """
-    parts = [np.asarray(P, dtype=float) for P in (A if isinstance(A, tuple) else (A,))]
-    if any(P.ndim != 2 or P.shape[0] != P.shape[1] for P in parts):
-        raise ValueError("need a square matrix")
-    if method == "sv":
-        s = np.concatenate([np.linalg.svd(P, compute_uv=False) for P in parts])
-    elif method == "eig":
-        if blocks is not None:
-            if len(parts) != 1:
-                raise ValueError("eig blocks index one full matrix, not mirror halves")
-            A, by_size = parts[0], {}  # one (k, s, s) stack, one eigvals call, per slab size
-            for idx in blocks:
-                by_size.setdefault(len(idx), []).append(idx)
-            parts = (A[ix[:, :, None], ix[:, None, :]] for ix in map(np.array, by_size.values()))
-        s = np.abs(np.concatenate([np.linalg.eigvals(P).ravel() for P in parts]))
-    else:
+    if method not in ("sv", "eig"):
         raise ValueError(f"unknown convention {method!r}")
-    lo, hi = float(s.min()), float(s.max())
-    if lo <= 1e-14 * hi:
-        raise NumericalError(f"matrix is numerically singular ({method} ratio > 1e14)")
-    return hi / lo
+    halves = not isinstance(A, np.ndarray)
+    if halves and blocks is not None:
+        raise ValueError("eig blocks index one full matrix, not mirror halves")
+    by_size = {}  # one (k, s, s) stack, one eigvals call, per slab size
+    for idx in blocks if blocks is not None else ():
+        by_size.setdefault(len(idx), []).append(idx)
+    stacks = [np.array(ix) for ix in by_size.values()]
+    lo, hi = math.inf, 0.0
+    for P in A if halves else (A,):
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError("need a square matrix")
+        try:
+            if method == "sv":
+                s = np.linalg.svd(P, compute_uv=False)
+            else:  # the slab stacks, or P as one block
+                parts = (P[ix[:, :, None], ix[:, None, :]] for ix in stacks) if stacks else [P]
+                s = np.abs(np.concatenate([np.linalg.eigvals(B).ravel() for B in parts]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{method} condition number failed: {exc}") from exc
+        lo, hi = np.minimum(lo, s.min()), np.maximum(hi, s.max())  # a NaN propagates
+        del P  # before the loop reads the next half
+    if not lo > 1e-14 * hi:
+        raise NumericalError(f"matrix is numerically singular ({method} ratio > 1e14 or NaN)")
+    return float(hi / lo)
 
 
 def element_means(mesh: BoundaryMesh, fn, gauss_order: int) -> np.ndarray:

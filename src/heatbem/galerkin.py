@@ -24,8 +24,8 @@ the vector of its 2n + 1 lags, and each side block is one strided copy of it.
 ``OperatorMatrices`` assembles each of V, K and D on first read only.  Its
 ``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
 blocks' first columns, applied and (for V) inverted in O(N log N) without an
-N x N array; ``halves`` gives their even/odd halves as n x n arrays, and
-``solve`` solves V w = f by that inversion there, by dense LU elsewhere.
+N x N array; ``halves`` and ``slab`` give their n x n even/odd halves and their
+2 x 2 slab block, and ``solve`` solves V w = f by that inversion there, LU elsewhere.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -55,7 +55,7 @@ from .kernels import (
     primitive_I0,
     primitive_I1,
 )
-from .krylov import direct_solve
+from .krylov import NumericalError, direct_solve
 from .mesh import BoundaryMesh
 
 __all__ = [
@@ -238,19 +238,29 @@ class OperatorMatrices:
         return MirrorToeplitz(symbols[-1.0, -1.0][n - 1:], symbols[-1.0, 1.0][n - 1:])
 
     def solve(self, f) -> np.ndarray:
-        """w with V w = f: the fast Volterra inversion on a Toeplitz mesh, dense LU elsewhere."""
-        return self.operator("V").solve(f) if self.toeplitz else direct_solve(self.V, f)
+        """Finite w with V w = f: fast Volterra inversion on a Toeplitz mesh, dense LU elsewhere."""
+        w = self.operator("V").solve(f) if self.toeplitz else direct_solve(self.V, f)
+        if not np.all(np.isfinite(w)):
+            raise NumericalError("solve produced non-finite entries")
+        return w
 
     def halves(self, name: str):
-        """(P + Q, P - Q) of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, as n x n
-        arrays; on a Toeplitz mesh built from the symbols, with no N x N array."""
+        """P + Q, then P - Q, of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, as n x n arrays;
+        on a Toeplitz mesh each built from the symbols when read, with no N x N array."""
         n = self.mesh.n_left
         if not self.toeplitz:
             return mirror_halves(getattr(self, name), n)
         symbols = self._toeplitz_symbols(name)
         p, q = symbols[-1.0, -1.0], symbols[-1.0, 1.0]
         # bitwise the dense sums: the blocks are copies of p and q
-        return np.array(_toeplitz(p + q, n)), np.array(_toeplitz(p - q, n))
+        return (np.array(_toeplitz(s, n)) for s in (p + q, p - q))
+
+    def slab(self, name: str) -> np.ndarray:
+        """[[p0, q0], [q0, p0]], the lag-0 entries of P and Q of V or D on a Toeplitz
+        mesh: bitwise the diagonal block of every slab of the dense matrix."""
+        symbols, n = self._toeplitz_symbols(name), self.mesh.n_left
+        p, q = symbols[-1.0, -1.0][n - 1], symbols[-1.0, 1.0][n - 1]
+        return np.array([[p, q], [q, p]])
 
     @cached_property
     def V(self) -> np.ndarray:

@@ -169,6 +169,8 @@ def refine_adaptive(
         raise ValueError(
             f"need one indicator per element ({mesh.n_elements}), got shape {eta.shape}"
         )
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("indicators must be finite")
     if np.any(eta < 0.0):
         raise ValueError("indicators must be nonnegative")
     if not 0.0 < theta <= 1.0:

@@ -141,33 +141,35 @@ def _calderon_form(E, P, mats: OperatorMatrices) -> np.ndarray:
 
 
 def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig) -> None:
-    """The requested kappa columns of ``rec``; on a mirror mesh the sv columns read the halves.
+    """The requested kappa columns of ``rec``, each from a form built for it alone.
 
-    One formed matrix (or pair of halves) is live at a time, beside V and D if read.
+    sv reads the halves of a mirror mesh, one live at a time; eig reads the one
+    2 x 2 slab block of a Toeplitz mesh (causality leaves D's and V's blocks the
+    only terms of C^-1 V's) and elsewhere the full matrix's slabs.
     """
     mesh, d = mats.mesh, mats.operator("V").diagonal()
-    systems = {  # (full matrix, its halves on a mirror mesh), formed only when requested
-        "V": (lambda: mats.V, lambda: mats.halves("V")),
-        "diag": (lambda: mats.V / d[:, None],
-                 lambda: mirror_halves(mats.V / d[:, None], mesh.n_left)),
+    systems = {  # kind -> form; diag(V) is constant, so diag is copied, on a Toeplitz mesh
+        "V": {"full": lambda: mats.V, "halves": lambda: mats.halves("V"),
+              "slab": lambda: mats.slab("V")},
+        "diag": {"full": lambda: mats.V / d[:, None],
+                 "halves": lambda: mirror_halves(mats.V / d[:, None], mesh.n_left)},
         # the formed product is not bitwise mirror, D's and V's halves are
-        "calderon": (lambda: _calderon_form(mats.D, mats.V, mats), lambda: tuple(
-            _calderon_form(E, P, mats) for E, P in zip(mats.halves("D"), mats.halves("V")))),
+        "calderon": {"full": lambda: _calderon_form(mats.D, mats.V, mats),
+                     "halves": lambda: map(lambda E, P: _calderon_form(E, P, mats),
+                                           mats.halves("D"), mats.halves("V")),
+                     "slab": lambda: _calderon_form(mats.slab("D"), mats.slab("V"), mats)},
     }
+    kinds = {"sv": "halves" if mesh.mirror else "full", "eig": "slab" if mats.toeplitz else "full"}
     conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
     for name, forms in systems.items():
         if name == "diag" and name in cfg.preconds and np.all(d == d[0]):
             for conv in conventions:  # diag^-1 V = V / d[0]; kappa is scale invariant
                 setattr(rec, f"kappa_diag_{conv}", getattr(rec, f"kappa_V_{conv}"))
         elif name == "V" or name in cfg.preconds:
-            formed = {}  # the latest form only
             for conv in conventions:
-                split = conv == "sv" and mesh.mirror
-                if split not in formed:
-                    formed.clear()  # drop the last form before the next is formed
-                    formed[split] = forms[split]()
-                blocks = mesh.slabs if conv == "eig" else None
-                setattr(rec, f"kappa_{name}_{conv}", condition_number(formed[split], conv, blocks))
+                kind = kinds[conv]
+                blocks = mesh.slabs if conv == "eig" and kind == "full" else None
+                setattr(rec, f"kappa_{name}_{conv}", condition_number(forms[kind](), conv, blocks))
 
 
 def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,

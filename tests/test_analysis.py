@@ -61,6 +61,16 @@ class TestConditionNumber:
         with pytest.raises(NumericalError):
             condition_number(np.diag([1.0, 0.0]), "eig")
 
+    @pytest.mark.parametrize("method", ["sv", "eig"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reported(self, method, bad):
+        A = np.eye(4)
+        A[1, 2] = bad
+        with pytest.raises(NumericalError):
+            condition_number(A, method)
+        with pytest.raises(NumericalError):
+            condition_number((np.eye(2), A), method)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             condition_number(np.ones((2, 3)))
@@ -223,6 +233,12 @@ class TestMirrorHalves:
             assert condition_number((P + Q, P - Q), method) == pytest.approx(
                 condition_number(A, method), rel=1e-12
             )
+
+    def test_lazy_halves_are_the_tuple_bitwise(self):
+        mats = assemble_all(uniform_mesh(1.0, 4), 1.0)
+        halves = mats.halves("V")
+        assert not isinstance(halves, tuple)
+        assert condition_number(halves) == condition_number(tuple(mats.halves("V")))
 
     def test_import_leaves_scipy_linalg_unloaded(self):
         # the halves use numpy's svd and strided views, not scipy.linalg

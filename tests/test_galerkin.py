@@ -33,7 +33,7 @@ from heatbem.kernels import (
     primitive_I0,
     primitive_I1,
 )
-from heatbem.krylov import direct_solve
+from heatbem.krylov import NumericalError, direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
 from heatbem.reference import example1_initial_datum, example2_initial_datum
 from heatbem.studies import ExperimentConfig, run_adaptive_study
@@ -441,6 +441,24 @@ class TestMirrorToeplitzSolve:
                     assert got.flags.c_contiguous and got.flags.writeable
                     assert np.array_equal(got, ref) and np.array_equal(
                         np.signbit(got), np.signbit(ref)), (lv, kind)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_slab_is_every_dense_slab_block_bitwise(self, alpha):
+        for lv in range(10):
+            mesh = uniform_mesh(1.0, lv)
+            mats = assemble_all(mesh, alpha)
+            for kind in "VD":
+                dense, slab = getattr(mats, kind), mats.slab(kind)
+                for ix in mesh.slabs:
+                    assert np.array_equal(dense[np.ix_(ix, ix)], slab), (lv, kind)
+
+    @pytest.mark.parametrize("make", [lambda: uniform_mesh(1.0, 3), nonuniform_mesh])
+    def test_non_finite_solution_raises(self, make):
+        mats = assemble_all(make(), ALPHA)
+        f = np.ones(mats.mesh.n_elements)
+        f[0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            mats.solve(f)
 
     def test_halves_off_the_toeplitz_meshes_are_the_dense_ones(self):
         mats = assemble_all(mirror_graded_mesh(), ALPHA)

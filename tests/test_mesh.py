@@ -104,6 +104,12 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refine_adaptive(m, [-1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_adaptive_non_finite_indicator_rejected(self, bad):
+        # a NaN passes eta < 0 and makes eta.max() NaN, which marks nothing
+        with pytest.raises(ValueError, match="indicators must be finite"):
+            refine_adaptive(uniform_mesh(1.0, 2), [1.0, bad, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 1_000_000), min_size=1, max_size=8))
     def test_partition_under_random_refinement(self, seeds):

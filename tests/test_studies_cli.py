@@ -261,8 +261,8 @@ class TestLazyAssembly:
 
 
 class TestToeplitzLevels:
-    """Uniform levels: the flux by the fast Volterra inversion, only V, D and C^-1 V
-    at the kappa cap, and no N x N array above it."""
+    """Uniform levels: the flux by the fast Volterra inversion, the kappa columns from
+    the symbols' halves and slab block, and no N x N V, K or D at any level."""
 
     ALPHAS = [1.0, 2.5, 2.0 * np.pi ** 2]
 
@@ -314,16 +314,29 @@ class TestToeplitzLevels:
                 assert np.array_equal(studies._calderon_form(E, P, mats),
                                       E / np.outer(m[:n], m[:n]) @ P), lv
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_slab_eig_kappa_is_the_dense_one_bitwise(self, alpha):
+        for lv in range(10):
+            mesh = uniform_mesh(1.0, lv)
+            mats = assemble_all(mesh, alpha)
+            assert condition_number(mats.slab("V"), "eig") == condition_number(
+                mats.V, "eig", mesh.slabs), lv
+            slab = studies._calderon_form(mats.slab("D"), mats.slab("V"), mats)
+            full = studies._calderon_form(mats.D, mats.V, mats)
+            assert condition_number(slab, "eig") == condition_number(full, "eig", mesh.slabs), lv
+
     def test_peak_at_the_kappa_cap(self, monkeypatch):
-        # V, D and the formed C^-1 V are one unit each; the halves and kappa add little
-        peak, mats = self.traced_record(9, monkeypatch, kappa_convention="both")
-        assert peak <= 3.25
-        assert {"V", "D"} <= set(vars(mats))
+        # eig reads the 2 x 2 slab blocks of the symbols and sv the n x n halves (a
+        # quarter unit each), one at a time: no V, K or D is formed at the cap
+        for kappa, bound in (("both", 1.35), ("eig", 0.3)):
+            peak, mats = self.traced_record(9, monkeypatch, kappa_convention=kappa)
+            assert peak <= bound, kappa
+            assert not {"V", "K", "D"} & set(vars(mats)), kappa
 
     def test_sv_kappa_forms_no_v_or_d(self, monkeypatch):
         # the sv columns read n x n halves from the symbols, and GMRES the FFT operators
         peak, mats = self.traced_record(9, monkeypatch, kappa_convention="sv")
-        assert peak <= 1.6
+        assert peak <= 1.35
         assert not {"V", "K", "D"} & set(vars(mats))
 
     @pytest.mark.parametrize("level", [10, 11])
@@ -761,6 +774,19 @@ class TestCli:
         argv = ["study-uniform", "--levels", "1", "--alpha", alpha]
         assert main([*argv, "--out", str(tmp_path / "a")]) == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["study-uniform", "--levels", "2", "--alpha", "1e300", "--max-kappa-n", "0"],
+        ["study-uniform", "--levels", "2", "--alpha", "1e300"],
+        ["study-adaptive", "--alpha", "1e300", "--target-n", "10"],
+    ], ids=["uniform_no_kappa", "uniform", "adaptive"])
+    def test_non_finite_operators_exit_3(self, tmp_path, capsys, argv):
+        # the kernel primitives overflow to NaN at this alpha: no NaN table is written
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*argv, "--out", str(tmp_path / "a")]) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+        assert not list((tmp_path / "a").glob("table*"))
 
     def test_bad_config_value_exits_2(self, tmp_path):
         code = main(["study-uniform", "--levels", "20", "--out", str(tmp_path / "y")])
