@@ -10,7 +10,7 @@ this on both versions and comparing with one ``diff -r``:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 5 s on 2 cores; no command takes more than 1 s of it.
+Takes about 4.5 s on 2 cores; no command takes more than 1 s of it.
 """
 
 import contextlib
@@ -27,6 +27,9 @@ COMMANDS = {
     # it_none and it_diag at L7-9 move by one under a change of rounding
     "uniform_ex2_L9": ["study-uniform", "--example", "2", "--levels", "9"],
     "adaptive_ex2": ["study-adaptive", "--example", "2", "--target-n", "278"],
+    # the sv columns of the Hankel flips at a second alpha
+    "uniform_ex1_sv_0.01": ["study-uniform", "--example", "1", "--levels", "9", "--kappa", "sv",
+                            "--alpha", "0.01"],
     # the eig columns at a second alpha
     "uniform_ex1_eig_2pi2": ["study-uniform", "--example", "1", "--levels", "9", "--kappa", "eig",
                              "--alpha", "19.739208802178716"],

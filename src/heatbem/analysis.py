@@ -58,8 +58,9 @@ class StudyRecord:
 def condition_number(A, method: str = "sv", blocks=None) -> float:
     """Condition number of a dense matrix, or of a mirror matrix given by its halves.
 
-    method="sv": ratio of extreme singular values; method="eig": ratio of
-    extreme eigenvalue moduli over the diagonal blocks that ``blocks`` indexes
+    method="sv": ratio of extreme singular values, |eigvalsh| of an exactly symmetric
+    matrix (sigma = |lambda|, half the flops of svd) and svd of any other; method="eig":
+    ratio of extreme eigenvalue moduli over the diagonal blocks that ``blocks`` indexes
     (None: A is one block).  Raises NumericalError when the matrix is singular
     to working precision or LAPACK fails.  An iterable (P + Q, P - Q) other than
     an ndarray stands for the mirror matrix [[P, Q], [Q, P]], which (u, v) ->
@@ -87,7 +88,9 @@ def condition_number(A, method: str = "sv", blocks=None) -> float:
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("need a square matrix")
         try:
-            if method == "sv":
+            if method == "sv" and np.array_equal(P, P.T):  # False with a NaN: svd reports it
+                s = np.abs(np.linalg.eigvalsh(P))
+            elif method == "sv":
                 s = np.linalg.svd(P, compute_uv=False)
             else:  # the slab stacks, or P as one block
                 parts = (P[ix[:, :, None], ix[:, None, :]] for ix in stacks) if stacks else [P]

@@ -24,8 +24,9 @@ the vector of its 2n + 1 lags, and each side block is one strided copy of it.
 ``OperatorMatrices`` assembles each of V, K and D on first read only.  Its
 ``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
 blocks' first columns, applied and (for V) inverted in O(N log N) without an
-N x N array; ``halves`` and ``slab`` give their n x n even/odd halves and their
-2 x 2 slab block, and ``solve`` solves V w = f by that inversion there, LU elsewhere.
+N x N array, whose ``columns`` are the first columns of the n x n even/odd
+halves P + Q and P - Q; ``slab`` gives the 2 x 2 slab block of V or D, and
+``solve`` solves V w = f by that inversion there, LU elsewhere.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -245,15 +246,10 @@ class OperatorMatrices:
         return w
 
     def halves(self, name: str):
-        """P + Q, then P - Q, of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, as n x n arrays;
-        on a Toeplitz mesh each built from the symbols when read, with no N x N array."""
-        n = self.mesh.n_left
-        if not self.toeplitz:
-            return mirror_halves(getattr(self, name), n)
-        symbols = self._toeplitz_symbols(name)
-        p, q = symbols[-1.0, -1.0], symbols[-1.0, 1.0]
-        # bitwise the dense sums: the blocks are copies of p and q
-        return (np.array(_toeplitz(s, n)) for s in (p + q, p - q))
+        """P + Q, then P - Q, of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, each formed
+        from the dense matrix when read.  On a Toeplitz mesh those of V and D are
+        lower-triangular Toeplitz with first columns ``operator(name).columns``."""
+        return mirror_halves(getattr(self, name), self.mesh.n_left)
 
     def slab(self, name: str) -> np.ndarray:
         """[[p0, q0], [q0, p0]], the lag-0 entries of P and Q of V or D on a Toeplitz
@@ -289,8 +285,9 @@ class OperatorMatrices:
 
 
 def mirror_halves(A, n):
-    """(P + Q, P - Q) of a mirror matrix A = [[P, Q], [Q, P]] with n x n blocks."""
-    return A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]
+    """P + Q, then P - Q, of a mirror matrix A = [[P, Q], [Q, P]] with n x n blocks, each
+    formed when read."""
+    return (op(A[:n, :n], A[:n, n:]) for op in (np.add, np.subtract))
 
 
 def _toeplitz(s, n):
@@ -320,7 +317,7 @@ class MirrorToeplitz:
         n = len(p)
         self.shape = (2 * n, 2 * n)
         self._pq = np.fft.rfft(np.stack([p, q]), 2 * n)
-        self._columns = np.stack([p + q, p - q])  # first columns of P + Q and P - Q
+        self.columns = np.stack([p + q, p - q])  # first columns of P + Q and P - Q
         self._diagonal = p[0]
 
     def diagonal(self) -> np.ndarray:
@@ -332,7 +329,7 @@ class MirrorToeplitz:
         """First columns of (P + Q)^-1 and (P - Q)^-1: Newton's step g <- g (2 - c g)
         on the power series, which doubles the number of correct terms.  The k
         terms of g are kept; the next m - k are -g (c g)[k:m]."""
-        c = self._columns
+        c = self.columns
         g = 1.0 / c[:, :1]
         while (k := g.shape[1]) < c.shape[1]:
             m = min(2 * k, c.shape[1])

@@ -89,8 +89,11 @@ class SineSeries:
         t_arr = np.asarray(t, dtype=float)
         rows = t_arr if t_arr.ndim == 2 else t_arr.reshape(1, -1)
         t_min = rows.min(axis=1)
-        # rates increase, so the alive modes (exp(-46) ~ 1e-20) are a prefix
-        alive = np.count_nonzero(rates * t_min[:, None] < 46.0, axis=1)
+        # rates increase, so the alive modes (exp(-46) ~ 1e-20) are a prefix, counted in
+        # blocks of 2^15 doubles, never as one rows x n_max array
+        step = max(1, (1 << 15) // self.n_max)
+        alive = np.concatenate([np.count_nonzero(rates * t_min[i:i + step, None] < 46.0, axis=1)
+                                for i in range(0, len(t_min), step)])
         cutoffs = np.where(t_min > 0.0, np.maximum(alive, 1), self.n_max)
         vals = np.empty(rows.shape)
         for k in np.unique(cutoffs):  # one gemv per row, as the row's own call
@@ -103,7 +106,7 @@ class SineSeries:
         n, rates = self._modes()
         c = self.coefficients * n * np.pi
         lam = rates[:, None] + rates[None, :]
-        decay = (1.0 - np.exp(-lam * horizon)) / lam
+        decay = -np.expm1(-lam * horizon) / lam  # no cancellation at small lam * horizon
         sign = 1.0 + np.outer((-1.0) ** n, (-1.0) ** n)
         total = np.sum(np.outer(c, c) * sign * decay)
         return float(np.sqrt(total))

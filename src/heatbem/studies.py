@@ -17,6 +17,7 @@ import warnings
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import L2_GAUSS_ORDER, StudyRecord, condition_number, eoc, l2_error
 from .galerkin import (
@@ -133,23 +134,34 @@ def _preconditioner(name: str, mats: OperatorMatrices) -> Preconditioner:
 def _calderon_form(E, P, mats: OperatorMatrices) -> np.ndarray:
     """M^-1 E M^-1 P of two full matrices, or of two halves (whose mass is one side's)."""
     m = mats.mass[:len(E)]
-    if mats.toeplitz:  # M = h I, h a power of two: bitwise E / outer(m, m) @ P
-        out = E @ P
-        out /= m[0] * m[0]
-        return out
     return E / np.outer(m, m) @ P
+
+
+def _hankel_flips(mats: OperatorMatrices, name: str):
+    """J T, J the row reversal, of each half T of V or ("calderon") C^-1 V on a Toeplitz
+    mesh: the read-only symmetric view H[i, j] = c[i + j], c being T's first column
+    reversed and zero-padded to 2n - 1, so sigma(T) = |lambda(H)|.  Lower-triangular
+    Toeplitz matrices multiply to one: C^-1 V's columns are D's and V's convolved / h^2."""
+    cols, h = mats.operator("V").columns, mats.mass[0]
+    n = cols.shape[1]
+    if name == "calderon":
+        cols = [np.convolve(e, v)[:n] / (h * h) for e, v in zip(mats.operator("D").columns, cols)]
+    return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
 
 
 def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig) -> None:
     """The requested kappa columns of ``rec``, each from a form built for it alone.
 
-    sv reads the halves of a mirror mesh, one live at a time; eig reads the one
-    2 x 2 slab block of a Toeplitz mesh (causality leaves D's and V's blocks the
-    only terms of C^-1 V's) and elsewhere the full matrix's slabs.
+    sv reads the Hankel flips of a Toeplitz mesh's halves (no n x n product, one
+    eigvalsh each), the halves of another mirror mesh, one live at a time, and
+    elsewhere the full matrix; eig reads the one 2 x 2 slab block of a Toeplitz mesh
+    (causality leaves D's and V's blocks the only terms of C^-1 V's) and elsewhere
+    the full matrix's slabs.
     """
     mesh, d = mats.mesh, mats.operator("V").diagonal()
     systems = {  # kind -> form; diag(V) is constant, so diag is copied, on a Toeplitz mesh
         "V": {"full": lambda: mats.V, "halves": lambda: mats.halves("V"),
+              "hankel": lambda: _hankel_flips(mats, "V"),
               "slab": lambda: mats.slab("V")},
         "diag": {"full": lambda: mats.V / d[:, None],
                  "halves": lambda: mirror_halves(mats.V / d[:, None], mesh.n_left)},
@@ -157,9 +169,11 @@ def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConf
         "calderon": {"full": lambda: _calderon_form(mats.D, mats.V, mats),
                      "halves": lambda: map(lambda E, P: _calderon_form(E, P, mats),
                                            mats.halves("D"), mats.halves("V")),
+                     "hankel": lambda: _hankel_flips(mats, "calderon"),
                      "slab": lambda: _calderon_form(mats.slab("D"), mats.slab("V"), mats)},
     }
-    kinds = {"sv": "halves" if mesh.mirror else "full", "eig": "slab" if mats.toeplitz else "full"}
+    kinds = {"sv": "hankel" if mats.toeplitz else "halves" if mesh.mirror else "full",
+             "eig": "slab" if mats.toeplitz else "full"}
     conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
     for name, forms in systems.items():
         if name == "diag" and name in cfg.preconds and np.all(d == d[0]):
@@ -291,6 +305,8 @@ def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
     mesh = uniform_mesh(HORIZON, cfg.max_level, INTERVAL)
     mats = assemble_all(mesh, problem.alpha)  # V and D stay unformed unless dumped
     f = assemble_rhs(mesh, problem)
+    if problem.u0 is not None and not np.any(f):  # GMRES would return w = 0 as solved
+        raise NumericalError(f"right-hand side is exactly zero at alpha={cfg.alpha:g}")
     prec = _preconditioner("calderon", mats)
     report = gmres(mats.operator("V"), f, tol=cfg.tol, preconditioner=prec)
     if not report.converged:

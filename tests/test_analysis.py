@@ -71,6 +71,48 @@ class TestConditionNumber:
         with pytest.raises(NumericalError):
             condition_number((np.eye(2), A), method)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_symmetric_reported(self, bad):
+        A = np.eye(4)
+        A[1, 1] = bad
+        with pytest.raises(NumericalError):
+            condition_number(A)
+
+    @staticmethod
+    def svd_ratio(*mats):
+        s = np.concatenate([np.linalg.svd(A, compute_uv=False) for A in mats])
+        return float(s.max() / s.min())
+
+    def test_symmetric_takes_eigvalsh(self, monkeypatch):
+        # sigma = |lambda| of an exactly symmetric matrix, indefinite ones included
+        rng = np.random.default_rng(21)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        for n in (1, 2, 7, 40, 200):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n)
+            A = q @ np.diag(lam) @ q.T
+            A = 0.5 * (A + A.T)  # bitwise symmetric
+            B = q @ np.diag(np.abs(lam)) @ q.T
+            halves = (A, 0.5 * (B + B.T))
+            kappa = np.abs(lam).max() / np.abs(lam).min()
+            assert condition_number(A) == pytest.approx(self.svd_ratio(A), rel=1e-13, abs=0)
+            assert condition_number(A) == pytest.approx(kappa, rel=1e-13, abs=0)
+            assert condition_number(halves) == pytest.approx(self.svd_ratio(*halves), rel=1e-13)
+        assert len(calls) == 4 * 5  # A twice, then both halves
+
+    def test_non_symmetric_is_the_svd_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # never reached
+        for n in (2, 7, 40, 200):
+            A, B = rng.standard_normal((2, n, n)) + 3.0 * np.sqrt(n) * np.eye(n)
+            S = 0.5 * (A + A.T)
+            S[0, 1] = np.nextafter(S[0, 1], np.inf)  # one ulp off symmetric
+            for mats in ((A,), (S,), (A, B)):
+                got = condition_number(mats[0] if len(mats) == 1 else mats)
+                assert got == self.svd_ratio(*mats), n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             condition_number(np.ones((2, 3)))

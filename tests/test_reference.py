@@ -1,7 +1,9 @@
 """Sine-series reference solutions: coefficients, flux, interior values."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,6 +107,23 @@ class TestFlux:
         # the rows cover: all modes kept (small t, and t = 0), only mode 1 kept
         assert cutoffs[:6] == [2048, 2048, 3, 1, 2048, 68]
 
+    def test_mode_count_takes_no_rows_by_modes_array(self):
+        # 300 rows of 8 times against 2048 modes: one rows x n_max float array would be
+        # 4.9 MB; the row blocks of the count keep the peak below 1 MB, bitwise
+        series = example2_series()
+        rows = np.geomspace(2.0 ** -19, 1.0, 2401)[:-1].reshape(300, 8)
+        series.flux(Side.LEFT, rows[:2])  # warm caches
+        tracemalloc.start()
+        try:
+            got = series.flux(Side.LEFT, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+        for row, vals in zip(rows, got):
+            assert np.array_equal(vals, series.flux(Side.LEFT, row))
+            assert np.array_equal(vals, self.one_batch_flux(series, Side.LEFT, row)[0])
+
     def test_truncation_control(self):
         # doubling n_max moves the flux by less than 1e-10 at resolved times
         coarse = example2_series(n_max=256)
@@ -120,6 +139,25 @@ class TestFlux:
         assert series.flux_l2_norm(1.0) == pytest.approx(
             math.sqrt(1.0 - math.exp(-8.0 * np.pi ** 2)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e16, 1e18, 1e20])
+    @pytest.mark.parametrize("series", [example1_series, lambda alpha: example2_series(alpha, 64)],
+                             ids=["example1", "example2_64"])
+    def test_l2_norm_against_mpmath(self, series, alpha):
+        # at large alpha lam T is tiny, and 1 - exp(-lam T) in doubles cancels (example 1
+        # would read 8.878, 10.54 and 0 at alpha = 1e16, 1e18 and 1e20, not 8.886)
+        s = series(alpha)
+        with mpmath.workdps(40):
+            n = range(1, s.n_max + 1)
+            c = [mpmath.mpf(b) * k * mpmath.pi for b, k in zip(s.coefficients, n)]
+            rate = [k * k * mpmath.pi ** 2 / mpmath.mpf(alpha) for k in n]
+            total = mpmath.fsum(
+                c[i] * c[j] * (1 + (-1) ** (i + j)) * -mpmath.expm1(-(rate[i] + rate[j]))
+                / (rate[i] + rate[j])
+                for i in range(s.n_max) for j in range(s.n_max)
+            )
+            expected = float(mpmath.sqrt(total))
+        assert s.flux_l2_norm(1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestInterior:

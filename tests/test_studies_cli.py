@@ -6,13 +6,14 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from test_galerkin import graded_mesh, nonuniform_mesh
 
 from heatbem import cli, galerkin, studies
-from heatbem.analysis import condition_number
+from heatbem.analysis import StudyRecord, condition_number
 from heatbem.cli import main
 from heatbem.galerkin import (
     DiscreteFlux,
@@ -304,15 +305,58 @@ class TestToeplitzLevels:
             studies._level_record(nonuniform_mesh(), problem, series, cfg, 0, None)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_scaled_calderon_products_are_bitwise_the_outer_form(self, alpha):
+    def test_hankel_flips_are_the_flipped_dense_halves(self, alpha):
         for lv in range(10):
             mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
+            flips = studies._hankel_flips(mats, "V")
+            for H, T in zip(flips, mats.halves("V")):
+                assert np.array_equal(H, T[::-1]) and np.array_equal(H, H.T), lv
+            # the halves of C^-1 V, flipped from their first columns by convolution, are
+            # the flipped formed products to rounding
+            m = mats.mass[:n]
+            flips = studies._hankel_flips(mats, "calderon")
+            for H, E, P in zip(flips, mats.halves("D"), mats.halves("V")):
+                formed = (E / np.outer(m, m) @ P)[::-1]
+                assert np.array_equal(H, H.T), lv
+                assert np.abs(H - formed).max() <= 1e-15 * np.abs(H).max(), lv
+
+    @pytest.mark.parametrize("alpha", [0.01, *ALPHAS])
+    def test_sv_kappa_is_the_dense_svd(self, alpha):
+        # the Hankel eigensolves against the svd of the full N x N matrices
+        cfg = ExperimentConfig(alpha=alpha)
+        for lv in range(10):
+            mats = assemble_all(uniform_mesh(1.0, lv), alpha)
+            rec = StudyRecord(L=lv, N=mats.mesh.n_elements, l2_error=0.0)
+            studies._kappa_columns(rec, mats, cfg)
+            assert not {"V", "D"} & set(vars(mats))
             m = mats.mass
-            assert np.array_equal(studies._calderon_form(mats.D, mats.V, mats),
-                                  mats.D / np.outer(m, m) @ mats.V), lv
-            for E, P in zip(mats.halves("D"), mats.halves("V")):
-                assert np.array_equal(studies._calderon_form(E, P, mats),
-                                      E / np.outer(m[:n], m[:n]) @ P), lv
+            for got, A in ((rec.kappa_V_sv, mats.V),
+                           (rec.kappa_calderon_sv, mats.D / np.outer(m, m) @ mats.V)):
+                s = np.linalg.svd(A, compute_uv=False)
+                assert got == pytest.approx(s.max() / s.min(), rel=1e-14, abs=0.0), lv
+
+    @staticmethod
+    def mp_lower_toeplitz(c):
+        """The lower-triangular Toeplitz matrix of first column c, exact in mpmath."""
+        n = len(c)
+        return mpmath.matrix([[c[i - j] if i >= j else 0 for j in range(n)] for i in range(n)])
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 2.0 * np.pi ** 2])
+    def test_sv_kappa_against_mpmath(self, alpha):
+        # 40-digit singular values of the halves, formed in mpmath from the same symbols
+        cfg = ExperimentConfig(alpha=alpha)
+        for lv in range(6):
+            mats = assemble_all(uniform_mesh(1.0, lv), alpha)
+            rec = StudyRecord(L=lv, N=mats.mesh.n_elements, l2_error=0.0)
+            studies._kappa_columns(rec, mats, cfg)
+            with mpmath.workdps(40):
+                v, d = ([self.mp_lower_toeplitz(c) for c in mats.operator(name).columns]
+                        for name in "VD")
+                h2 = mpmath.mpf(mats.mass[0]) ** 2
+                for got, halves in ((rec.kappa_V_sv, v),
+                                    (rec.kappa_calderon_sv, [E * P / h2 for E, P in zip(d, v)])):
+                    s = [x for T in halves for x in mpmath.svd_r(T, compute_uv=False)]
+                    assert got == pytest.approx(float(max(s) / min(s)), rel=1e-14, abs=0.0), lv
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_slab_eig_kappa_is_the_dense_one_bitwise(self, alpha):
@@ -326,17 +370,18 @@ class TestToeplitzLevels:
             assert condition_number(slab, "eig") == condition_number(full, "eig", mesh.slabs), lv
 
     def test_peak_at_the_kappa_cap(self, monkeypatch):
-        # eig reads the 2 x 2 slab blocks of the symbols and sv the n x n halves (a
-        # quarter unit each), one at a time: no V, K or D is formed at the cap
-        for kappa, bound in (("both", 1.35), ("eig", 0.3)):
+        # eig reads the 2 x 2 slab blocks of the symbols and sv the Hankel views of the
+        # halves' columns: no V, K or D is formed at the cap, and the peak (0.231 units
+        # either way) is GMRES's Krylov basis
+        for kappa, bound in (("both", 0.25), ("eig", 0.25)):
             peak, mats = self.traced_record(9, monkeypatch, kappa_convention=kappa)
             assert peak <= bound, kappa
             assert not {"V", "K", "D"} & set(vars(mats)), kappa
 
     def test_sv_kappa_forms_no_v_or_d(self, monkeypatch):
-        # the sv columns read n x n halves from the symbols, and GMRES the FFT operators
+        # the sv columns read the halves' first columns, and GMRES the FFT operators
         peak, mats = self.traced_record(9, monkeypatch, kappa_convention="sv")
-        assert peak <= 1.35
+        assert peak <= 0.25
         assert not {"V", "K", "D"} & set(vars(mats))
 
     @pytest.mark.parametrize("level", [10, 11])
@@ -787,6 +832,17 @@ class TestCli:
             assert main([*argv, "--out", str(tmp_path / "a")]) == 3
         assert "numerical failure:" in capsys.readouterr().err
         assert not list((tmp_path / "a").glob("table*"))
+
+    def test_solve_with_a_zero_rhs_exits_3(self, tmp_path, capsys):
+        # the initial potential underflows to an all-zero right-hand side at this alpha;
+        # GMRES would report w = 0 after 0 iterations as a solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            argv = ["solve", "--alpha", "1e300", "--level", "2", "--out", str(tmp_path / "a")]
+            assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "numerical failure: right-hand side is exactly zero at alpha=1e+300" in err
+        assert "solved" not in out and not list((tmp_path / "a").glob("flux_*"))
 
     def test_bad_config_value_exits_2(self, tmp_path):
         code = main(["study-uniform", "--levels", "20", "--out", str(tmp_path / "y")])
