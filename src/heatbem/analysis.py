@@ -20,7 +20,6 @@ __all__ = [
     "element_means",
     "l2_error",
     "eoc",
-    "ellipticity_margin",
 ]
 
 L2_GAUSS_ORDER = 8  # Gauss points per element of the L2 flux error
@@ -148,10 +147,3 @@ def eoc(errors) -> list[float]:
             out.append(math.log2(prev / cur))
     return out
 
-
-def ellipticity_margin(A) -> float:
-    """Smallest eigenvalue of the symmetric part (A + A^T)/2."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("need a square matrix")
-    return float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())

@@ -5,7 +5,6 @@ Commands
 study-uniform    dyadic refinement study, emits table1.csv / table1.md
 study-adaptive   adaptive refinement study, emits table2.csv / table2.md
 solve            one solve plus interior evaluations on a point list
-check-invariants cross-check battery over the whole pipeline
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 """
@@ -44,12 +43,6 @@ def _precond_set(text: str) -> tuple[str, ...]:
     if text not in (*PRECOND_CHOICES, "all"):
         raise argparse.ArgumentTypeError(f"invalid choice: {text!r}")
     return PRECOND_CHOICES if text == "all" else (text,)
-
-
-def _seed(text: str) -> int:
-    if (value := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
 
 
 _DEFAULTS = {"level": 4}  # keys whose default is not their field's: solve at N = 32
@@ -106,9 +99,6 @@ def _parser() -> argparse.ArgumentParser:
                           ("study-adaptive", "adaptive refinement study"),
                           ("solve", "single solve with interior samples")):
         _command_flags(sub.add_parser(command, help=text, allow_abbrev=False), command)
-
-    p_chk = sub.add_parser("check-invariants", help="run the cross-check battery")
-    p_chk.add_argument("--seed", type=_seed, default=1234)
     return ap
 
 
@@ -236,30 +226,12 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_invariants(args) -> int:
-    from .verification import run_invariant_battery
-
-    results = run_invariant_battery(rng_seed=args.seed)
-    failed = 0
-    for res in results:
-        mark = "ok" if res["ok"] else "FAIL"
-        detail = f"  ({res['detail']})" if res["detail"] else ""
-        sys.stdout.write(f"[{mark:>4}] {res['name']}{detail}\n")
-        failed += 0 if res["ok"] else 1
-    if failed:
-        sys.stdout.write(f"{failed} invariant check(s) failed\n")
-        return EXIT_NUMERICAL
-    sys.stdout.write(f"all {len(results)} invariant checks passed\n")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv)
     handlers = {
         "study-uniform": _cmd_study,
         "study-adaptive": _cmd_study,
         "solve": _cmd_solve,
-        "check-invariants": _cmd_check_invariants,
     }
     try:
         return handlers[args.command](args)

@@ -245,12 +245,6 @@ class OperatorMatrices:
             raise NumericalError("solve produced non-finite entries")
         return w
 
-    def halves(self, name: str):
-        """P + Q, then P - Q, of V, K or D = [[P, Q], [Q, P]] on a mirror mesh, each formed
-        from the dense matrix when read.  On a Toeplitz mesh those of V and D are
-        lower-triangular Toeplitz with first columns ``operator(name).columns``."""
-        return mirror_halves(getattr(self, name), self.mesh.n_left)
-
     def slab(self, name: str) -> np.ndarray:
         """[[p0, q0], [q0, p0]], the lag-0 entries of P and Q of V or D on a Toeplitz
         mesh: bitwise the diagonal block of every slab of the dense matrix."""

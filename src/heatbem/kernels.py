@@ -30,8 +30,6 @@ __all__ = [
     "QuadratureError",
     "erfc",
     "heat_kernel",
-    "kernel_dx",
-    "kernel_dt",
     "primitive_I0",
     "primitive_I1",
     "primitive_J0",
@@ -74,28 +72,6 @@ def _g(d, t, alpha):
 def heat_kernel(d, tau, alpha=1.0):
     """Free-space heat kernel G(d, tau); exactly 0 for tau <= 0."""
     return _causal(_g, d, tau, alpha, flush=True)
-
-
-def kernel_dx(d, tau, alpha=1.0):
-    """Spatial derivative dG/dd = -(alpha d / (2 tau)) G; odd in d."""
-    def g_dx(d, t, alpha):  # keeps its own association, not -(...) * _g
-        return -(alpha * d / (2.0 * t)) * np.sqrt(alpha / (4.0 * np.pi * t)) * np.exp(
-            -alpha * d * d / (4.0 * t)
-        )
-
-    return _causal(g_dx, d, tau, alpha, flush=True)
-
-
-def kernel_dt(d, tau, alpha=1.0):
-    """Time derivative dG/dtau = G * (alpha d^2/(4 tau^2) - 1/(2 tau)).
-
-    Satisfies the heat identity d2G/dd2 = alpha * dG/dtau for tau > 0.
-    The point (d=0, tau -> 0+) is singular; callers must keep away from it.
-    """
-    def g_dt(d, t, alpha):
-        return _g(d, t, alpha) * (alpha * d * d / (4.0 * t * t) - 1.0 / (2.0 * t))
-
-    return _causal(g_dt, d, tau, alpha, flush=True)
 
 
 def _causal_terms(d, t, alpha):
@@ -161,9 +137,10 @@ def primitive_J0(d, tau, alpha=1.0):
 def primitive_I1(d, tau, alpha=1.0):
     """d-derivative of primitive_I0: -sign(d) (alpha/2) erfc(sqrt(alpha)|d|/(2 sqrt(tau))).
 
-    Odd in d.  The two one-sided limits at d = 0 differ (-+ alpha tau/2 ... no
-    time growth here: -+ alpha/2 erfc(0)); the symmetrized value 0 is returned,
-    consistent with its only use on cross-side element pairs where d != 0.
+    Odd in d and discontinuous at d = 0: the one-sided limits are -alpha/2 as
+    d -> 0+ and +alpha/2 as d -> 0- (erfc(0) = 1 for every tau > 0).  At d = 0
+    the symmetrized value 0 is returned; its one use, the initial Neumann
+    moments, evaluates it at Gauss nodes inside the interval, where d != 0.
     """
     return _causal(_with_terms(_i1), d, tau, alpha)
 

@@ -119,6 +119,8 @@ def gmres(
 
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
+        if np.any(b):
+            raise NumericalError("||b|| underflows to 0 for a nonzero right-hand side")
         return SolveReport(
             solution=np.zeros(n),
             iterations=0,

@@ -101,16 +101,6 @@ class SineSeries:
             vals[same] = np.exp(-(rows[same][:, :, None] * rates[:k])) @ c[:k]
         return float(vals[0, 0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
 
-    def flux_l2_norm(self, horizon: float) -> float:
-        """Exact L2(Sigma) norm of the flux over both sides up to ``horizon``."""
-        n, rates = self._modes()
-        c = self.coefficients * n * np.pi
-        lam = rates[:, None] + rates[None, :]
-        decay = -np.expm1(-lam * horizon) / lam  # no cancellation at small lam * horizon
-        sign = 1.0 + np.outer((-1.0) ** n, (-1.0) ** n)
-        total = np.sum(np.outer(c, c) * sign * decay)
-        return float(np.sqrt(total))
-
 
 def example1_series(alpha: float = 1.0, n_max: int = 8) -> SineSeries:
     """Closed-form expansion of sin(2 pi x): b_2 = 1."""

@@ -160,7 +160,7 @@ def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConf
     """
     mesh, d = mats.mesh, mats.operator("V").diagonal()
     systems = {  # kind -> form; diag(V) is constant, so diag is copied, on a Toeplitz mesh
-        "V": {"full": lambda: mats.V, "halves": lambda: mats.halves("V"),
+        "V": {"full": lambda: mats.V, "halves": lambda: mirror_halves(mats.V, mesh.n_left),
               "hankel": lambda: _hankel_flips(mats, "V"),
               "slab": lambda: mats.slab("V")},
         "diag": {"full": lambda: mats.V / d[:, None],
@@ -168,7 +168,8 @@ def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConf
         # the formed product is not bitwise mirror, D's and V's halves are
         "calderon": {"full": lambda: _calderon_form(mats.D, mats.V, mats),
                      "halves": lambda: map(lambda E, P: _calderon_form(E, P, mats),
-                                           mats.halves("D"), mats.halves("V")),
+                                           mirror_halves(mats.D, mesh.n_left),
+                                           mirror_halves(mats.V, mesh.n_left)),
                      "hankel": lambda: _hankel_flips(mats, "calderon"),
                      "slab": lambda: _calderon_form(mats.slab("D"), mats.slab("V"), mats)},
     }

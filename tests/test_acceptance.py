@@ -53,6 +53,13 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import (
+    entry_defect,
+    heat_identity_defect,
+    min_ellipticity_margin,
+    primitive_quadrature_defect,
+    singular_pair,
+)
 
 from heatbem.galerkin import (
     DiscreteFlux,
@@ -68,13 +75,6 @@ from heatbem.krylov import direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, uniform_mesh
 from heatbem.reference import example1_initial_datum, example1_series
 from heatbem.studies import ExperimentConfig, run_adaptive_study, run_uniform_study
-from heatbem.verification import (
-    entry_defect,
-    heat_identity_defect,
-    min_ellipticity_margin,
-    primitive_quadrature_defect,
-    singular_pair,
-)
 
 # Table targets (uniform study): level -> (error, kappa_V, it_none, kappa_CV, it_cald)
 TABLE1_ERROR = {2: 0.658, 3: 0.324, 4: 0.160, 5: 0.079, 6: 0.040, 7: 0.020, 8: 0.010}

@@ -8,9 +8,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import (
+    ellipticity_margin,
+    entry_defect,
+    min_ellipticity_margin,
+    rhs_moment_oracle,
+    singular_pair,
+)
 
 from heatbem import galerkin
-from heatbem.analysis import ellipticity_margin
 from heatbem.galerkin import (
     DiscreteFlux,
     OperatorMatrices,
@@ -37,12 +43,6 @@ from heatbem.krylov import NumericalError, direct_solve
 from heatbem.mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
 from heatbem.reference import example1_initial_datum, example2_initial_datum
 from heatbem.studies import ExperimentConfig, run_adaptive_study
-from heatbem.verification import (
-    entry_defect,
-    min_ellipticity_margin,
-    rhs_moment_oracle,
-    singular_pair,
-)
 
 ALPHA = 1.0
 
@@ -201,6 +201,12 @@ class TestSingleLayer:
         diags = [OperatorMatrices(uniform_mesh(1.0, L), ALPHA).V[0, 0] for L in (2, 3, 4)]
         for coarse, fine in zip(diags, diags[1:]):
             assert coarse / fine == pytest.approx(2.0 ** 1.5, rel=1e-12)
+
+    def test_entries_vs_oracle(self):
+        # every entry, the diagonal and the overlapping same-side pairs included
+        mats = assemble_all(uniform_mesh(1.0, 2), ALPHA)
+        n = mats.mesh.n_elements
+        assert entry_defect(mats, [("V", i, j) for i in range(n) for j in range(n)]) <= 1e-10
 
     def test_alpha_dependence_matches_oracle(self):
         mats = assemble_all(uniform_mesh(1.0, 1), 2.5)
@@ -437,7 +443,8 @@ class TestMirrorToeplitzSolve:
             for kind in "VD":
                 dense = getattr(mats, kind)
                 assert np.array_equal(mats.operator(kind).diagonal(), np.diag(dense)), lv
-                for got, ref in zip(mats.halves(kind), galerkin.mirror_halves(dense, n)):
+                P, Q = dense[:n, :n], dense[:n, n:]
+                for got, ref in zip(galerkin.mirror_halves(dense, n), (P + Q, P - Q)):
                     assert got.flags.c_contiguous and got.flags.writeable
                     assert np.array_equal(got, ref) and np.array_equal(
                         np.signbit(got), np.signbit(ref)), (lv, kind)
@@ -463,7 +470,9 @@ class TestMirrorToeplitzSolve:
     def test_halves_off_the_toeplitz_meshes_are_the_dense_ones(self):
         mats = assemble_all(mirror_graded_mesh(), ALPHA)
         assert not mats.toeplitz and mats.mesh.mirror
-        for got, ref in zip(mats.halves("D"), galerkin.mirror_halves(mats.D, mats.mesh.n_left)):
+        n = mats.mesh.n_left
+        P, Q = mats.D[:n, :n], mats.D[:n, n:]
+        for got, ref in zip(galerkin.mirror_halves(mats.D, n), (P + Q, P - Q)):
             assert np.array_equal(got, ref)
 
 

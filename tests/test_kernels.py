@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import heat_identity_defect, kernel_dt, kernel_dx, primitive_quadrature_defect
 
 from heatbem.kernels import (
     QuadratureError,
     adaptive_quadrature,
     erfc,
     heat_kernel,
-    kernel_dt,
-    kernel_dx,
     primitive_I0,
     primitive_I1,
     primitive_J0,
     primitive_J1,
 )
-from heatbem.verification import heat_identity_defect, primitive_quadrature_defect
 
 
 class TestErfc:
