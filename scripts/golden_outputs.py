@@ -10,7 +10,7 @@ this on both versions and comparing with one ``diff -r``:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 4.3 s on 2 cores; no command takes more than 1 s of it.
+Takes about 4.4 s on 2 cores (median of 3 runs); no command takes more than 1 s of it.
 """
 
 import contextlib
@@ -41,6 +41,10 @@ COMMANDS = {
     "adaptive_ex2_eig": ["study-adaptive", "--example", "2", "--target-n", "60",
                          "--kappa", "eig"],
     "adaptive_ex2_both": ["study-adaptive", "--example", "2", "--target-n", "278",
+                          "--kappa", "both"],
+    # mirror meshes that are not Toeplitz: the sv halves, the Calderon half products
+    # and the 2 x 2 slab stacks of the formed matrices
+    "adaptive_ex1_both": ["study-adaptive", "--example", "1", "--target-n", "278",
                           "--kappa", "both"],
 }
 

@@ -31,12 +31,12 @@ class StudyRecord:
 
     The fields are the table columns, in order.  Condition numbers carry both
     conventions: ``*_sv`` is the singular-value ratio, ``*_eig`` the
-    eigenvalue-modulus ratio of the same explicitly formed matrix, taken from
-    its slab blocks by one batched eigensolve per slab size (see
-    condition_number).  Where diag(V) is constant (every uniform level),
-    diag^-1 V is V over a scalar, so the kappa_diag_* entries are copied
-    from kappa_V_*.  Entries are None when the stage was skipped
-    (preconditioner not requested, N above the kappa cap).
+    eigenvalue-modulus ratio of the same matrix, both reduced from the pieces
+    that ``studies._spectral_pieces`` splits it into (see condition_number).
+    Where diag(V) is constant (every uniform level), diag^-1 V is V over a
+    scalar, so the kappa_diag_* entries are copied from kappa_V_*.  Entries
+    are None when the stage was skipped (preconditioner not requested, N
+    above the kappa cap).
     """
 
     L: int
@@ -54,50 +54,37 @@ class StudyRecord:
     it_calderon: int | None = None
 
 
-def condition_number(A, method: str = "sv", blocks=None) -> float:
-    """Condition number of a dense matrix, or of a mirror matrix given by its halves.
+def condition_number(pieces, method: str = "sv") -> float:
+    """Condition number of a matrix, given whole or by pieces whose spectra together are its.
 
-    method="sv": ratio of extreme singular values, |eigvalsh| of an exactly symmetric
-    matrix (sigma = |lambda|, half the flops of svd) and svd of any other; method="eig":
-    ratio of extreme eigenvalue moduli over the diagonal blocks that ``blocks`` indexes
-    (None: A is one block).  Raises NumericalError when the matrix is singular
-    to working precision or LAPACK fails.  An iterable (P + Q, P - Q) other than
-    an ndarray stands for the mirror matrix [[P, Q], [Q, P]], which (u, v) ->
-    (u + v, u - v)/sqrt(2) maps to diag(P + Q, P - Q); each half is reduced to
-    its extremes before the next is read, so a lazy one keeps one half live.
-
-    Causality makes V, D and the preconditioned matrices block lower
-    triangular over the mesh's slabs (2 x 2 blocks on uniform meshes), so
-    their spectra come from the slab blocks, one batched eigensolve per slab
-    size, instead of one dense eigensolve of a highly defective matrix.  A
-    large, strongly non-normal slab (graded meshes) still limits the accuracy.
+    ``pieces`` is one ndarray (the matrix), or an iterable of square arrays and
+    (k, s, s) stacks, each reduced to its extremes before the next is read (a lazy
+    iterable keeps one piece live).  method="sv": ratio of extreme singular values,
+    |eigvalsh| of an exactly symmetric piece (half the flops) and svd of any other;
+    method="eig": ratio of extreme eigenvalue moduli, one eigvals call per piece (a
+    stack's is bitwise its blocks').  Raises NumericalError when the matrix is
+    singular to working precision or LAPACK fails.  The studies split a mirror
+    matrix [[P, Q], [Q, P]] into P + Q and P - Q, and a block lower triangular one
+    (causality, over the mesh's slabs) into its diagonal blocks.
     """
     if method not in ("sv", "eig"):
         raise ValueError(f"unknown convention {method!r}")
-    halves = not isinstance(A, np.ndarray)
-    if halves and blocks is not None:
-        raise ValueError("eig blocks index one full matrix, not mirror halves")
-    by_size = {}  # one (k, s, s) stack, one eigvals call, per slab size
-    for idx in blocks if blocks is not None else ():
-        by_size.setdefault(len(idx), []).append(idx)
-    stacks = [np.array(ix) for ix in by_size.values()]
     lo, hi = math.inf, 0.0
-    for P in A if halves else (A,):
+    for P in (pieces,) if isinstance(pieces, np.ndarray) else pieces:
         P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("need a square matrix")
+        if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
+            raise ValueError("need square pieces")
         try:
-            if method == "sv" and np.array_equal(P, P.T):  # False with a NaN: svd reports it
+            if method == "eig":
+                s = np.abs(np.linalg.eigvals(P))
+            elif np.array_equal(P, np.swapaxes(P, -1, -2)):  # False with a NaN: svd reports it
                 s = np.abs(np.linalg.eigvalsh(P))
-            elif method == "sv":
+            else:
                 s = np.linalg.svd(P, compute_uv=False)
-            else:  # the slab stacks, or P as one block
-                parts = (P[ix[:, :, None], ix[:, None, :]] for ix in stacks) if stacks else [P]
-                s = np.abs(np.concatenate([np.linalg.eigvals(B).ravel() for B in parts]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{method} condition number failed: {exc}") from exc
         lo, hi = np.minimum(lo, s.min()), np.maximum(hi, s.max())  # a NaN propagates
-        del P  # before the loop reads the next half
+        del P  # before the loop reads the next piece
     if not lo > 1e-14 * hi:
         raise NumericalError(f"matrix is numerically singular ({method} ratio > 1e14 or NaN)")
     return float(hi / lo)

@@ -73,6 +73,8 @@ _COMMAND_KEYS = {
                        "target_n", "max_steps"),
     "solve": ("example", "alpha", "level", "tol"),
 }
+# The ExperimentConfig fields each command's driver reads: its meta.txt echoes these.
+_READ_FIELDS = {cmd: {_OPTIONS[key][0] for key in keys} for cmd, keys in _COMMAND_KEYS.items()}
 
 
 def _command_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -175,7 +177,7 @@ def _cmd_study(args) -> int:
     convention = "eig" if cfg.kappa_convention == "eig" else "sv"
     markdown = records_to_markdown(records, style=style, convention=convention)
     (out / f"{table}.md").write_text(markdown)
-    (out / "meta.txt").write_text(meta_text(cfg, args.command))
+    (out / "meta.txt").write_text(meta_text(cfg, args.command, _READ_FIELDS[args.command]))
     for rec, m in zip(records, meshes):
         (out / f"mesh_L{rec.L}.txt").write_text(mesh_mod.dumps(m))
         if args.dump_matrices:  # the studies keep no matrices: assemble again
@@ -209,7 +211,7 @@ def _cmd_solve(args) -> int:
         for line, w in zip(mesh_text.splitlines(), result.flux.coefficients.tolist())
     ]
     (out / f"flux_{tag}.txt").write_text("\n".join(flux_lines) + "\n")
-    (out / "meta.txt").write_text(meta_text(cfg, "solve"))
+    (out / "meta.txt").write_text(meta_text(cfg, "solve", _READ_FIELDS["solve"]))
     if args.dump_matrices:
         _dump_level(out, result.matrices, result.rhs, tag)
     if result.interior_samples:

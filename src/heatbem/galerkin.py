@@ -25,8 +25,8 @@ the vector of its 2n + 1 lags, and each side block is one strided copy of it.
 ``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
 blocks' first columns, applied and (for V) inverted in O(N log N) without an
 N x N array, whose ``columns`` are the first columns of the n x n even/odd
-halves P + Q and P - Q; ``slab`` gives the 2 x 2 slab block of V or D, and
-``solve`` solves V w = f by that inversion there, LU elsewhere.
+halves P + Q and P - Q, and ``solve`` solves V w = f by that inversion there,
+LU elsewhere.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -244,13 +244,6 @@ class OperatorMatrices:
         if not np.all(np.isfinite(w)):
             raise NumericalError("solve produced non-finite entries")
         return w
-
-    def slab(self, name: str) -> np.ndarray:
-        """[[p0, q0], [q0, p0]], the lag-0 entries of P and Q of V or D on a Toeplitz
-        mesh: bitwise the diagonal block of every slab of the dense matrix."""
-        symbols, n = self._toeplitz_symbols(name), self.mesh.n_left
-        p, q = symbols[-1.0, -1.0][n - 1], symbols[-1.0, 1.0][n - 1]
-        return np.array([[p, q], [q, p]])
 
     @cached_property
     def V(self) -> np.ndarray:

@@ -137,54 +137,54 @@ def _calderon_form(E, P, mats: OperatorMatrices) -> np.ndarray:
     return E / np.outer(m, m) @ P
 
 
-def _hankel_flips(mats: OperatorMatrices, name: str):
-    """J T, J the row reversal, of each half T of V or ("calderon") C^-1 V on a Toeplitz
-    mesh: the read-only symmetric view H[i, j] = c[i + j], c being T's first column
-    reversed and zero-padded to 2n - 1, so sigma(T) = |lambda(H)|.  Lower-triangular
-    Toeplitz matrices multiply to one: C^-1 V's columns are D's and V's convolved / h^2."""
-    cols, h = mats.operator("V").columns, mats.mass[0]
-    n = cols.shape[1]
-    if name == "calderon":
-        cols = [np.convolve(e, v)[:n] / (h * h) for e, v in zip(mats.operator("D").columns, cols)]
-    return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
+def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
+    """Pieces of V, diag^-1 V or ("calderon") C^-1 V whose spectra together are the
+    matrix's, for ``condition_number`` in convention ``conv``.
+
+    A Toeplitz mesh forms no n x n product: its pieces come from the first columns
+    c of the halves P + Q and P - Q (C^-1 V's are D's and V's convolved / h^2), and
+    diag^-1 V is V over a scalar.  sv reads each half's row reversal, the symmetric
+    Hankel view H[i, j] = c[n - 1 - i - j] (0 where i + j >= n), sigma = |lambda(H)|;
+    eig reads the halves' diagonals as one stack of 1 x 1 blocks.  Elsewhere sv reads
+    the formed matrix's mirror halves on a mirror mesh (C^-1 V's as products of D's
+    and V's halves: the formed product is not bitwise mirror), else the matrix, and
+    eig its slab blocks, one (k, s, s) stack per slab size.
+    """
+    mesh, n = mats.mesh, mats.mesh.n_left
+    if mats.toeplitz:
+        cols, h = mats.operator("V").columns, mats.mass[0]
+        if name == "calderon":
+            cols = [np.convolve(e, v)[:n] / (h * h)
+                    for e, v in zip(mats.operator("D").columns, cols)]
+        if conv == "eig":
+            return [np.array(cols)[:, :1, None]]
+        return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
+    V = mats.V / mats.V.diagonal()[:, None] if name == "diag" else mats.V
+    if name == "calderon" and conv == "sv" and mesh.mirror:
+        return map(lambda E, P: _calderon_form(E, P, mats), mirror_halves(mats.D, n),
+                   mirror_halves(V, n))
+    A = _calderon_form(mats.D, V, mats) if name == "calderon" else V
+    if conv == "sv":
+        return mirror_halves(A, n) if mesh.mirror else A
+    by_size = {}  # slab size -> its slabs' rows
+    for idx in mesh.slabs:
+        by_size.setdefault(len(idx), []).append(idx)
+    return (A[ix[:, :, None], ix[:, None, :]] for ix in map(np.array, by_size.values()))
 
 
 def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig) -> None:
-    """The requested kappa columns of ``rec``, each from a form built for it alone.
-
-    sv reads the Hankel flips of a Toeplitz mesh's halves (no n x n product, one
-    eigvalsh each), the halves of another mirror mesh, one live at a time, and
-    elsewhere the full matrix; eig reads the one 2 x 2 slab block of a Toeplitz mesh
-    (causality leaves D's and V's blocks the only terms of C^-1 V's) and elsewhere
-    the full matrix's slabs.
-    """
-    mesh, d = mats.mesh, mats.operator("V").diagonal()
-    systems = {  # kind -> form; diag(V) is constant, so diag is copied, on a Toeplitz mesh
-        "V": {"full": lambda: mats.V, "halves": lambda: mirror_halves(mats.V, mesh.n_left),
-              "hankel": lambda: _hankel_flips(mats, "V"),
-              "slab": lambda: mats.slab("V")},
-        "diag": {"full": lambda: mats.V / d[:, None],
-                 "halves": lambda: mirror_halves(mats.V / d[:, None], mesh.n_left)},
-        # the formed product is not bitwise mirror, D's and V's halves are
-        "calderon": {"full": lambda: _calderon_form(mats.D, mats.V, mats),
-                     "halves": lambda: map(lambda E, P: _calderon_form(E, P, mats),
-                                           mirror_halves(mats.D, mesh.n_left),
-                                           mirror_halves(mats.V, mesh.n_left)),
-                     "hankel": lambda: _hankel_flips(mats, "calderon"),
-                     "slab": lambda: _calderon_form(mats.slab("D"), mats.slab("V"), mats)},
-    }
-    kinds = {"sv": "hankel" if mats.toeplitz else "halves" if mesh.mirror else "full",
-             "eig": "slab" if mats.toeplitz else "full"}
+    """The requested kappa columns of ``rec``, each reduced from its spectral pieces;
+    where diag(V) is constant (every Toeplitz mesh), diag^-1 V = V / d[0] and, kappa
+    being scale invariant, its columns are copied from V's."""
+    d = mats.operator("V").diagonal()
     conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
-    for name, forms in systems.items():
-        if name == "diag" and name in cfg.preconds and np.all(d == d[0]):
-            for conv in conventions:  # diag^-1 V = V / d[0]; kappa is scale invariant
-                setattr(rec, f"kappa_diag_{conv}", getattr(rec, f"kappa_V_{conv}"))
-        elif name == "V" or name in cfg.preconds:
-            for conv in conventions:
-                kind = kinds[conv]
-                blocks = mesh.slabs if conv == "eig" and kind == "full" else None
-                setattr(rec, f"kappa_{name}_{conv}", condition_number(forms[kind](), conv, blocks))
+    for name in ("V", *(p for p in ("diag", "calderon") if p in cfg.preconds)):
+        for conv in conventions:
+            if name == "diag" and np.all(d == d[0]):
+                kappa = getattr(rec, f"kappa_V_{conv}")
+            else:
+                kappa = condition_number(_spectral_pieces(mats, name, conv), conv)
+            setattr(rec, f"kappa_{name}_{conv}", kappa)
 
 
 def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
@@ -193,7 +193,7 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
 
     The flux and GMRES read V and D only through ``mats.solve`` and
     ``mats.operator``; the kappa cap decides only whether the kappa columns
-    are computed, the one stage that forms a matrix on a uniform mesh.
+    are computed.
     """
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
@@ -397,14 +397,14 @@ def records_to_markdown(records, style: str = "uniform", convention: str = "sv")
     return _md_table([header for header, _, _ in columns], rows)
 
 
-def meta_text(cfg: ExperimentConfig, command: str) -> str:
-    """Deterministic run metadata (config echo plus standing assumptions); ``solve``
-    echoes only the fields it reads and no line on the table columns."""
+def meta_text(cfg: ExperimentConfig, command: str, read) -> str:
+    """Deterministic run metadata: the command, the fields of ``cfg`` that it reads
+    (``read``, echoed in field order), and the standing assumptions; ``solve``
+    writes no line on the table columns."""
     study = command != "solve"
-    echoed = [f.name for f in fields(cfg)] if study else ["example", "alpha", "max_level", "tol"]
     lines = [
         f"command={command}",
-        *(f"{name}={_fmt(getattr(cfg, name))}" for name in echoed),
+        *(f"{f.name}={_fmt(getattr(cfg, f.name))}" for f in fields(cfg) if f.name in read),
         f"horizon={_fmt(HORIZON)}",
         f"interval={_fmt(INTERVAL)}",
         *[f"gauss_order={L2_GAUSS_ORDER}"] * study,
@@ -415,7 +415,7 @@ def meta_text(cfg: ExperimentConfig, command: str) -> str:
         "#   residual ||b - A x|| / ||b|| <= tol (preconditioner independent)",
         *[
             "# kappa columns: sv = singular-value ratio, eig = eigenvalue-modulus",
-            "#   ratio of the explicitly formed (preconditioned) matrix",
+            "#   ratio of the (preconditioned) matrix",
             "# kappa_*_eig: causality makes the matrices block lower triangular, so the",
             "#   eigenvalues are those of the diagonal blocks (2x2 on uniform meshes)",
             "# error column: direct flux (fast Toeplitz inversion on uniform meshes,",

@@ -8,8 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from oracles import ellipticity_margin, flux_l2_norm
-from test_galerkin import graded_mesh, mirror_graded_mesh, nonuniform_mesh
+from test_galerkin import (
+    adaptive_ex2_final_mesh,
+    graded_mesh,
+    mirror_graded_mesh,
+    nonuniform_mesh,
+)
 
 import heatbem
 from heatbem.analysis import (
@@ -22,7 +28,7 @@ from heatbem.galerkin import DiscreteFlux, assemble_all, mirror_halves
 from heatbem.krylov import NumericalError
 from heatbem.mesh import BoundaryMesh, Side, uniform_mesh
 from heatbem.reference import example1_series, example2_series
-from heatbem.studies import ExperimentConfig, _level_record, build_problem
+from heatbem.studies import ExperimentConfig, _level_record, _spectral_pieces, build_problem
 from heatbem.verification import best_approximation
 
 
@@ -113,16 +119,35 @@ class TestConditionNumber:
                 got = condition_number(mats[0] if len(mats) == 1 else mats)
                 assert got == self.svd_ratio(*mats), n
 
+    def test_stack_and_halves_give_the_formed_value(self):
+        # a (k, s, s) stack stands for its block-diagonal matrix, and the mirror halves
+        # P + Q, P - Q for [[P, Q], [Q, P]], in both conventions
+        rng = np.random.default_rng(23)
+        stack = np.eye(3) + 0.4 * rng.standard_normal((5, 3, 3))
+        P, Q = np.eye(4) + 0.3 * rng.standard_normal((2, 4, 4))
+        for pieces, A in (([stack], scipy.linalg.block_diag(*stack)),
+                          ((P + Q, P - Q), np.block([[P, Q], [Q, P]]))):
+            for method in ("sv", "eig"):
+                assert condition_number(pieces, method) == pytest.approx(
+                    condition_number(A, method), rel=1e-12), method
+
     def test_validation(self):
         with pytest.raises(ValueError):
             condition_number(np.ones((2, 3)))
         with pytest.raises(ValueError):
+            condition_number([np.ones((4, 2, 3))])
+        with pytest.raises(ValueError):
             condition_number(np.eye(2), "spectral")
 
 
+def diagonal_blocks(A, blocks):
+    """The diagonal blocks A[idx, idx] of A, one per index array."""
+    return [A[np.ix_(idx, idx)] for idx in blocks]
+
+
 class TestBlockTriangularEig:
-    """The eig convention reads the spectrum off the given diagonal blocks of a
-    block-triangular matrix; the studies pass the mesh's slabs."""
+    """The eig convention reads the spectrum off the diagonal blocks of a
+    block-triangular matrix; the studies pass the blocks of the mesh's slabs."""
 
     def test_permuted_block_triangular_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -143,7 +168,7 @@ class TestBlockTriangularEig:
         where = np.argsort(perm)
         stops = np.cumsum(sizes)
         blocks = [np.sort(where[stop - size : stop]) for size, stop in zip(sizes, stops)]
-        kappa = condition_number(B, "eig", blocks)
+        kappa = condition_number(diagonal_blocks(B, blocks), "eig")
         assert kappa == pytest.approx(dense_eig_ratio(B), rel=1e-12)
 
     def test_irreducible_matrix_is_bitwise_dense(self):
@@ -157,9 +182,9 @@ class TestBlockTriangularEig:
         mesh = uniform_mesh(1.0, 5)
         V = assemble_all(mesh, 1.0).V
         perturbed = V * (1.0 + 1e-15 * rng.standard_normal(V.shape))
-        kappa = condition_number(V, "eig", mesh.slabs)
+        kappa = condition_number(diagonal_blocks(V, mesh.slabs), "eig")
         assert kappa == pytest.approx(1.0, abs=1e-4)
-        assert abs(condition_number(perturbed, "eig", mesh.slabs) - kappa) < 1e-12
+        assert abs(condition_number(diagonal_blocks(perturbed, mesh.slabs), "eig") - kappa) < 1e-12
 
     @pytest.mark.parametrize(
         "mesh",
@@ -183,42 +208,35 @@ class TestBlockTriangularEig:
     @staticmethod
     def per_slab_ratio(A, blocks):
         """The oracle: one eigvals call per block."""
-        ev = np.abs(np.concatenate([np.linalg.eigvals(A[np.ix_(idx, idx)]) for idx in blocks]))
+        ev = np.abs(np.concatenate([np.linalg.eigvals(B) for B in diagonal_blocks(A, blocks)]))
         return float(ev.max()) / float(ev.min())
 
     @pytest.mark.parametrize(
-        "make, merge",
+        "make",
         [
-            *((lambda lv=lv: uniform_mesh(1.0, lv), False) for lv in range(10)),
-            (unequal_sides_mesh, False),
-            (lambda: graded_mesh(2.0 ** -10), False),
-            (lambda: uniform_mesh(1.0, 5), True),
+            *(lambda lv=lv: uniform_mesh(3.0, lv) for lv in range(9)),
+            unequal_sides_mesh,
+            lambda: graded_mesh(2.0 ** -10),
+            mirror_graded_mesh,
+            adaptive_ex2_final_mesh,
         ],
-        ids=[*(f"uniform_L{lv}" for lv in range(10)), "unequal_sides", "graded_2^-10",
-             "mixed_sizes"],
+        ids=[*(f"uniform_3_L{lv}" for lv in range(9)), "unequal_sides", "graded_2^-10",
+             "mirror_graded", "adaptive_ex2_final"],
     )
-    def test_batched_is_bitwise_the_per_slab_loop(self, make, merge, monkeypatch):
+    def test_batched_is_bitwise_the_per_slab_loop(self, make, monkeypatch):
+        # h = 3 / 2^L is no power of two: the studies form the matrices on every mesh here
         mesh = make()
-        blocks = mesh.slabs
-        if merge:  # merge runs of 1, 2 and 3 consecutive slabs: blocks of 2, 4 and 6 rows
-            cuts = np.cumsum([1, 2, 3] * len(blocks))
-            blocks = [np.concatenate(g) for g in np.split(blocks, cuts[cuts < len(blocks)])]
         mats = assemble_all(mesh, 1.0)
+        assert not mats.toeplitz
         V, D, m = mats.V, mats.D, mats.mass
-        systems = (V, V / np.diag(V)[:, None], D / np.outer(m, m) @ V)
-        expected = [self.per_slab_ratio(A, blocks) for A in systems]
+        systems = {"V": V, "diag": V / np.diag(V)[:, None], "calderon": D / np.outer(m, m) @ V}
+        expected = [self.per_slab_ratio(A, mesh.slabs) for A in systems.values()]
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
-        assert [condition_number(A, "eig", blocks) for A in systems] == expected
-        assert len(calls) == 3 * len({len(idx) for idx in blocks})  # one call per slab size
-
-    def test_halves_with_blocks_rejected(self):
-        mesh = uniform_mesh(1.0, 2)
-        V, n = assemble_all(mesh, 1.0).V, mesh.n_left
-        P, Q = V[:n, :n], V[:n, n:]
-        with pytest.raises(ValueError, match="eig blocks index one full matrix, not mirror halves"):
-            condition_number((P + Q, P - Q), "eig", mesh.slabs)
+        got = [condition_number(_spectral_pieces(mats, name, "eig"), "eig") for name in systems]
+        assert got == expected
+        assert len(calls) == 3 * len({len(idx) for idx in mesh.slabs})  # one call per slab size
 
     def test_import_leaves_csgraph_unloaded(self):
         # csgraph loads scipy.sparse.linalg: ~90 ms of start-up and ~9 MB resident

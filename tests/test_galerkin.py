@@ -449,16 +449,6 @@ class TestMirrorToeplitzSolve:
                     assert np.array_equal(got, ref) and np.array_equal(
                         np.signbit(got), np.signbit(ref)), (lv, kind)
 
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_slab_is_every_dense_slab_block_bitwise(self, alpha):
-        for lv in range(10):
-            mesh = uniform_mesh(1.0, lv)
-            mats = assemble_all(mesh, alpha)
-            for kind in "VD":
-                dense, slab = getattr(mats, kind), mats.slab(kind)
-                for ix in mesh.slabs:
-                    assert np.array_equal(dense[np.ix_(ix, ix)], slab), (lv, kind)
-
     @pytest.mark.parametrize("make", [lambda: uniform_mesh(1.0, 3), nonuniform_mesh])
     def test_non_finite_solution_raises(self, make):
         mats = assemble_all(make(), ALPHA)

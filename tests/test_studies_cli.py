@@ -157,7 +157,8 @@ class TestConstantDiagonal:
         """kappa_diag_{sv, eig} of V / diag(V), on halves for sv on a mirror mesh."""
         A, n = V / np.diag(V)[:, None], mesh.n_left
         mat = (A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]) if mesh.mirror else A
-        return condition_number(mat, "sv"), condition_number(A, "eig", mesh.slabs)
+        slabs = [A[np.ix_(idx, idx)] for idx in mesh.slabs]
+        return condition_number(mat, "sv"), condition_number(slabs, "eig")
 
     @pytest.mark.parametrize(
         "make", [nonuniform_mesh, lambda: graded_mesh(2.0 ** -6)], ids=["unequal_sides", "graded"]
@@ -308,13 +309,13 @@ class TestToeplitzLevels:
     def test_hankel_flips_are_the_flipped_dense_halves(self, alpha):
         for lv in range(10):
             mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
-            flips = studies._hankel_flips(mats, "V")
+            flips = studies._spectral_pieces(mats, "V", "sv")
             for H, T in zip(flips, galerkin.mirror_halves(mats.V, n)):
                 assert np.array_equal(H, T[::-1]) and np.array_equal(H, H.T), lv
             # the halves of C^-1 V, flipped from their first columns by convolution, are
             # the flipped formed products to rounding
             m = mats.mass[:n]
-            flips = studies._hankel_flips(mats, "calderon")
+            flips = studies._spectral_pieces(mats, "calderon", "sv")
             for H, E, P in zip(flips, galerkin.mirror_halves(mats.D, n),
                                galerkin.mirror_halves(mats.V, n)):
                 formed = (E / np.outer(m, m) @ P)[::-1]
@@ -359,19 +360,27 @@ class TestToeplitzLevels:
                     s = [x for T in halves for x in mpmath.svd_r(T, compute_uv=False)]
                     assert got == pytest.approx(float(max(s) / min(s)), rel=1e-14, abs=0.0), lv
 
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_slab_eig_kappa_is_the_dense_one_bitwise(self, alpha):
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5, 2.0 * np.pi ** 2, 1e6])
+    def test_eig_kappa_against_mpmath(self, alpha):
+        # the halves P + Q, P - Q are lower triangular: their eigenvalues are p0 + q0 and
+        # p0 - q0 (V's lag-0 entries), and C^-1 V's the products of D's and V's / h^2
+        cfg = ExperimentConfig(alpha=alpha, kappa_convention="eig")
         for lv in range(10):
-            mesh = uniform_mesh(1.0, lv)
-            mats = assemble_all(mesh, alpha)
-            assert condition_number(mats.slab("V"), "eig") == condition_number(
-                mats.V, "eig", mesh.slabs), lv
-            slab = studies._calderon_form(mats.slab("D"), mats.slab("V"), mats)
-            full = studies._calderon_form(mats.D, mats.V, mats)
-            assert condition_number(slab, "eig") == condition_number(full, "eig", mesh.slabs), lv
+            mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
+            rec = StudyRecord(L=lv, N=mats.mesh.n_elements, l2_error=0.0)
+            studies._kappa_columns(rec, mats, cfg)
+            assert not {"V", "D"} & set(vars(mats))
+            with mpmath.workdps(40):
+                v, d = ([mpmath.mpf(A[0, 0]) + s * mpmath.mpf(A[0, n]) for s in (1, -1)]
+                        for A in (mats.V, mats.D))
+                h2 = mpmath.mpf(mats.mass[0]) ** 2
+                for got, lam in ((rec.kappa_V_eig, v),
+                                 (rec.kappa_calderon_eig, [e * p / h2 for e, p in zip(d, v)])):
+                    mod = [abs(x) for x in lam]
+                    assert got == pytest.approx(float(max(mod) / min(mod)), rel=1e-15, abs=0.0), lv
 
     def test_peak_at_the_kappa_cap(self, monkeypatch):
-        # eig reads the 2 x 2 slab blocks of the symbols and sv the Hankel views of the
+        # eig reads the diagonals of the halves and sv their Hankel views, both from the
         # halves' columns: no V, K or D is formed at the cap, and the peak (0.231 units
         # either way) is GMRES's Krylov basis
         for kappa, bound in (("both", 0.25), ("eig", 0.25)):
@@ -646,6 +655,13 @@ class TestGoldenTables:
         [
             ("table1", ["study-uniform", "--levels", "3", "--kappa", "both"]),
             ("table2", ["study-adaptive", "--example", "2", "--target-n", "40"]),
+            # mirror meshes, 9 of the 11 not Toeplitz: the sv halves, the Calderon
+            # half products and the 2 x 2 slab stacks of the formed matrices
+            ("kappa/adaptive_ex1_both/table2",
+             ["study-adaptive", "--example", "1", "--target-n", "40", "--kappa", "both"]),
+            # graded meshes whose slabs take 15 sizes, from 2 to 38
+            ("kappa/adaptive_ex2_eig/table2",
+             ["study-adaptive", "--example", "2", "--target-n", "40", "--kappa", "eig"]),
         ],
     )
     def test_tables_byte_identical(self, tmp_path, capsys, table, argv):
@@ -654,7 +670,8 @@ class TestGoldenTables:
             assert main([*argv, "--out", str(tmp_path)]) == 0
         for suffix in (".csv", ".md"):
             name = table + suffix
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+            got = (tmp_path / Path(name).name).read_bytes()
+            assert got == (GOLDEN / name).read_bytes(), name
 
     def test_stdout_table_in_the_run_kappa_convention(self, tmp_path, capsys):
         argv = ["study-uniform", "--levels", "2", "--kappa", "eig", "--out", str(tmp_path)]
@@ -786,6 +803,25 @@ class TestCli:
         lines = (tmp_path / "meta.txt").read_text().lower().splitlines()
         assert "tol=1e-08" in lines
         assert not [line for line in lines if "kappa" in line or "error column" in line]
+
+    @pytest.mark.parametrize(
+        "argv, echoed",
+        [
+            (["study-uniform", "--levels", "0"], ["example", "alpha", "max_level", "tol",
+                                                  "preconds", "kappa_convention", "max_kappa_n"]),
+            (["study-adaptive", "--max-steps", "0"], ["example", "alpha", "tol", "preconds",
+                                                      "theta", "kappa_convention", "max_kappa_n",
+                                                      "target_n", "max_steps"]),
+            (["solve", "--level", "0"], ["example", "alpha", "max_level", "tol"]),
+        ],
+        ids=["study-uniform", "study-adaptive", "solve"],
+    )
+    def test_meta_echoes_the_fields_the_command_reads(self, tmp_path, argv, echoed):
+        # in field order, between the command line and the fixed cylinder
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "meta.txt").read_text().splitlines()
+        assert lines[0] == f"command={argv[0]}"
+        assert [line.split("=")[0] for line in lines[1:lines.index("horizon=1")]] == echoed
 
     def test_negative_max_steps_exits_2(self, tmp_path, capsys):
         out = tmp_path / "neg"
