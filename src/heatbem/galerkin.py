@@ -18,13 +18,14 @@ causal exactly when i > j, and d is 0 or +-(b - a).  The exp/erfc factors of
 each |d| are evaluated once per distinct causal lag (lags repeat on uniform
 and dyadic meshes) and give T[i, j] = F2(d, B_i - B_j); a side block is the
 second difference of T on its sides' breakpoints, and one T is live at a time.
+``OperatorMatrices`` assembles each of V, K and D this way, on first read only.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
-(i - j) h bitwise and T is Toeplitz: the second difference is taken once on
-the vector of its 2n + 1 lags, and each side block is one strided copy of it.
-``OperatorMatrices`` assembles each of V, K and D on first read only.  Its
-``operator`` gives V or D there as a ``MirrorToeplitz`` instead: the FFT of the
-blocks' first columns, applied and (for V) inverted in O(N log N) without an
-N x N array, whose ``columns`` are the first columns of the n x n even/odd
+(i - j) h bitwise and every side block is lower-triangular Toeplitz.  There
+``operator`` gives V or D as a ``MirrorToeplitz`` instead: the first columns of
+P = block(left, left) and Q = block(left, right), each the second difference of
+T on the n + 2 lags -h ... n h in the table's order (so bitwise the dense
+blocks' columns), applied and (for V) inverted by FFT in O(N log N) without an
+N x N array.  Its ``columns`` are the first columns of the n x n even/odd
 halves P + Q and P - Q, and ``solve`` solves V w = f by that inversion there,
 LU elsewhere.
 
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     QuadratureError,
@@ -134,7 +134,8 @@ class OperatorMatrices:
     def toeplitz(self) -> bool:
         """True when both sides' breaks are arange(n + 1) * h with h a power of two:
         V, K and D are then [[P, Q], [Q, P]] with P, Q lower-triangular Toeplitz,
-        and the mass is h, one power of two, on every element."""
+        ``operator`` builds V and D from their first columns alone, and the mass is
+        h, one power of two, on every element."""
         return self._toeplitz_lags is not None
 
     @cached_property
@@ -175,34 +176,9 @@ class OperatorMatrices:
                 blocks.setdefault(d if odd else abs(d), []).append((row, col))
         return blocks
 
-    def _toeplitz_symbols(self, name):
-        """V, K or D on a Toeplitz mesh: (n_row, n_col) -> s, block[i, j] = s[n - 1 + i - j].
-
-        The side blocks are keyed by their outward normals.  s is op(second
-        difference of T at the lags -n h ... n h, factor), in the table's
-        order; it is +0.0 at the negative lags i - j.
-        """
-        formula, op, factor, odd = self._form(name)
-        tau, terms = self._toeplitz_lags
-        n = self.mesh.n_left
-        symbols = {}
-        for key, pairs in self._side_blocks(odd).items():
-            t = np.zeros(2 * n + 1)  # T at the lags -n h ... n h
-            t[n + 1:] = formula(key, tau, self.alpha, *terms[abs(key)])
-            s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order, lag i - j
-            for row, col in pairs:
-                symbols[row[3], col[3]] = op(s, factor(row[3], col[3]))
-        return symbols
-
     def _corner_sums(self, name) -> np.ndarray:
         """Dense V, K or D: corner sums of every side block, then op(block, factor)."""
-        n = self.mesh.n_left
         out = np.zeros((self.mesh.n_elements,) * 2)
-        if self.toeplitz:  # each side block is Toeplitz
-            side_rows = {-1.0: slice(0, n), 1.0: slice(n, None)}  # normal -> element rows
-            for (n_row, n_col), s in self._toeplitz_symbols(name).items():
-                out[side_rows[n_row], side_rows[n_col]] = _toeplitz(s, n)
-            return out
         formula, op, factor, odd = self._form(name)
         breaks, causal, inv, tau, terms = self._lags
         for key, pairs in self._side_blocks(odd).items():
@@ -234,9 +210,16 @@ class OperatorMatrices:
         the dense matrix."""
         if not self.toeplitz:
             return getattr(self, name)
-        symbols, n = self._toeplitz_symbols(name), self.mesh.n_left
-        # first columns (lags 0 .. n - 1) of P = block(left, left), Q = block(left, right)
-        return MirrorToeplitz(symbols[-1.0, -1.0][n - 1:], symbols[-1.0, 1.0][n - 1:])
+        formula, op, factor, _ = self._form(name)
+        tau, terms = self._toeplitz_lags
+        (a, b), n = self.mesh.interval, self.mesh.n_left
+        columns = []  # lags 0 .. n - 1 of P = block(left, left), then of Q = block(left, right)
+        for n_col, dist in ((-1.0, 0.0), (1.0, abs(b - a))):
+            t = np.zeros(n + 2)  # T at the lags -h ... n h, +0.0 where not causal
+            t[2:] = formula(dist, tau, self.alpha, *terms[dist])
+            s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order
+            columns.append(op(s, factor(-1.0, n_col)))
+        return MirrorToeplitz(*columns)
 
     def solve(self, f) -> np.ndarray:
         """Finite w with V w = f: fast Volterra inversion on a Toeplitz mesh, dense LU elsewhere."""
@@ -275,11 +258,6 @@ def mirror_halves(A, n):
     """P + Q, then P - Q, of a mirror matrix A = [[P, Q], [Q, P]] with n x n blocks, each
     formed when read."""
     return (op(A[:n, :n], A[:n, n:]) for op in (np.add, np.subtract))
-
-
-def _toeplitz(s, n):
-    """The n x n read-only strided view block[i, j] = s[n - 1 + i - j] of a symbol s."""
-    return sliding_window_view(s[::-1], n)[::-1]
 
 
 def _causal_product(a, b, m):

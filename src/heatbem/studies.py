@@ -152,12 +152,13 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
     """
     mesh, n = mats.mesh, mats.mesh.n_left
     if mats.toeplitz:
-        cols, h = mats.operator("V").columns, mats.mass[0]
+        m = 1 if conv == "eig" else n  # eig reads only the lag-0 terms
+        cols, h = mats.operator("V").columns[:, :m], mats.mass[0]
         if name == "calderon":
-            cols = [np.convolve(e, v)[:n] / (h * h)
-                    for e, v in zip(mats.operator("D").columns, cols)]
+            cols = [np.convolve(e, v)[:m] / (h * h)
+                    for e, v in zip(mats.operator("D").columns[:, :m], cols)]
         if conv == "eig":
-            return [np.array(cols)[:, :1, None]]
+            return [np.array(cols)[:, :, None]]
         return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
     V = mats.V / mats.V.diagonal()[:, None] if name == "diag" else mats.V
     if name == "calderon" and conv == "sv" and mesh.mirror:

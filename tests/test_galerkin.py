@@ -333,15 +333,19 @@ class TestBreakpointTable:
             assert np.array_equal(np.signbit(got), np.signbit(ref)), kind
 
     @pytest.mark.parametrize("name", list(MESHES))
-    def test_toeplitz_path_equal_to_general_path(self, name, monkeypatch):
-        mesh = self.MESHES[name]()
-        fast = assemble_all(mesh, ALPHA)
-        assert (fast._toeplitz_lags is not None) == (name in self.TOEPLITZ)
-        built = {kind: getattr(fast, kind) for kind in "VKD"}
-        monkeypatch.setattr(OperatorMatrices, "_toeplitz_lags", None)  # the table path
-        general = assemble_all(mesh, ALPHA)
-        for kind, got in built.items():
-            ref = getattr(general, kind)
+    def test_toeplitz_exactly_on_the_power_of_two_grids(self, name):
+        assert assemble_all(self.MESHES[name](), ALPHA).toeplitz == (name in self.TOEPLITZ)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 2.0 * math.pi ** 2])
+    @pytest.mark.parametrize("name", sorted(TOEPLITZ))
+    def test_operator_columns_are_the_dense_halves_bitwise(self, name, alpha):
+        # the operator's P and Q columns, second differences of one lag vector, against
+        # the first columns of P + Q and P - Q of the table's dense matrix
+        mats = assemble_all(self.MESHES[name](), alpha)
+        n = mats.mesh.n_left
+        for kind in "VD":
+            got = mats.operator(kind).columns
+            ref = np.stack([half[:, 0] for half in galerkin.mirror_halves(getattr(mats, kind), n)])
             assert np.array_equal(got, ref), kind
             assert np.array_equal(np.signbit(got), np.signbit(ref)), kind
 
@@ -404,8 +408,8 @@ class TestBreakpointTable:
 
 
 class TestMirrorToeplitzSolve:
-    """On a Toeplitz mesh V is solved by the fast Volterra inversion; its diagonal and
-    the halves of V and D come from the symbols, bitwise as from the dense matrices."""
+    """On a Toeplitz mesh V is solved by the fast Volterra inversion; the operator's
+    diagonal is the dense one bitwise, and ``mirror_halves`` are P + Q and P - Q."""
 
     ALPHAS = [1.0, 2.5, 2.0 * math.pi ** 2]
 
@@ -480,23 +484,23 @@ class TestAssemblyMemory:
             tracemalloc.stop()
         return peak / unit, (current - held) / unit
 
-    def test_build_peak_and_retained_memory(self):
-        # V and D are one N x N unit each; the build adds one breakpoint table
-        # and one gathered block, a quarter unit each here, and keeps only the
-        # causal mask and the lag map beyond V and D.  One right-side break
-        # fewer than uniform L9 keeps the merged breaks and takes the table path.
+    @staticmethod
+    def one_break_fewer():
+        """Uniform L9 with one right-side break fewer: no mirror, the same merged breaks."""
         left = uniform_mesh(1.0, 9).left_breaks
         mesh = BoundaryMesh(1.0, (0.0, 1.0), left, np.delete(left, 1))
         assert not mesh.mirror
-        peak, held = self.build_peak_and_held(mesh)
+        return mesh
+
+    @pytest.mark.parametrize("make", [one_break_fewer, lambda: uniform_mesh(1.0, 9)],
+                             ids=["one_break_fewer_L9", "uniform_L9"])
+    def test_build_peak_and_retained_memory(self, make):
+        # V and D are one N x N unit each; the build adds one breakpoint table
+        # and one gathered block, a quarter unit each here, and keeps only the
+        # causal mask and the lag map beyond V and D.
+        peak, held = self.build_peak_and_held(make())
         assert peak <= 3.0
         assert held <= 0.25
-
-    def test_toeplitz_build_forms_no_table(self):
-        # uniform: the side blocks are strided copies of 1-D second differences
-        peak, held = self.build_peak_and_held(uniform_mesh(1.0, 9))
-        assert peak <= 2.05
-        assert held <= 0.01
 
 
 class TestRhs:

@@ -264,7 +264,8 @@ class TestLazyAssembly:
 
 class TestToeplitzLevels:
     """Uniform levels: the flux by the fast Volterra inversion, the kappa columns from
-    the symbols' halves and slab block, and no N x N V, K or D at any level."""
+    the halves' first columns (Hankel flips for sv, diagonals for eig), and no N x N
+    V, K or D at any level."""
 
     ALPHAS = [1.0, 2.5, 2.0 * np.pi ** 2]
 
@@ -345,7 +346,7 @@ class TestToeplitzLevels:
 
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 2.0 * np.pi ** 2])
     def test_sv_kappa_against_mpmath(self, alpha):
-        # 40-digit singular values of the halves, formed in mpmath from the same symbols
+        # 40-digit singular values of the halves, formed in mpmath from the same first columns
         cfg = ExperimentConfig(alpha=alpha)
         for lv in range(6):
             mats = assemble_all(uniform_mesh(1.0, lv), alpha)
