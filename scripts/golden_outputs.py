@@ -42,8 +42,8 @@ COMMANDS = {
                          "--kappa", "eig"],
     "adaptive_ex2_both": ["study-adaptive", "--example", "2", "--target-n", "278",
                           "--kappa", "both"],
-    # mirror meshes that are not Toeplitz: the sv halves, the Calderon half products
-    # and the 2 x 2 slab stacks of the formed matrices
+    # mirror meshes that are not Toeplitz: the svd and the 2 x 2 slab stacks of the
+    # formed matrices
     "adaptive_ex1_both": ["study-adaptive", "--example", "1", "--target-n", "278",
                           "--kappa", "both"],
 }

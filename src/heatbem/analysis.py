@@ -63,9 +63,10 @@ def condition_number(pieces, method: str = "sv") -> float:
     |eigvalsh| of an exactly symmetric piece (half the flops) and svd of any other;
     method="eig": ratio of extreme eigenvalue moduli, one eigvals call per piece (a
     stack's is bitwise its blocks').  Raises NumericalError when the matrix is
-    singular to working precision or LAPACK fails.  The studies split a mirror
-    matrix [[P, Q], [Q, P]] into P + Q and P - Q, and a block lower triangular one
-    (causality, over the mesh's slabs) into its diagonal blocks.
+    singular to working precision or LAPACK fails.  The studies split the mirror
+    matrix [[P, Q], [Q, P]] of a Toeplitz mesh into P + Q and P - Q, and for eig a
+    block lower triangular one (causality, over the mesh's slabs) into its diagonal
+    blocks; elsewhere sv reads the formed matrix whole.
     """
     if method not in ("sv", "eig"):
         raise ValueError(f"unknown convention {method!r}")

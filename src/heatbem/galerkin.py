@@ -21,13 +21,14 @@ second difference of T on its sides' breakpoints, and one T is live at a time.
 ``OperatorMatrices`` assembles each of V, K and D this way, on first read only.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 (i - j) h bitwise and every side block is lower-triangular Toeplitz.  There
-``operator`` gives V or D as a ``MirrorToeplitz`` instead: the first columns of
+``operator`` gives V or D as a ``MirrorToeplitz`` instead, one per name, both
+built once from one evaluation of the lags' terms: the first columns of
 P = block(left, left) and Q = block(left, right), each the second difference of
 T on the n + 2 lags -h ... n h in the table's order (so bitwise the dense
 blocks' columns), applied and (for V) inverted by FFT in O(N log N) without an
 N x N array.  Its ``columns`` are the first columns of the n x n even/odd
 halves P + Q and P - Q, and ``solve`` solves V w = f by that inversion there,
-LU elsewhere.
+LU elsewhere.  This module alone decides how V and D are held.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -54,7 +55,6 @@ from .kernels import (
     gauss_legendre,
     heat_kernel,
     primitive_I0,
-    primitive_I1,
 )
 from .krylov import NumericalError, direct_solve
 from .mesh import BoundaryMesh
@@ -64,14 +64,10 @@ __all__ = [
     "DiscreteFlux",
     "OperatorMatrices",
     "MirrorToeplitz",
-    "mirror_halves",
     "assemble_all",
     "assemble_rhs",
     "initial_dirichlet_moments",
-    "initial_neumann_moments",
     "evaluate_interior",
-    "second_bie_residual",
-    "mass_weighted_norm",
     "write_matrix_text",
 ]
 
@@ -134,19 +130,33 @@ class OperatorMatrices:
     def toeplitz(self) -> bool:
         """True when both sides' breaks are arange(n + 1) * h with h a power of two:
         V, K and D are then [[P, Q], [Q, P]] with P, Q lower-triangular Toeplitz,
-        ``operator`` builds V and D from their first columns alone, and the mass is
-        h, one power of two, on every element."""
-        return self._toeplitz_lags is not None
+        ``operator`` holds V and D as FFT operators built once from their first
+        columns, and the mass is h, one power of two, on every element."""
+        return self._mirror_toeplitz is not None
 
     @cached_property
-    def _toeplitz_lags(self):
-        """_terms of the lags k h, k = 1..n, if both sides' breaks are arange(n + 1) * h
-        with h a power of two (then B_i - B_j == (i - j) h bitwise), else None."""
+    def _mirror_toeplitz(self):
+        """{"V": ..., "D": ...} as ``MirrorToeplitz`` if both sides' breaks are
+        arange(n + 1) * h with h a power of two (then B_i - B_j == (i - j) h
+        bitwise), else None."""
         mesh, h = self.mesh, self.mesh.left_breaks[1]
         k = np.arange(mesh.n_left + 1)
-        if mesh.mirror and math.frexp(h)[0] == 0.5 and np.array_equal(mesh.left_breaks, k * h):
-            return self._terms(k[1:] * h)
-        return None
+        if not (mesh.mirror and math.frexp(h)[0] == 0.5
+                and np.array_equal(mesh.left_breaks, k * h)):
+            return None
+        tau, terms = self._terms(k[1:] * h)
+        (a, b), n = mesh.interval, mesh.n_left
+        operators = {}
+        for name in "VD":
+            formula, op, factor, _ = self._form(name)
+            columns = []  # lags 0 .. n - 1 of P = block(left, left), then of Q = block(left, right)
+            for n_col, dist in ((-1.0, 0.0), (1.0, abs(b - a))):
+                t = np.zeros(n + 2)  # T at the lags -h ... n h, +0.0 where not causal
+                t[2:] = formula(dist, tau, self.alpha, *terms[dist])
+                s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order
+                columns.append(op(s, factor(-1.0, n_col)))
+            operators[name] = MirrorToeplitz(*columns)
+        return operators
 
     @cached_property
     def _lags(self):
@@ -205,21 +215,10 @@ class OperatorMatrices:
         }[name]
 
     def operator(self, name: str):
-        """V or D as a square operator with ``shape``, ``@`` and ``diagonal``, never
-        formed densely on a Toeplitz mesh (there a ``MirrorToeplitz``); elsewhere
-        the dense matrix."""
-        if not self.toeplitz:
-            return getattr(self, name)
-        formula, op, factor, _ = self._form(name)
-        tau, terms = self._toeplitz_lags
-        (a, b), n = self.mesh.interval, self.mesh.n_left
-        columns = []  # lags 0 .. n - 1 of P = block(left, left), then of Q = block(left, right)
-        for n_col, dist in ((-1.0, 0.0), (1.0, abs(b - a))):
-            t = np.zeros(n + 2)  # T at the lags -h ... n h, +0.0 where not causal
-            t[2:] = formula(dist, tau, self.alpha, *terms[dist])
-            s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order
-            columns.append(op(s, factor(-1.0, n_col)))
-        return MirrorToeplitz(*columns)
+        """V or D as a square operator with ``shape``, ``@`` and ``diagonal``: on a
+        Toeplitz mesh its one ``MirrorToeplitz``, built once with the other's and
+        never formed densely; elsewhere the dense matrix."""
+        return self._mirror_toeplitz[name] if self.toeplitz else getattr(self, name)
 
     def solve(self, f) -> np.ndarray:
         """Finite w with V w = f: fast Volterra inversion on a Toeplitz mesh, dense LU elsewhere."""
@@ -252,12 +251,6 @@ class OperatorMatrices:
         The global sign makes the symmetric part positive definite.
         """
         return self._corner_sums("D")
-
-
-def mirror_halves(A, n):
-    """P + Q, then P - Q, of a mirror matrix A = [[P, Q], [Q, P]] with n x n blocks, each
-    formed when read."""
-    return (op(A[:n, :n], A[:n, n:]) for op in (np.add, np.subtract))
 
 
 def _causal_product(a, b, m):
@@ -403,13 +396,6 @@ def initial_dirichlet_moments(mesh, problem) -> np.ndarray:
     return _spatial_moments(mesh, problem, primitive_I0)
 
 
-def initial_neumann_moments(mesh, problem) -> np.ndarray:
-    """<M1 u0, phi_l>: moments of the normal derivative of the initial potential."""
-    if problem.u0 is None:
-        return np.zeros(mesh.n_elements)
-    return mesh.normal_all * _spatial_moments(mesh, problem, primitive_I1)
-
-
 def assemble_rhs(mesh: BoundaryMesh, problem: Problem) -> np.ndarray:
     """Right-hand side -<M0 u0, phi_l>.
 
@@ -463,32 +449,6 @@ def evaluate_interior(x: float, t: float, flux: DiscreteFlux, problem: Problem) 
         ) + adaptive_quadrature(m0_integrand, x, b, tol=QUAD_TOL)
 
     return initial + single
-
-
-def second_bie_residual(
-    problem: Problem,
-    flux: DiscreteFlux,
-    matrices: OperatorMatrices | None = None,
-) -> np.ndarray:
-    """Galerkin residual of the Neumann-trace identity on the flux's mesh.
-
-    r[l] = <w_h - M1 u0 - (I/2 + K') w_h, phi_l>, with K' realized as the
-    transpose of the assembled K (identical trial and test spaces).  Its
-    mass-weighted norm decays under refinement when w_h converges.
-    """
-    mesh = flux.mesh
-    if matrices is None:
-        matrices = assemble_all(mesh, problem.alpha)
-    w = flux.coefficients
-    mass = matrices.mass
-    r = 0.5 * mass * w - matrices.K.T @ w
-    r -= initial_neumann_moments(mesh, problem)
-    return r
-
-
-def mass_weighted_norm(mesh: BoundaryMesh, residual: np.ndarray) -> float:
-    """sqrt(r^T M^{-1} r): the L2(Sigma)-equivalent norm of a moment vector."""
-    return float(np.sqrt(np.sum(residual * residual / mesh.element_sizes)))
 
 
 def write_matrix_text(path, array) -> None:

@@ -27,7 +27,6 @@ from .galerkin import (
     assemble_all,
     assemble_rhs,
     evaluate_interior,
-    mirror_halves,
 )
 from .krylov import NumericalError, Preconditioner, gmres
 from .mesh import BoundaryMesh, refine_adaptive, refine_uniform, uniform_mesh
@@ -131,12 +130,6 @@ def _preconditioner(name: str, mats: OperatorMatrices) -> Preconditioner:
     raise ConfigError(f"unknown preconditioner {name!r}")
 
 
-def _calderon_form(E, P, mats: OperatorMatrices) -> np.ndarray:
-    """M^-1 E M^-1 P of two full matrices, or of two halves (whose mass is one side's)."""
-    m = mats.mass[:len(E)]
-    return E / np.outer(m, m) @ P
-
-
 def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
     """Pieces of V, diag^-1 V or ("calderon") C^-1 V whose spectra together are the
     matrix's, for ``condition_number`` in convention ``conv``.
@@ -145,10 +138,9 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
     c of the halves P + Q and P - Q (C^-1 V's are D's and V's convolved / h^2), and
     diag^-1 V is V over a scalar.  sv reads each half's row reversal, the symmetric
     Hankel view H[i, j] = c[n - 1 - i - j] (0 where i + j >= n), sigma = |lambda(H)|;
-    eig reads the halves' diagonals as one stack of 1 x 1 blocks.  Elsewhere sv reads
-    the formed matrix's mirror halves on a mirror mesh (C^-1 V's as products of D's
-    and V's halves: the formed product is not bitwise mirror), else the matrix, and
-    eig its slab blocks, one (k, s, s) stack per slab size.
+    eig reads the halves' diagonals as one stack of 1 x 1 blocks.  Every other mesh
+    forms the matrix: sv reads it whole, eig its slab blocks, one (k, s, s) stack per
+    slab size.
     """
     mesh, n = mats.mesh, mats.mesh.n_left
     if mats.toeplitz:
@@ -161,12 +153,9 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
             return [np.array(cols)[:, :, None]]
         return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
     V = mats.V / mats.V.diagonal()[:, None] if name == "diag" else mats.V
-    if name == "calderon" and conv == "sv" and mesh.mirror:
-        return map(lambda E, P: _calderon_form(E, P, mats), mirror_halves(mats.D, n),
-                   mirror_halves(V, n))
-    A = _calderon_form(mats.D, V, mats) if name == "calderon" else V
+    A = mats.D / np.outer(mats.mass, mats.mass) @ V if name == "calderon" else V
     if conv == "sv":
-        return mirror_halves(A, n) if mesh.mirror else A
+        return A
     by_size = {}  # slab size -> its slabs' rows
     for idx in mesh.slabs:
         by_size.setdefault(len(idx), []).append(idx)

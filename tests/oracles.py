@@ -11,19 +11,30 @@ single integral of kernel(d, tau) against the trapezoidal overlap weight
     m(tau) = | [p, q] intersect [r + tau, s + tau] |,
 
 which is then evaluated with adaptive Gauss quadrature on the kernel itself.
+
+The second-kind equation (the Neumann-trace residual through K, which
+criterion 9 reads) and the even/odd mirror halves of a formed matrix are
+needed only by the tests, and live here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from heatbem.galerkin import OperatorMatrices, assemble_all
+from heatbem.galerkin import (
+    DiscreteFlux,
+    OperatorMatrices,
+    Problem,
+    _spatial_moments,
+    assemble_all,
+)
 from heatbem.kernels import (
     _causal,
     _g,
     adaptive_quadrature,
     heat_kernel,
     primitive_I0,
+    primitive_I1,
     primitive_J0,
 )
 from heatbem.mesh import BoundaryMesh
@@ -224,3 +235,42 @@ def min_ellipticity_margin(meshes, alpha: float) -> float:
         mats = assemble_all(mesh, alpha)
         margins.append(min(ellipticity_margin(mats.V), ellipticity_margin(mats.D)))
     return min(margins)
+
+
+def mirror_halves(A, n):
+    """P + Q, then P - Q, of a mirror matrix A = [[P, Q], [Q, P]] with n x n blocks, each
+    formed when read."""
+    return (op(A[:n, :n], A[:n, n:]) for op in (np.add, np.subtract))
+
+
+def initial_neumann_moments(mesh, problem) -> np.ndarray:
+    """<M1 u0, phi_l>: moments of the normal derivative of the initial potential."""
+    if problem.u0 is None:
+        return np.zeros(mesh.n_elements)
+    return mesh.normal_all * _spatial_moments(mesh, problem, primitive_I1)
+
+
+def second_bie_residual(
+    problem: Problem,
+    flux: DiscreteFlux,
+    matrices: OperatorMatrices | None = None,
+) -> np.ndarray:
+    """Galerkin residual of the Neumann-trace identity on the flux's mesh.
+
+    r[l] = <w_h - M1 u0 - (I/2 + K') w_h, phi_l>, with K' realized as the
+    transpose of the assembled K (identical trial and test spaces).  Its
+    mass-weighted norm decays under refinement when w_h converges.
+    """
+    mesh = flux.mesh
+    if matrices is None:
+        matrices = assemble_all(mesh, problem.alpha)
+    w = flux.coefficients
+    mass = matrices.mass
+    r = 0.5 * mass * w - matrices.K.T @ w
+    r -= initial_neumann_moments(mesh, problem)
+    return r
+
+
+def mass_weighted_norm(mesh: BoundaryMesh, residual: np.ndarray) -> float:
+    """sqrt(r^T M^{-1} r): the L2(Sigma)-equivalent norm of a moment vector."""
+    return float(np.sqrt(np.sum(residual * residual / mesh.element_sizes)))

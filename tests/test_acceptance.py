@@ -56,8 +56,10 @@ import pytest
 from oracles import (
     entry_defect,
     heat_identity_defect,
+    mass_weighted_norm,
     min_ellipticity_margin,
     primitive_quadrature_defect,
+    second_bie_residual,
     singular_pair,
 )
 
@@ -67,8 +69,6 @@ from heatbem.galerkin import (
     assemble_all,
     assemble_rhs,
     evaluate_interior,
-    mass_weighted_norm,
-    second_bie_residual,
 )
 from heatbem.kernels import heat_kernel, primitive_I0
 from heatbem.krylov import direct_solve

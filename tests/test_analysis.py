@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import ellipticity_margin, flux_l2_norm
+from oracles import ellipticity_margin, flux_l2_norm, mirror_halves
 from test_galerkin import (
     adaptive_ex2_final_mesh,
     graded_mesh,
@@ -24,7 +24,7 @@ from heatbem.analysis import (
     eoc,
     l2_error,
 )
-from heatbem.galerkin import DiscreteFlux, assemble_all, mirror_halves
+from heatbem.galerkin import DiscreteFlux, assemble_all
 from heatbem.krylov import NumericalError
 from heatbem.mesh import BoundaryMesh, Side, uniform_mesh
 from heatbem.reference import example1_series, example2_series
@@ -256,7 +256,8 @@ def loaded_by_cli_import(module):
 
 
 class TestMirrorHalves:
-    """On a mirror mesh the study's sv columns come from the even/odd halves."""
+    """On a Toeplitz mesh the study's sv columns come from the even/odd halves; on any
+    other mesh, a mirror one included, from the formed matrix."""
 
     @staticmethod
     def study_sv(mesh):
@@ -283,6 +284,11 @@ class TestMirrorHalves:
     def test_other_meshes_take_the_dense_svd(self):
         mesh = nonuniform_mesh()
         assert not mesh.mirror
+        assert self.study_sv(mesh) == self.dense_sv(mesh)
+
+    def test_mirror_meshes_off_the_toeplitz_grid_take_the_dense_svd(self):
+        mesh = mirror_graded_mesh()
+        assert mesh.mirror and not assemble_all(mesh, 1.0).toeplitz
         assert self.study_sv(mesh) == self.dense_sv(mesh)
 
     def test_halves_stand_for_the_mirror_matrix(self):

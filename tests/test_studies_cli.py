@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import mirror_halves, second_bie_residual
 from test_galerkin import graded_mesh, nonuniform_mesh
 
 from heatbem import cli, galerkin, studies
@@ -22,7 +23,6 @@ from heatbem.galerkin import (
     assemble_all,
     assemble_rhs,
     evaluate_interior,
-    second_bie_residual,
 )
 from heatbem.krylov import Preconditioner, direct_solve, gmres
 from heatbem.mesh import refine_adaptive, refine_uniform, uniform_mesh
@@ -154,11 +154,10 @@ class TestConstantDiagonal:
 
     @staticmethod
     def computed(mesh, V):
-        """kappa_diag_{sv, eig} of V / diag(V), on halves for sv on a mirror mesh."""
-        A, n = V / np.diag(V)[:, None], mesh.n_left
-        mat = (A[:n, :n] + A[:n, n:], A[:n, :n] - A[:n, n:]) if mesh.mirror else A
+        """kappa_diag_{sv, eig} of V / diag(V): the formed matrix for sv, its slabs for eig."""
+        A = V / np.diag(V)[:, None]
         slabs = [A[np.ix_(idx, idx)] for idx in mesh.slabs]
-        return condition_number(mat, "sv"), condition_number(slabs, "eig")
+        return condition_number(A, "sv"), condition_number(slabs, "eig")
 
     @pytest.mark.parametrize(
         "make", [nonuniform_mesh, lambda: graded_mesh(2.0 ** -6)], ids=["unequal_sides", "graded"]
@@ -306,19 +305,33 @@ class TestToeplitzLevels:
         with pytest.raises(AssertionError, match="LU"):  # the inversion needs a Toeplitz mesh
             studies._level_record(nonuniform_mesh(), problem, series, cfg, 0, None)
 
+    def test_one_fft_operator_per_name_and_level(self, monkeypatch):
+        built = []
+
+        class Counting(galerkin.MirrorToeplitz):
+            def __init__(self, p, q):
+                built.append(len(p))
+                super().__init__(p, q)
+
+        monkeypatch.setattr(galerkin, "MirrorToeplitz", Counting)
+        run_uniform_study(ExperimentConfig(max_level=9, kappa_convention="both"))
+        assert sorted(built) == [2 ** lv for lv in range(10) for _ in "VD"]  # one per name and level
+        mats = assemble_all(uniform_mesh(1.0, 4), 1.0)
+        for kind in "VD":
+            assert mats.operator(kind) is mats.operator(kind)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_hankel_flips_are_the_flipped_dense_halves(self, alpha):
         for lv in range(10):
             mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
             flips = studies._spectral_pieces(mats, "V", "sv")
-            for H, T in zip(flips, galerkin.mirror_halves(mats.V, n)):
+            for H, T in zip(flips, mirror_halves(mats.V, n)):
                 assert np.array_equal(H, T[::-1]) and np.array_equal(H, H.T), lv
             # the halves of C^-1 V, flipped from their first columns by convolution, are
             # the flipped formed products to rounding
             m = mats.mass[:n]
             flips = studies._spectral_pieces(mats, "calderon", "sv")
-            for H, E, P in zip(flips, galerkin.mirror_halves(mats.D, n),
-                               galerkin.mirror_halves(mats.V, n)):
+            for H, E, P in zip(flips, mirror_halves(mats.D, n), mirror_halves(mats.V, n)):
                 formed = (E / np.outer(m, m) @ P)[::-1]
                 assert np.array_equal(H, H.T), lv
                 assert np.abs(H - formed).max() <= 1e-15 * np.abs(H).max(), lv
@@ -656,8 +669,8 @@ class TestGoldenTables:
         [
             ("table1", ["study-uniform", "--levels", "3", "--kappa", "both"]),
             ("table2", ["study-adaptive", "--example", "2", "--target-n", "40"]),
-            # mirror meshes, 9 of the 11 not Toeplitz: the sv halves, the Calderon
-            # half products and the 2 x 2 slab stacks of the formed matrices
+            # mirror meshes, 9 of the 11 not Toeplitz: the svd and the 2 x 2 slab
+            # stacks of the formed matrices
             ("kappa/adaptive_ex1_both/table2",
              ["study-adaptive", "--example", "1", "--target-n", "40", "--kappa", "both"]),
             # graded meshes whose slabs take 15 sizes, from 2 to 38
