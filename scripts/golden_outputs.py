@@ -2,9 +2,12 @@
 """Write the golden outputs of a fixed command set into OUTDIR.
 
 Each command runs in its own subdirectory of OUTDIR, which receives the
-command's output files and its stdout (``stdout.txt``, ending with the exit
-code).  A change that claims to leave results unchanged is checked by running
-this on both versions and comparing with one ``diff -r``:
+command's output files, its stdout (``stdout.txt``, ending with the exit
+code) and its warnings (``warnings.txt``, one ``Category: message`` line
+each, without the file path, which differs between checkouts).  A change
+that claims to leave results unchanged is checked by running this on both
+versions and comparing with one ``diff -r``, which also shows a warning that
+appears or disappears:
 
     PYTHONPATH=../parent/src python scripts/golden_outputs.py /tmp/parent
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
@@ -16,6 +19,7 @@ Takes about 4.4 s on 2 cores (median of 3 runs); no command takes more than 1 s 
 import contextlib
 import io
 import sys
+import warnings
 from pathlib import Path
 
 from heatbem.cli import main
@@ -55,9 +59,12 @@ def run_all(outdir: Path) -> int:
         target = outdir / name
         target.mkdir(parents=True, exist_ok=True)
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv + ["--out", str(target)])
         (target / "stdout.txt").write_text(buf.getvalue() + f"exit {code}\n")
+        (target / "warnings.txt").write_text(
+            "".join(f"{w.category.__name__}: {w.message}\n" for w in caught))
         failures += code != 0
     return failures
 

@@ -13,22 +13,24 @@ nonpositive lag vanish, so entries with q <= r (test element entirely before
 the trial element) are exactly zero.
 
 Assembly works on a breakpoint table: the two sides' breakpoints merge into
-one sorted array B (at most N + 2 values), every corner lag is B_i - B_j,
-causal exactly when i > j, and d is 0 or +-(b - a).  The exp/erfc factors of
-each |d| are evaluated once per distinct causal lag (lags repeat on uniform
-and dyadic meshes) and give T[i, j] = F2(d, B_i - B_j); a side block is the
-second difference of T on its sides' breakpoints, and one T is live at a time.
-``OperatorMatrices`` assembles each of V, K and D this way, on first read only.
+one sorted array B (at most N + 2 values), every corner lag is B_i - c_j for a
+trial breakpoint c_j, causal exactly when positive, and d is 0 or +-(b - a).
+The exp/erfc factors of each |d| are evaluated once per distinct causal lag
+(lags repeat on uniform and dyadic meshes) and give T[i, j] = F2(d, B_i - c_j);
+a side block is the second difference of T on its sides' breakpoints, and one T
+is live at a time.  One corner-sum routine gives the rows of both sides against
+the trial sides it is passed: ``OperatorMatrices`` assembles V, K and D, each on
+first read, against both sides from one shared table of B against itself.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 (i - j) h bitwise and every side block is lower-triangular Toeplitz.  There
-``operator`` gives V or D as a ``MirrorToeplitz`` instead, one per name, both
-built once from one evaluation of the lags' terms: the first columns of
-P = block(left, left) and Q = block(left, right), each the second difference of
-T on the n + 2 lags -h ... n h in the table's order (so bitwise the dense
-blocks' columns), applied and (for V) inverted by FFT in O(N log N) without an
-N x N array.  Its ``columns`` are the first columns of the n x n even/odd
-halves P + Q and P - Q, and ``solve`` solves V w = f by that inversion there,
-LU elsewhere.  This module alone decides how V and D are held.
+``operator`` gives V or D as a ``MirrorToeplitz`` instead, one per name, built
+once from the same routine's rows against trial element 0 alone: the first
+columns of P = block(left, left) and, V and D being even in d, of
+Q = block(right, left) = block(left, right), so bitwise the dense matrix's
+column 0, in O(N) memory.  It applies and (for V) inverts the matrix by FFT in
+O(N log N); its ``columns`` are the first columns of the n x n even/odd halves
+P + Q and P - Q, and ``solve`` solves V w = f by that inversion there, LU
+elsewhere.  This module alone decides how V and D are held.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -121,11 +123,6 @@ class OperatorMatrices:
         self.alpha = float(alpha)
         self.mass = mesh.element_sizes.copy()  # mass diagonal; trace 2T
 
-    def _terms(self, tau):
-        """tau and the exp/erfc factors of both distances at tau, shared by V, K and D."""
-        (a, b) = self.mesh.interval
-        return tau, {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
-
     @property
     def toeplitz(self) -> bool:
         """True when both sides' breaks are arange(n + 1) * h with h a power of two:
@@ -138,65 +135,62 @@ class OperatorMatrices:
     def _mirror_toeplitz(self):
         """{"V": ..., "D": ...} as ``MirrorToeplitz`` if both sides' breaks are
         arange(n + 1) * h with h a power of two (then B_i - B_j == (i - j) h
-        bitwise), else None."""
+        bitwise), else None.  P's and Q's first columns are column 0 of the
+        dense matrix, the rows of both sides against trial element 0 alone."""
         mesh, h = self.mesh, self.mesh.left_breaks[1]
-        k = np.arange(mesh.n_left + 1)
         if not (mesh.mirror and math.frexp(h)[0] == 0.5
-                and np.array_equal(mesh.left_breaks, k * h)):
+                and np.array_equal(mesh.left_breaks, np.arange(mesh.n_left + 1) * h)):
             return None
-        tau, terms = self._terms(k[1:] * h)
-        (a, b), n = mesh.interval, mesh.n_left
-        operators = {}
-        for name in "VD":
-            formula, op, factor, _ = self._form(name)
-            columns = []  # lags 0 .. n - 1 of P = block(left, left), then of Q = block(left, right)
-            for n_col, dist in ((-1.0, 0.0), (1.0, abs(b - a))):
-                t = np.zeros(n + 2)  # T at the lags -h ... n h, +0.0 where not causal
-                t[2:] = formula(dist, tau, self.alpha, *terms[dist])
-                s = ((t[2:] - t[1:-1]) - t[1:-1]) + t[:-2]  # the table's order
-                columns.append(op(s, factor(-1.0, n_col)))
-            operators[name] = MirrorToeplitz(*columns)
-        return operators
+        first = (slice(0, 1), mesh.left_breaks[:2], mesh.interval[0], -1.0)
+        lags = self._lags(first[1])
+        return {name: MirrorToeplitz(*self._corner_sums(name, lags, (first,)).reshape(2, -1))
+                for name in "VD"}
 
-    @cached_property
-    def _lags(self):
+    def _lags(self, col_breaks):
+        """The causal lags B_i - c_j of the merged breaks B against the trial breaks c,
+        and the exp/erfc factors of both distances once per distinct lag."""
         mesh = self.mesh
         breaks = np.union1d(mesh.left_breaks, mesh.right_breaks)
-        lag = breaks[:, None] - breaks[None, :]
-        causal = lag > 0.0  # i > j: breaks are strictly increasing
+        lag = breaks[:, None] - col_breaks[None, :]
+        causal = lag > 0.0
         # exact float equality only, no tolerance: lags that never repeat get no reuse
         tau, inv = np.unique(lag[causal], return_inverse=True)  # causal lag -> distinct lag
-        return (breaks, causal, inv) + self._terms(tau)
+        (a, b) = mesh.interval
+        terms = {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
+        return breaks, col_breaks, causal, inv, tau, terms
 
-    def _side_blocks(self, odd):
-        """Table key -> the (row side, col side) blocks read from its table.
+    @cached_property
+    def _full_lags(self):
+        """The lags of the merged breaks against themselves, shared by dense V, K and D."""
+        return self._lags(np.union1d(self.mesh.left_breaks, self.mesh.right_breaks))
 
-        A side is (element rows, breakpoints, x, outward normal).
-        """
+    @property
+    def _sides(self):
+        """The left and right sides, each (element rows, breakpoints, x, outward normal)."""
         (a, b), n = self.mesh.interval, self.mesh.n_left
-        sides = ((slice(0, n), self.mesh.left_breaks, a, -1.0),
-                 (slice(n, None), self.mesh.right_breaks, b, 1.0))
-        blocks = {}
-        for row in sides:
-            for col in sides:
-                d = row[2] - col[2]
-                if odd and d == 0.0:  # an odd primitive vanishes within a side
-                    continue
-                # an even primitive shares the table of d and -d
-                blocks.setdefault(d if odd else abs(d), []).append((row, col))
-        return blocks
+        return ((slice(0, n), self.mesh.left_breaks, a, -1.0),
+                (slice(n, None), self.mesh.right_breaks, b, 1.0))
 
-    def _corner_sums(self, name) -> np.ndarray:
-        """Dense V, K or D: corner sums of every side block, then op(block, factor)."""
-        out = np.zeros((self.mesh.n_elements,) * 2)
+    def _corner_sums(self, name, lags, cols) -> np.ndarray:
+        """The rows of V, K or D against the trial sides ``cols`` (both sides give the
+        dense matrix): corner sums of every side block, then op(block, factor)."""
         formula, op, factor, odd = self._form(name)
-        breaks, causal, inv, tau, terms = self._lags
-        for key, pairs in self._side_blocks(odd).items():
+        breaks, col_breaks, causal, inv, tau, terms = lags
+        out = np.zeros((self.mesh.n_elements, sum(len(col[1]) - 1 for col in cols)))
+        blocks = {}  # table key -> the (row side, col side) blocks read from its table
+        for row in self._sides:
+            for col in cols:
+                d = row[2] - col[2]
+                if not (odd and d == 0.0):  # an odd primitive vanishes within a side
+                    # an even primitive shares the table of d and -d
+                    blocks.setdefault(d if odd else abs(d), []).append((row, col))
+        for key, pairs in blocks.items():
             table = np.zeros(causal.shape)
             table[causal] = formula(key, tau, self.alpha, *terms[abs(key)])[inv]
-            for (rows, row_b, _, n_row), (cols, col_b, _, n_col) in pairs:
-                g = table[np.ix_(np.searchsorted(breaks, row_b), np.searchsorted(breaks, col_b))]
-                block = out[rows, cols]
+            for (rows, row_b, _, n_row), (col, col_b, _, n_col) in pairs:
+                g = table[np.ix_(np.searchsorted(breaks, row_b),
+                                 np.searchsorted(col_breaks, col_b))]
+                block = out[rows, col]
                 np.subtract(g[1:, :-1], g[1:, 1:], out=block)
                 block -= g[:-1, :-1]
                 block += g[:-1, 1:]
@@ -230,7 +224,7 @@ class OperatorMatrices:
     @cached_property
     def V(self) -> np.ndarray:
         """Single layer: (1/alpha) double integral of the heat kernel."""
-        return self._corner_sums("V")
+        return self._corner_sums("V", self._full_lags, self._sides)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -239,7 +233,7 @@ class OperatorMatrices:
         The kernel is odd in d, so same-side entries vanish identically; only
         the cross-side blocks are populated.  d/dn_y G = -n_y dG/dd.
         """
-        return self._corner_sums("K")
+        return self._corner_sums("K", self._full_lags, self._sides)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -250,7 +244,7 @@ class OperatorMatrices:
         realizes the finite-part value without any numerical regularization.
         The global sign makes the symmetric part positive definite.
         """
-        return self._corner_sums("D")
+        return self._corner_sums("D", self._full_lags, self._sides)
 
 
 def _causal_product(a, b, m):
@@ -400,7 +394,8 @@ def assemble_rhs(mesh: BoundaryMesh, problem: Problem) -> np.ndarray:
     """Right-hand side -<M0 u0, phi_l>.
 
     Warns, never enforces, when u0 does not vanish at an end of the interval,
-    where it meets the zero Dirichlet datum.
+    where it meets the zero Dirichlet datum.  Raises NumericalError when u0 is
+    given but every moment is exactly 0 (GMRES would return w = 0 as solved).
     """
     if problem.u0 is not None:
         for xc in mesh.interval:
@@ -411,8 +406,11 @@ def assemble_rhs(mesh: BoundaryMesh, problem: Problem) -> np.ndarray:
                     f"u0={u0c:.3e} vs g=0",
                     stacklevel=2,
                 )
+    moments = initial_dirichlet_moments(mesh, problem)
+    if problem.u0 is not None and not np.any(moments):
+        raise NumericalError(f"right-hand side is exactly zero at alpha={problem.alpha:g}")
     # 0.0 - m rather than -m keeps exact zeros unsigned in the matrix dumps
-    return 0.0 - initial_dirichlet_moments(mesh, problem)
+    return 0.0 - moments
 
 
 def evaluate_interior(x: float, t: float, flux: DiscreteFlux, problem: Problem) -> float:

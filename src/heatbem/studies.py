@@ -296,8 +296,6 @@ def run_single_solve(cfg: ExperimentConfig, points=()) -> SolveResult:
     mesh = uniform_mesh(HORIZON, cfg.max_level, INTERVAL)
     mats = assemble_all(mesh, problem.alpha)  # V and D stay unformed unless dumped
     f = assemble_rhs(mesh, problem)
-    if problem.u0 is not None and not np.any(f):  # GMRES would return w = 0 as solved
-        raise NumericalError(f"right-hand side is exactly zero at alpha={cfg.alpha:g}")
     prec = _preconditioner("calderon", mats)
     report = gmres(mats.operator("V"), f, tol=cfg.tol, preconditioner=prec)
     if not report.converged:

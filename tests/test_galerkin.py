@@ -457,6 +457,16 @@ class TestMirrorToeplitzSolve:
         with pytest.raises(NumericalError, match="non-finite"):
             mats.solve(f)
 
+    @pytest.mark.parametrize("make", [lambda: uniform_mesh(1.0, 2),
+                                      lambda: graded_mesh(2.0 ** -8)], ids=["uniform_L2", "graded"])
+    def test_overflowing_operators_raise(self, make):
+        # the kernel primitives overflow to NaN at this alpha, on the FFT path and on LU
+        mats = assemble_all(make(), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError):
+                mats.solve(np.ones(mats.mesh.n_elements))
+
     def test_halves_off_the_toeplitz_meshes_are_the_dense_ones(self):
         mats = assemble_all(mirror_graded_mesh(), ALPHA)
         assert not mats.toeplitz and mats.mesh.mirror
@@ -497,6 +507,22 @@ class TestAssemblyMemory:
         peak, held = self.build_peak_and_held(make())
         assert peak <= 3.0
         assert held <= 0.25
+
+    @pytest.mark.parametrize("level", [9, 11])
+    def test_fft_pair_is_built_in_linear_memory(self, level):
+        # the pair reads trial element 0 of the lag table alone; a build through the
+        # full table needs at least N^2 / 4 doubles, 256 N at L9
+        mesh = uniform_mesh(1.0, level)
+        tracemalloc.start()
+        try:
+            mats = assemble_all(mesh, ALPHA)
+            mats.operator("V")
+            mats.operator("D")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * mesh.n_elements * 8
+        assert not {"V", "D", "_full_lags"} & set(vars(mats))
 
 
 class TestRhs:
@@ -613,6 +639,15 @@ class TestRhs:
         prob = Problem(u0=lambda y: np.cos(np.pi * y))  # u0(0) = 1 != g = 0
         with pytest.warns(UserWarning, match="incompatible"):
             assemble_rhs(uniform_mesh(1.0, 0), prob)
+
+    @pytest.mark.parametrize("make", [lambda: uniform_mesh(1.0, 2),
+                                      lambda: graded_mesh(2.0 ** -8)], ids=["uniform_L2", "graded"])
+    def test_all_zero_moments_raise(self, make):
+        # the initial potential underflows to exactly zero at this alpha; GMRES would
+        # return w = 0 after 0 iterations as the solution
+        prob = Problem(alpha=1e40, u0=example1_initial_datum)
+        with pytest.raises(NumericalError, match=r"exactly zero at alpha=1e\+40"):
+            assemble_rhs(make(), prob)
 
 
 class TestInteriorEvaluation:

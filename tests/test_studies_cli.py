@@ -871,11 +871,24 @@ class TestCli:
         ["study-adaptive", "--alpha", "1e300", "--target-n", "10"],
     ], ids=["uniform_no_kappa", "uniform", "adaptive"])
     def test_non_finite_operators_exit_3(self, tmp_path, capsys, argv):
-        # the kernel primitives overflow to NaN at this alpha: no NaN table is written
+        # the right-hand side underflows to zero and the kernel primitives overflow to
+        # NaN at this alpha: no table is written
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main([*argv, "--out", str(tmp_path / "a")]) == 3
         assert "numerical failure:" in capsys.readouterr().err
+        assert not list((tmp_path / "a").glob("table*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["study-uniform", "--levels", "2", "--alpha", "1e40"],
+        ["study-adaptive", "--alpha", "1e40", "--target-n", "10"],
+    ], ids=["uniform", "adaptive"])
+    def test_studies_with_a_zero_rhs_exit_3(self, tmp_path, capsys, argv):
+        # the initial potential underflows to an all-zero right-hand side at this alpha;
+        # the studies would print the zero flux's l2_error and 0 iterations on every row
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: right-hand side is exactly zero at alpha=1e+40" in err
         assert not list((tmp_path / "a").glob("table*"))
 
     def test_solve_with_a_zero_rhs_exits_3(self, tmp_path, capsys):
