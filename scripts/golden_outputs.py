@@ -28,7 +28,8 @@ COMMANDS = {
     "uniform_ex1": ["study-uniform", "--example", "1", "--levels", "9", "--kappa", "both"],
     # levels 10 and 11 lie above the default kappa cap: no kappa columns, no N x N array
     "uniform_ex1_L11": ["study-uniform", "--example", "1", "--levels", "11"],
-    # it_none and it_diag at L7-9 move by one under a change of rounding
+    # it_none at L7-9 moves by one under a change of rounding; it_diag is copied from it
+    # (diag(V) is one scalar); tests/golden/uniform_ex2_L9 holds this command's tables
     "uniform_ex2_L9": ["study-uniform", "--example", "2", "--levels", "9"],
     "adaptive_ex2": ["study-adaptive", "--example", "2", "--target-n", "278"],
     # the sv columns of the Hankel flips at a second alpha

@@ -34,9 +34,11 @@ class StudyRecord:
     eigenvalue-modulus ratio of the same matrix, both reduced from the pieces
     that ``studies._spectral_pieces`` splits it into (see condition_number).
     Where diag(V) is constant (every uniform level), diag^-1 V is V over a
-    scalar, so the kappa_diag_* entries are copied from kappa_V_*.  Entries
-    are None when the stage was skipped (preconditioner not requested, N
-    above the kappa cap).
+    scalar, so the kappa_diag_* entries are copied from kappa_V_*, and it_diag
+    is the unpreconditioned count (GMRES's Givens residual estimates and
+    breakdown tests do not see a scalar right preconditioner).  Entries are None
+    when the stage was skipped (preconditioner not requested, N above the
+    kappa cap).
     """
 
     L: int

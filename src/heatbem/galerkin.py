@@ -298,10 +298,10 @@ class MirrorToeplitz:
 
     def __matmul__(self, x):
         n = self.shape[0] // 2
-        xf = np.fft.rfft(np.reshape(x, (2, n)), 2 * n)  # both halves, one call
-        (p, q), (x1, x2) = self._pq, xf
-        y = np.fft.irfft(np.stack([p * x1 + q * x2, q * x1 + p * x2]), 2 * n)
-        return y[:, :n].ravel()
+        x1, x2 = np.fft.rfft(np.reshape(x, (2, n)), 2 * n)  # both halves, one call
+        y = self._pq * x1  # (p x1, q x1)
+        y += self._pq[::-1] * x2  # + (q x2, p x2)
+        return np.fft.irfft(y, 2 * n)[:, :n].ravel()
 
 
 def assemble_all(mesh: BoundaryMesh, alpha: float) -> OperatorMatrices:

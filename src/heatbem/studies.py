@@ -2,8 +2,9 @@
 
 Each refinement level assembles the operators once, takes the flux for the
 error column from a direct solve (``OperatorMatrices.solve``: deterministic,
-solver-error free), and runs GMRES on ``OperatorMatrices.operator`` per
-requested preconditioner for the iteration counts; ``galerkin`` alone picks
+solver-error free), and runs GMRES on ``OperatorMatrices.operator`` once per
+distinct preconditioned system for the iteration counts (where diag(V) is one
+scalar, diag's system is the unpreconditioned one); ``galerkin`` alone picks
 the FFT operators of a uniform mesh or the dense matrices.
 The adaptive driver uses a two-level hierarchical indicator: the L2 norm per
 element of the difference between the current solution and the solution on
@@ -162,15 +163,15 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
     return (A[ix[:, :, None], ix[:, None, :]] for ix in map(np.array, by_size.values()))
 
 
-def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig) -> None:
+def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig,
+                   scalar_diag: bool) -> None:
     """The requested kappa columns of ``rec``, each reduced from its spectral pieces;
-    where diag(V) is constant (every Toeplitz mesh), diag^-1 V = V / d[0] and, kappa
-    being scale invariant, its columns are copied from V's."""
-    d = mats.operator("V").diagonal()
+    where diag(V) is one scalar d (``scalar_diag``: every Toeplitz mesh), diag^-1 V =
+    V / d and, kappa being scale invariant, its columns are copied from V's."""
     conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
     for name in ("V", *(p for p in ("diag", "calderon") if p in cfg.preconds)):
         for conv in conventions:
-            if name == "diag" and np.all(d == d[0]):
+            if name == "diag" and scalar_diag:
                 kappa = getattr(rec, f"kappa_V_{conv}")
             else:
                 kappa = condition_number(_spectral_pieces(mats, name, conv), conv)
@@ -183,7 +184,11 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
 
     The flux and GMRES read V and D only through ``mats.solve`` and
     ``mats.operator``; the kappa cap decides only whether the kappa columns
-    are computed.
+    are computed.  Where diag(V) is one scalar, the diag preconditioner is that
+    scalar's inverse, and GMRES's Givens residual estimates and breakdown tests
+    do not see a scalar right preconditioner: like the diag kappa columns,
+    ``it_diag`` is then the unpreconditioned count, and each distinct system is
+    solved once, whatever the order of ``cfg.preconds``.
     """
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
@@ -194,12 +199,18 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
     if prev_error is not None:
         rec.eoc = eoc([prev_error, err])[0]
 
-    if mesh.n_elements <= cfg.max_kappa_n:
-        _kappa_columns(rec, mats, cfg)
     V = mats.operator("V")
+    d = V.diagonal()
+    scalar_diag = bool(np.all(d == d[0]))
+    if mesh.n_elements <= cfg.max_kappa_n:
+        _kappa_columns(rec, mats, cfg, scalar_diag)
+    iterations = {}  # per distinct preconditioned system
     for name in cfg.preconds:
-        report = gmres(V, f, tol=cfg.tol, preconditioner=_preconditioner(name, mats))
-        setattr(rec, f"it_{name}", report.iterations)
+        key = "none" if name == "diag" and scalar_diag else name
+        if key not in iterations:
+            prec = _preconditioner(key, mats)
+            iterations[key] = gmres(V, f, tol=cfg.tol, preconditioner=prec).iterations
+        setattr(rec, f"it_{name}", iterations[key])
     return rec, flux
 
 

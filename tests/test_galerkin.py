@@ -394,6 +394,19 @@ class TestBreakpointTable:
                 ref = dense @ x
                 assert np.linalg.norm(op @ x - ref) <= 1e-14 * np.linalg.norm(ref), (lv, kind)
 
+    def test_product_is_the_two_half_formula_bitwise(self):
+        # the in-place product against (p x1 + q x2, q x1 + p x2) formed as two new halves
+        rng = np.random.default_rng(29)
+        for lv in range(12):
+            mats, n = assemble_all(uniform_mesh(1.0, lv), ALPHA), 2 ** lv
+            for kind in "VD":
+                op = mats.operator(kind)
+                for _ in range(3):
+                    x = rng.standard_normal(2 * n)
+                    (p, q), (x1, x2) = op._pq, np.fft.rfft(np.reshape(x, (2, n)), 2 * n)
+                    y = np.fft.irfft(np.stack([p * x1 + q * x2, q * x1 + p * x2]), 2 * n)
+                    assert np.array_equal(op @ x, y[:, :n].ravel()), (lv, kind)
+
     @pytest.mark.parametrize("name", ["mirror_graded", "unequal_sides"])
     def test_operator_is_the_dense_matrix_off_the_toeplitz_meshes(self, name):
         mats = assemble_all(self.MESHES[name](), ALPHA)
