@@ -13,7 +13,8 @@ appears or disappears:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 4.4 s on 2 cores (median of 3 runs); no command takes more than 1 s of it.
+Takes about 4.4 s on 2 cores (median of 3 runs). ``adaptive_ex2_none`` takes
+about 1.4 s of it; no other command takes more than 1 s.
 """
 
 import contextlib
@@ -32,6 +33,9 @@ COMMANDS = {
     # (diag(V) is one scalar); tests/golden/uniform_ex2_L9 holds this command's tables
     "uniform_ex2_L9": ["study-uniform", "--example", "2", "--levels", "9"],
     "adaptive_ex2": ["study-adaptive", "--example", "2", "--target-n", "278"],
+    # unpreconditioned counts up to 779 iterations at N = 908; no kappa columns
+    "adaptive_ex2_none": ["study-adaptive", "--example", "2", "--target-n", "700",
+                          "--precond", "none", "--max-kappa-n", "0"],
     # the sv columns of the Hankel flips at a second alpha
     "uniform_ex1_sv_0.01": ["study-uniform", "--example", "1", "--levels", "9", "--kappa", "sv",
                             "--alpha", "0.01"],

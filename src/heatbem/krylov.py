@@ -7,17 +7,25 @@ across preconditioners.  Orthogonalization is classical Gram-Schmidt applied
 twice (CGS2), each pass one product with the whole basis; two passes keep the
 basis orthogonal to working precision ("twice is enough": Giraud, Langou &
 Rozloznik, Comput. Math. Appl. 2005).  The basis and the Hessenberg matrix
-grow in doubling chunks, so a solve that converges early never reserves the
-full ``max_iter`` columns.  The least-squares problem is updated with Givens
-rotations, whose running residual estimate is exact in exact arithmetic.  They
-rotate each new Hessenberg column as Python floats, IEEE doubles like numpy's
-float64 scalars in the same operation order: bitwise, without scalar overhead.
+grow in doubling chunks of uninitialized storage, into which only what is in
+use is copied, so a solve that converges early never reserves the full
+``max_iter`` columns.  The least-squares problem is solved with Givens
+rotations (Saad & Schultz, SIAM J. Sci. Stat. Comput. 1986), whose running
+residual estimate is exact in exact arithmetic.  The loop keeps omega, the last
+row of the product of the rotations so far: the new column's rotated diagonal
+entry is one dot product with it, and each rotation updates it with one scale
+and one store, so a step costs a fixed number of array operations.  The
+Hessenberg matrix is stored unrotated, one column per row; after the loop one
+pass rotates it to R in place, row pair by row pair, re-deriving each rotation
+in the loop's order so that R, its right-hand side and the solution are those
+of a column-by-column Givens update, bitwise.
 A: array or square operator with ``@``, e.g. a ``galerkin.MirrorToeplitz``
 that is never formed densely.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -86,12 +94,54 @@ class SolveReport:
 _FIRST_CHUNK = 32  # Krylov columns reserved before the first doubling
 
 
-def _rotate(col: list[float], cs: list[float], sn: list[float], j: int) -> None:
-    """Apply the first j Givens rotations (cs[i], sn[i]) to the column ``col`` in place."""
-    for i in range(j):
-        hi, hj = col[i], col[i + 1]
-        col[i] = cs[i] * hi + sn[i] * hj
-        col[i + 1] = -sn[i] * hi + cs[i] * hj
+def _grow(storage: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Uninitialized storage of ``shape`` with a copy of ``storage`` in its corner.
+
+    The copied rows are zero past their old width; the new rows are not touched.
+    """
+    grown = np.empty(shape)
+    rows, cols = storage.shape
+    grown[:rows, :cols] = storage
+    grown[:rows, cols:] = 0.0
+    return grown
+
+
+def _cgs2(Q: np.ndarray, w: np.ndarray, h: np.ndarray) -> None:
+    """Orthogonalize w against the rows of Q in place, twice; add the coefficients to h."""
+    for _ in range(2):  # the second pass reorthogonalizes
+        c = Q @ w
+        w -= c @ Q
+        h += c
+
+
+def _triangularize(H: np.ndarray, m: int, norm_b: float) -> np.ndarray:
+    """Rotate the first m Hessenberg columns to R in place; return R's right-hand side.
+
+    Row j of ``H`` holds column j of the Hessenberg matrix: j + 2 entries, then
+    zeros.  Rotation i is derived from entries i and i + 1 of column i once
+    rotations 0..i-1 have reached them, and is applied to that row pair of
+    every later column: each entry sees the operations of a column-by-column
+    Givens update in the same order, so R is bitwise that update's.  On return
+    ``H[:m, :m].T`` is R, zeros below its diagonal included, and the result is
+    the first m entries of the rotated ``norm_b e_1``.
+    """
+    rhs = np.empty(m)
+    g = norm_b  # the entry of the rotated norm_b e_1 that the next rotation splits
+    for i in range(m):
+        diag, sub = H[i, i : i + 2].tolist()
+        denom = float(np.hypot(diag, sub))
+        cs, sn = diag / denom, sub / denom
+        H[i, i] = denom
+        H[i, i + 1] = 0.0
+        upper, lower = H[i + 1 : m, i], H[i + 1 : m, i + 1]  # rows i, i + 1 of later columns
+        sn_upper, sn_lower = sn * upper, sn * lower
+        upper *= cs
+        upper += sn_lower  # cs * u + sn * l
+        lower *= cs
+        lower -= sn_upper  # cs * l - sn * u, bitwise -sn * u + cs * l
+        rhs[i] = cs * g
+        g = -sn * g
+    return rhs
 
 
 def gmres(
@@ -133,48 +183,45 @@ def gmres(
         return SolveReport(np.zeros(n), 0, history, True)
 
     cap = min(max_iter, _FIRST_CHUNK)  # columns the storage has room for
-    basis = np.zeros((cap + 1, n))
+    basis = np.empty((cap + 1, n))
     basis[0] = b / norm_b
-    H = np.zeros((cap + 1, cap))
-    cs, sn = [], []  # Givens cosines and sines, Python floats
-    rhs = np.zeros(max_iter + 1)
-    rhs[0] = norm_b
+    H = np.empty((cap, cap + 1))  # row j: column j of the Hessenberg matrix, unrotated
+    omega = np.empty(max_iter + 1)  # last row of the product of the rotations so far
+    omega[0] = 1.0
+    residual = norm_b  # last entry of the rotated norm_b e_1
 
     h_scale = 0.0
     breakdown = False
     m = 0
     for j in range(max_iter):
-        if j == cap:  # double the storage, zero-padded
-            grow = min(cap, max_iter - cap)
-            basis = np.pad(basis, ((0, grow), (0, 0)))
-            H = np.pad(H, ((0, grow), (0, grow)))
-            cap += grow
+        if j == cap:  # double the storage, copying only what is in use
+            # no view of the storage outlives a step, so this frees the old one; growing
+            # H first left the adaptive study's peak RSS 0.3 MB lower than basis first
+            cap += min(cap, max_iter - cap)
+            H = _grow(H, (cap, cap + 1))
+            basis = _grow(basis, (cap + 1, n))
         w = A @ prec.apply(basis[j])
-        Q = basis[: j + 1]
-        for _ in range(2):  # CGS2: the second pass reorthogonalizes
-            h = Q @ w
-            w -= h @ Q
-            H[: j + 1, j] += h
+        H[j] = 0.0  # the passes' h add up from zero, and the row stays zero past j + 1
+        _cgs2(basis[: j + 1], w, H[j, : j + 1])
         h_next = float(np.linalg.norm(w))
-        H[j + 1, j] = h_next
-        h_scale = max(h_scale, float(np.max(np.abs(H[: j + 2, j]))))
+        H[j, j + 1] = h_next
+        h_scale = max(h_scale, float(np.max(np.abs(H[j, : j + 2]))))
 
-        col = H[: j + 2, j].tolist()
-        _rotate(col, cs, sn, j)
-        denom = float(np.hypot(col[j], col[j + 1]))
+        # the new column's diagonal entry once the earlier rotations reach it; this
+        # rotation feeds only the residual estimate: R is re-derived after the loop
+        t = float(omega[: j + 1].dot(H[j, : j + 1]))
+        denom = math.hypot(t, h_next)
         if denom <= 1e-14 * max(h_scale, 1e-300):
             # column adds nothing solvable: discard it and stop
             breakdown = True
             break
-        cs.append(col[j] / denom)
-        sn.append(col[j + 1] / denom)
-        col[j], col[j + 1] = denom, 0.0
-        H[: j + 2, j] = col
-        rhs[j + 1] = -sn[j] * rhs[j]
-        rhs[j] = cs[j] * rhs[j]
+        cs, sn = t / denom, h_next / denom
+        omega[: j + 1] *= -sn
+        omega[j + 1] = cs
+        residual *= -sn
 
         m = j + 1
-        history.append(abs(rhs[j + 1]) / norm_b)
+        history.append(abs(residual) / norm_b)
         if history[-1] <= tol:
             break
         if h_next <= 1e-14 * max(h_scale, 1e-300):
@@ -182,10 +229,11 @@ def gmres(
             break
         basis[j + 1] = w / h_next
 
-    y = np.linalg.solve(
-        np.triu(H[:m, :m]), rhs[:m]
-    ) if m else np.zeros(0)
-    x = prec.apply(basis[:m].T @ y) if m else np.zeros(n)
+    if m:
+        y = np.linalg.solve(H[:m, :m].T, _triangularize(H, m, norm_b))
+        x = prec.apply(basis[:m].T @ y)
+    else:
+        x = np.zeros(n)
 
     true_rel = float(np.linalg.norm(b - A @ x) / norm_b)
     history[-1] = true_rel

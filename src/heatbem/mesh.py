@@ -208,10 +208,14 @@ def quasi_uniformity_constant(mesh: BoundaryMesh) -> float:
 
 
 def dumps(mesh: BoundaryMesh) -> str:
-    """One line per element: ``side t_begin t_end`` with 17 significant digits."""
-    tags = [Side.LEFT.value] * mesh.n_left + [Side.RIGHT.value] * mesh.n_right
-    spans = zip(tags, mesh.t_begin_all.tolist(), mesh.t_end_all.tolist())
-    lines = [f"{tag} {t0:.17g} {t1:.17g}" for tag, t0, t1 in spans]
+    """One line per element: ``side t_begin t_end`` with 17 significant digits.
+
+    Each breakpoint is formatted once: an element's end is the next one's begin.
+    """
+    lines = []
+    for side, breaks in ((Side.LEFT, mesh.left_breaks), (Side.RIGHT, mesh.right_breaks)):
+        text = [f"{t:.17g}" for t in breaks.tolist()]
+        lines += [f"{side.value} {t0} {t1}" for t0, t1 in zip(text, text[1:])]
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ from heatbem.galerkin import Problem, assemble_all, assemble_rhs
 from heatbem.krylov import (
     NumericalError,
     Preconditioner,
-    _rotate,
+    _triangularize,
     direct_solve,
     gmres,
 )
@@ -184,27 +184,40 @@ class TestGmres:
             gmres(np.eye(2), np.ones(2), tol=0.0)
 
 
-class TestRotate:
+class TestTriangularize:
     @staticmethod
-    def numpy_scalar_rotate(col, cs, sn, j):
-        """The rotation loop on float64 scalars read from and written to arrays."""
-        H, cs, sn = np.array(col), np.array(cs), np.array(sn)
-        for i in range(j):
-            hi, hj = H[i], H[i + 1]
-            H[i] = cs[i] * hi + sn[i] * hj
-            H[i + 1] = -sn[i] * hi + cs[i] * hj
-        return H
+    def numpy_scalar_givens(H, norm_b):
+        """The column-by-column Givens update on float64 scalars read from and
+        written to arrays: R (upper triangular) and the rotated norm_b e_1."""
+        m = H.shape[1]
+        H, cs, sn, rhs = H.copy(), np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        rhs[0] = norm_b
+        for j in range(m):
+            for i in range(j):
+                hi, hj = H[i, j], H[i + 1, j]
+                H[i, j] = cs[i] * hi + sn[i] * hj
+                H[i + 1, j] = -sn[i] * hi + cs[i] * hj
+            denom = np.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
+            H[j, j], H[j + 1, j] = denom, 0.0
+            rhs[j + 1] = -sn[j] * rhs[j]
+            rhs[j] = cs[j] * rhs[j]
+        return np.triu(H[:m]), rhs[:m]
 
     def test_bitwise_equal_to_numpy_scalar_loop(self):
         rng = np.random.default_rng(13)
-        for j in [0, 1] + list(rng.integers(2, 120, 198)):
-            col = rng.standard_normal(j + 2) * 10.0 ** rng.uniform(-8.0, 8.0, j + 2)
-            theta = rng.uniform(-np.pi, np.pi, j)
-            cs, sn = np.cos(theta), np.sin(theta)
-            expected = self.numpy_scalar_rotate(col, cs, sn, j)
-            got = col.tolist()
-            _rotate(got, cs.tolist(), sn.tolist(), j)
-            assert np.array_equal(np.array(got).view(np.int64), expected.view(np.int64)), j
+        for m in [1, 2] + list(rng.integers(3, 121, 198)):
+            hess = np.triu(rng.standard_normal((m + 1, m)), -1)
+            hess *= 10.0 ** rng.uniform(-8.0, 8.0, hess.shape)
+            norm_b = float(10.0 ** rng.uniform(-8.0, 8.0))
+            expected_R, expected_rhs = self.numpy_scalar_givens(hess, norm_b)
+            # row j holds column j, zero past its j + 2 entries
+            stored = np.zeros((m, m + 1))
+            for j in range(m):
+                stored[j, : j + 2] = hess[: j + 2, j]
+            rhs = _triangularize(stored, m, norm_b)
+            assert np.array_equal(stored[:, :m].T.view(np.int64), expected_R.view(np.int64)), m
+            assert np.array_equal(rhs.view(np.int64), expected_rhs.view(np.int64)), m
 
 
 class TestBlockGramSchmidt:
@@ -273,6 +286,24 @@ class TestBlockGramSchmidt:
             tracemalloc.stop()
         assert report.converged and report.iterations <= 3
         assert peak < 4e6  # bytes; the first chunk is 33 x n doubles (1.1 MB)
+
+    def test_no_copy_of_the_hessenberg_at_exit(self):
+        # n = 32 iterations fill the first chunk: a 33 x 32 basis and 32 x 33 Hessenberg
+        # storage.  R is solved where it was rotated, so the peak (about 21 kB) stays
+        # below that storage plus one 32 x 32 triangle; an np.triu copy took it to 34 kB.
+        n = 32
+        rng = np.random.default_rng(123)
+        A = np.diag(np.linspace(1.0, 100.0, n)) + 0.1 * rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            report = gmres(A, b, tol=1e-14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == n
+        storage = 2 * (n + 1) * n * 8
+        assert peak < storage + n * n * 8
 
 
 class TestPreconditioner:

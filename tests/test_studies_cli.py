@@ -432,7 +432,7 @@ class TestToeplitzLevels:
 
     def test_peak_at_the_kappa_cap(self, monkeypatch):
         # eig reads the diagonals of the halves and sv their Hankel views, both from the
-        # halves' columns: no V, K or D is formed at the cap, and the peak (0.231 units
+        # halves' columns: no V, K or D is formed at the cap, and the peak (0.222 units
         # either way) is GMRES's Krylov basis
         for kappa, bound in (("both", 0.25), ("eig", 0.25)):
             peak, mats = self.traced_record(9, monkeypatch, kappa_convention=kappa)
@@ -726,6 +726,13 @@ class TestGoldenTables:
             name = table + suffix
             got = (tmp_path / Path(name).name).read_bytes()
             assert got == (GOLDEN / name).read_bytes(), name
+
+    def test_solve_flux_byte_identical(self, tmp_path, capsys):
+        # N = 128, 13 Calderon GMRES iterations: the 17 digits of each coefficient pin
+        # the bits of GMRES's solution
+        assert main(["solve", "--level", "6", "--example", "2", "--out", str(tmp_path)]) == 0
+        got = (tmp_path / "flux_L6.txt").read_bytes()
+        assert got == (GOLDEN / "solve_ex2_L6" / "flux_L6.txt").read_bytes()
 
     def test_stdout_table_in_the_run_kappa_convention(self, tmp_path, capsys):
         argv = ["study-uniform", "--levels", "2", "--kappa", "eig", "--out", str(tmp_path)]
