@@ -29,8 +29,13 @@ columns of P = block(left, left) and, V and D being even in d, of
 Q = block(right, left) = block(left, right), so bitwise the dense matrix's
 column 0, in O(N) memory.  It applies and (for V) inverts the matrix by FFT in
 O(N log N); its ``columns`` are the first columns of the n x n even/odd halves
-P + Q and P - Q, and ``solve`` solves V w = f by that inversion there, LU
-elsewhere.  This module alone decides how V and D are held.
+P + Q and P - Q, and ``solve`` solves V w = f by that inversion there.  Elsewhere
+``solve`` marches forward in time (Costabel 2004): causality makes V block
+lower triangular over the slabs between shared breakpoints, so each column
+block of whole slabs solves its diagonal block and leaves the later right-hand
+side.  A block's columns are V's where V is formed, else the same routine's
+rows against that block's trial sides, so the bisected mesh of the adaptive
+indicator forms no N x N matrix.  This module alone decides how V and D are held.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -80,6 +85,7 @@ QUAD_MAX_ORDER = 64
 GRADING_DEPTH = 40  # geometric panels toward each interval endpoint, all kept at tiny t
 LAYER_CUTOFF = 0.1  # a block keeps the breaks >= LAYER_CUTOFF sqrt(t_min / alpha) from an end
 RHS_ROW_BLOCK = 64  # side breakpoints per primitive call and per panel set of the RHS moments
+MARCH_BLOCK = 64  # least elements per column block of the causal march in ``solve``
 
 
 @dataclass(frozen=True)
@@ -164,12 +170,13 @@ class OperatorMatrices:
         """The lags of the merged breaks against themselves, shared by dense V, K and D."""
         return self._lags(np.union1d(self.mesh.left_breaks, self.mesh.right_breaks))
 
-    @property
-    def _sides(self):
-        """The left and right sides, each (element rows, breakpoints, x, outward normal)."""
-        (a, b), n = self.mesh.interval, self.mesh.n_left
-        return ((slice(0, n), self.mesh.left_breaks, a, -1.0),
-                (slice(n, None), self.mesh.right_breaks, b, 1.0))
+    def _sides(self, t0=0.0, t1=math.inf):
+        """The left and right sides' elements within [t0, t1] (all by default), each
+        (their rows, breakpoints, x, outward normal)."""
+        (a, b), mesh = self.mesh.interval, self.mesh
+        left, right = (br[(t0 <= br) & (br <= t1)] for br in (mesh.left_breaks, mesh.right_breaks))
+        n = len(left) - 1
+        return ((slice(0, n), left, a, -1.0), (slice(n, None), right, b, 1.0))
 
     def _corner_sums(self, name, lags, cols) -> np.ndarray:
         """The rows of V, K or D against the trial sides ``cols`` (both sides give the
@@ -178,7 +185,7 @@ class OperatorMatrices:
         breaks, col_breaks, causal, inv, tau, terms = lags
         out = np.zeros((self.mesh.n_elements, sum(len(col[1]) - 1 for col in cols)))
         blocks = {}  # table key -> the (row side, col side) blocks read from its table
-        for row in self._sides:
+        for row in self._sides():
             for col in cols:
                 d = row[2] - col[2]
                 if not (odd and d == 0.0):  # an odd primitive vanishes within a side
@@ -215,16 +222,45 @@ class OperatorMatrices:
         return self._mirror_toeplitz[name] if self.toeplitz else getattr(self, name)
 
     def solve(self, f) -> np.ndarray:
-        """Finite w with V w = f: fast Volterra inversion on a Toeplitz mesh, dense LU elsewhere."""
-        w = self.operator("V").solve(f) if self.toeplitz else direct_solve(self.V, f)
+        """Finite w with V w = f: fast Volterra inversion on a Toeplitz mesh, elsewhere
+        the causal march."""
+        w = self.operator("V").solve(f) if self.toeplitz else self._march(f)
         if not np.all(np.isfinite(w)):
             raise NumericalError("solve produced non-finite entries")
+        return w
+
+    def _march(self, f) -> np.ndarray:
+        """w with V w = f by forward substitution over column blocks in time order,
+        each a run of whole consecutive slabs of at least MARCH_BLOCK elements (the
+        last may have fewer).  Causality makes V block lower triangular over the
+        slabs, so block K solves V[K, K] w_K = f_K (``direct_solve``) and subtracts
+        V[later, K] w_K from the later right-hand side; its columns are a slice of V
+        where V is formed, else the corner sums against its own trial sides alone,
+        bitwise the same, in O(N x block) memory."""
+        mesh, w = self.mesh, np.array(f, dtype=float)
+        begins, t0, count = mesh.t_begin_all, 0.0, 0
+        for slab in mesh.slabs:
+            count += len(slab)
+            t1 = mesh.t_end_all[slab[-1]]
+            if count < MARCH_BLOCK and t1 < mesh.horizon:
+                continue
+            own = np.flatnonzero((t0 <= begins) & (begins < t1))
+            later = np.flatnonzero(begins >= t1)
+            if "V" in vars(self):
+                cols = self.V[:, own]
+            else:
+                sides = self._sides(t0, t1)
+                lags = self._lags(np.union1d(sides[0][1], sides[1][1]))
+                cols = self._corner_sums("V", lags, sides)
+            w[own] = direct_solve(cols[own], w[own])
+            w[later] -= cols[later] @ w[own]
+            t0, count = t1, 0
         return w
 
     @cached_property
     def V(self) -> np.ndarray:
         """Single layer: (1/alpha) double integral of the heat kernel."""
-        return self._corner_sums("V", self._full_lags, self._sides)
+        return self._corner_sums("V", self._full_lags, self._sides())
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -233,7 +269,7 @@ class OperatorMatrices:
         The kernel is odd in d, so same-side entries vanish identically; only
         the cross-side blocks are populated.  d/dn_y G = -n_y dG/dd.
         """
-        return self._corner_sums("K", self._full_lags, self._sides)
+        return self._corner_sums("K", self._full_lags, self._sides())
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -244,7 +280,7 @@ class OperatorMatrices:
         realizes the finite-part value without any numerical regularization.
         The global sign makes the symmetric part positive definite.
         """
-        return self._corner_sums("D", self._full_lags, self._sides)
+        return self._corner_sums("D", self._full_lags, self._sides())
 
 
 def _causal_product(a, b, m):

@@ -1,4 +1,4 @@
-"""Non-restarted GMRES with pluggable preconditioners, plus a dense LU oracle.
+"""Non-restarted GMRES with pluggable preconditioners, plus the dense LU block solver.
 
 Right preconditioning is used throughout: GMRES runs on A P^{-1} and maps the
 Krylov solution back through P^{-1}.  This keeps the stopping criterion on the
@@ -20,7 +20,8 @@ pass rotates it to R in place, row pair by row pair, re-deriving each rotation
 in the loop's order so that R, its right-hand side and the solution are those
 of a column-by-column Givens update, bitwise.
 A: array or square operator with ``@``, e.g. a ``galerkin.MirrorToeplitz``
-that is never formed densely.
+that is never formed densely.  ``direct_solve`` solves one diagonal block of the
+causal march in ``galerkin.OperatorMatrices.solve``.
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ def gmres(
 
 
 def direct_solve(A, b) -> np.ndarray:
-    """Dense LU with partial pivoting; raises NumericalError when singular."""
+    """Dense LU with partial pivoting of one diagonal block of the causal march (or
+    any square A); raises NumericalError when singular."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     try:

@@ -95,11 +95,16 @@ def mirror_graded_mesh():
 
 
 @lru_cache(maxsize=1)
-def adaptive_ex2_final_mesh():
-    """The last mesh of the default adaptive study of example 2 (N = 340, h_min = 2^-19)."""
+def adaptive_ex2_meshes():
+    """The 24 meshes of the default adaptive study of example 2 (N = 2 ... 340)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the study's stagnation warning
-        return run_adaptive_study(ExperimentConfig(example=2, target_n=278))[1][-1]
+        return run_adaptive_study(ExperimentConfig(example=2, target_n=278))[1]
+
+
+def adaptive_ex2_final_mesh():
+    """The last mesh of the default adaptive study of example 2 (N = 340, h_min = 2^-19)."""
+    return adaptive_ex2_meshes()[-1]
 
 
 def reference_matrices(mesh, alpha):
@@ -536,6 +541,99 @@ class TestAssemblyMemory:
             tracemalloc.stop()
         assert peak <= 32 * mesh.n_elements * 8
         assert not {"V", "D", "_full_lags"} & set(vars(mats))
+
+
+class TestCausalMarch:
+    """Off the Toeplitz meshes ``solve`` marches over column blocks of whole slabs:
+    V is block lower triangular over the slabs, each block solves its diagonal
+    block, and a block's columns are the same whether V is formed or not."""
+
+    @staticmethod
+    def recorded_solve(monkeypatch, mats, f):
+        """mats.solve(f) and the shapes of the matrices ``direct_solve`` received."""
+        shapes = []
+
+        def recording(A, b):
+            shapes.append(np.shape(A))
+            return direct_solve(A, b)
+
+        monkeypatch.setattr(galerkin, "direct_solve", recording)
+        return mats.solve(f), shapes
+
+    @pytest.mark.parametrize("make", [lambda: graded_mesh(2.0 ** -16), nonuniform_mesh,
+                                      random_mesh, mirror_graded_mesh],
+                             ids=["graded", "unequal_sides", "random", "mirror_graded"])
+    def test_entries_above_the_slab_blocks_are_zero(self, make):
+        mesh = make()
+        slab = np.empty(mesh.n_elements, dtype=int)
+        for k, idx in enumerate(mesh.slabs):
+            slab[idx] = k
+        V = assemble_all(mesh, ALPHA).V
+        assert np.all(V[slab[:, None] < slab[None, :]] == 0.0)
+
+    def test_formed_and_unformed_v_give_the_same_bits(self, monkeypatch):
+        mesh = two_block_mesh()  # N = 186: three march blocks
+        f = assemble_rhs(mesh, Problem(ALPHA, example2_initial_datum))
+        unformed, formed = OperatorMatrices(mesh, ALPHA), OperatorMatrices(mesh, ALPHA)
+        formed.V
+        w, shapes = self.recorded_solve(monkeypatch, unformed, f)
+        assert len(shapes) >= 3 and "V" not in vars(unformed)
+        assert np.array_equal(w, formed.solve(f))
+
+    @pytest.mark.parametrize("make", [lambda: graded_mesh(2.0 ** -8), nonuniform_mesh,
+                                      mirror_graded_mesh],
+                             ids=["graded", "unequal_sides", "mirror_graded"])
+    def test_one_block_is_the_lu_of_v(self, make):
+        mesh = make()
+        assert mesh.n_elements <= galerkin.MARCH_BLOCK
+        f = assemble_rhs(mesh, Problem(ALPHA, example2_initial_datum))
+        w = OperatorMatrices(mesh, ALPHA).solve(f)
+        assert np.array_equal(w, direct_solve(assemble_all(mesh, ALPHA).V, f))
+
+    @pytest.mark.parametrize("make", [lambda: graded_mesh(2.0 ** -16), two_block_mesh],
+                             ids=["graded", "bisected"])
+    def test_lu_sees_only_diagonal_blocks(self, monkeypatch, make):
+        mesh = make()
+        f = assemble_rhs(mesh, Problem(ALPHA, example2_initial_datum))
+        _, shapes = self.recorded_solve(monkeypatch, OperatorMatrices(mesh, ALPHA), f)
+        n = mesh.n_elements
+        assert n > galerkin.MARCH_BLOCK and len(shapes) >= 2
+        assert all(a == b < n for a, b in shapes)
+        assert sum(a for a, _ in shapes) == n
+
+    @pytest.mark.parametrize("make", [lambda: graded_mesh(2.0 ** -14),
+                                      lambda: graded_mesh(2.0 ** -16),
+                                      lambda: refine_uniform(graded_mesh(2.0 ** -12))],
+                             ids=["graded_N67", "graded_N77", "bisected_N114"])
+    def test_residual_and_forward_error(self, make):
+        # V's condition grows with the grading: at h_min = 2^-19 LU and the march
+        # are both 2.8e-13 off the reference, so these meshes stop at 2^-16; the
+        # bound is for the example-2 datum (with example 1's, graded_N77 gives the
+        # march 1.4e-13 and LU 9.2e-14)
+        mesh = make()
+        f = assemble_rhs(mesh, Problem(ALPHA, example2_initial_datum))
+        mats = assemble_all(mesh, ALPHA)
+        w = mats.solve(f)
+        assert mesh.n_elements > galerkin.MARCH_BLOCK
+        assert np.linalg.norm(mats.V @ w - f) <= 1e-15 * np.linalg.norm(f)
+        ref = TestMirrorToeplitzSolve.refined(mats.V, f)
+        assert np.linalg.norm(w - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_bisected_solve_forms_no_matrix(self):
+        # the indicator's solve at adaptive_ex2's N = 243 step; assembling the fine
+        # V for LU peaked at 3.63 N_f^2 doubles, the march at 1.77
+        mesh = refine_uniform(adaptive_ex2_meshes()[-2])
+        assert mesh.n_elements == 486
+        f = assemble_rhs(mesh, Problem(ALPHA, example2_initial_datum))
+        tracemalloc.start()
+        try:
+            mats = assemble_all(mesh, ALPHA)
+            mats.solve(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * mesh.n_elements ** 2 * 8
+        assert not {"V", "K", "D"} & set(vars(mats))
 
 
 class TestRhs:
