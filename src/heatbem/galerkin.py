@@ -19,8 +19,10 @@ The exp/erfc factors of each |d| are evaluated once per distinct causal lag
 (lags repeat on uniform and dyadic meshes) and give T[i, j] = F2(d, B_i - c_j);
 a side block is the second difference of T on its sides' breakpoints, and one T
 is live at a time.  One corner-sum routine gives the rows of both sides against
-the trial sides it is passed: ``OperatorMatrices`` assembles V, K and D, each on
-first read, against both sides from one shared table of B against itself.
+the trial sides it is passed, from the first trial break on (earlier rows are
+zero): ``OperatorMatrices`` assembles V, K and D, each on first read, against
+both sides from one shared table of B against itself, which it drops once V and
+D are both formed; ``release`` forgets a formed block after its last reader.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 (i - j) h bitwise and every side block is lower-triangular Toeplitz.  There
 ``operator`` gives V or D as a ``MirrorToeplitz`` instead, one per name, built
@@ -33,9 +35,10 @@ P + Q and P - Q, and ``solve`` solves V w = f by that inversion there.  Elsewher
 ``solve`` marches forward in time (Costabel 2004): causality makes V block
 lower triangular over the slabs between shared breakpoints, so each column
 block of whole slabs solves its diagonal block and leaves the later right-hand
-side.  A block's columns are V's where V is formed, else the same routine's
-rows against that block's trial sides, so the bisected mesh of the adaptive
-indicator forms no N x N matrix.  This module alone decides how V and D are held.
+side.  A block's columns, in its own and later rows, are V's where V is formed,
+else the same routine's rows against that block's trial sides, so the bisected
+mesh of the adaptive indicator forms no N x N matrix.  This module alone decides
+how V and D are held.
 
 Sign conventions are fixed operationally: the hypersingular matrix is the one
 whose symmetric part is positive definite, and the interior representation
@@ -120,7 +123,13 @@ class DiscreteFlux:
 
 
 class OperatorMatrices:
-    """Dense V, K and D of one mesh, each assembled on first read, and the mass diagonal."""
+    """Dense V, K and D of one mesh, each assembled on first read, and the mass diagonal.
+
+    The three share one lag table of the merged breaks against themselves; it is
+    dropped once V and D are both formed, so a level holds V and D alone, and K
+    (test-only) read after that sorts its lags again.  ``release`` forgets a formed
+    block: a study level releases D after its last reader.
+    """
 
     def __init__(self, mesh: BoundaryMesh, alpha: float):
         if not alpha > 0.0:
@@ -153,10 +162,12 @@ class OperatorMatrices:
                 for name in "VD"}
 
     def _lags(self, col_breaks):
-        """The causal lags B_i - c_j of the merged breaks B against the trial breaks c,
-        and the exp/erfc factors of both distances once per distinct lag."""
+        """The causal lags B_i - c_j of the merged breaks B from c_0 on against the trial
+        breaks c, and the exp/erfc factors of both distances once per distinct lag.
+        Earlier rows would be all zero: no B_i < c_0 follows any trial break."""
         mesh = self.mesh
         breaks = np.union1d(mesh.left_breaks, mesh.right_breaks)
+        breaks = breaks[breaks >= col_breaks[0]]
         lag = breaks[:, None] - col_breaks[None, :]
         causal = lag > 0.0
         # exact float equality only, no tolerance: lags that never repeat get no reuse
@@ -167,7 +178,8 @@ class OperatorMatrices:
 
     @cached_property
     def _full_lags(self):
-        """The lags of the merged breaks against themselves, shared by dense V, K and D."""
+        """The lags of the merged breaks against themselves, shared by dense V, K and D
+        until ``_dense`` drops them."""
         return self._lags(np.union1d(self.mesh.left_breaks, self.mesh.right_breaks))
 
     def _sides(self, t0=0.0, t1=math.inf):
@@ -180,12 +192,16 @@ class OperatorMatrices:
 
     def _corner_sums(self, name, lags, cols) -> np.ndarray:
         """The rows of V, K or D against the trial sides ``cols`` (both sides give the
-        dense matrix): corner sums of every side block, then op(block, factor)."""
+        dense matrix): corner sums of every side block, then op(block, factor).  The
+        rows are the elements from the first trial break on, a break of both sides:
+        those of the lag table (earlier rows are zero)."""
         formula, op, factor, odd = self._form(name)
         breaks, col_breaks, causal, inv, tau, terms = lags
-        out = np.zeros((self.mesh.n_elements, sum(len(col[1]) - 1 for col in cols)))
+        rows = self._sides(breaks[0])
+        out = np.zeros((sum(len(side[1]) - 1 for side in rows),
+                        sum(len(col[1]) - 1 for col in cols)))
         blocks = {}  # table key -> the (row side, col side) blocks read from its table
-        for row in self._sides():
+        for row in rows:
             for col in cols:
                 d = row[2] - col[2]
                 if not (odd and d == 0.0):  # an odd primitive vanishes within a side
@@ -234,9 +250,10 @@ class OperatorMatrices:
         each a run of whole consecutive slabs of at least MARCH_BLOCK elements (the
         last may have fewer).  Causality makes V block lower triangular over the
         slabs, so block K solves V[K, K] w_K = f_K (``direct_solve``) and subtracts
-        V[later, K] w_K from the later right-hand side; its columns are a slice of V
-        where V is formed, else the corner sums against its own trial sides alone,
-        bitwise the same, in O(N x block) memory."""
+        V[later, K] w_K from the later right-hand side.  Its columns are read only
+        in the rows of K and later (earlier rows are zero): a slice of V where V is
+        formed, else the corner sums against its own trial sides alone, bitwise the
+        same, in O(N x block) memory."""
         mesh, w = self.mesh, np.array(f, dtype=float)
         begins, t0, count = mesh.t_begin_all, 0.0, 0
         for slab in mesh.slabs:
@@ -244,23 +261,37 @@ class OperatorMatrices:
             t1 = mesh.t_end_all[slab[-1]]
             if count < MARCH_BLOCK and t1 < mesh.horizon:
                 continue
-            own = np.flatnonzero((t0 <= begins) & (begins < t1))
-            later = np.flatnonzero(begins >= t1)
+            rows = np.flatnonzero(begins >= t0)
+            mine = begins[rows] < t1
+            own, later = rows[mine], rows[~mine]
             if "V" in vars(self):
-                cols = self.V[:, own]
+                cols = self.V[np.ix_(rows, own)]
             else:
                 sides = self._sides(t0, t1)
                 lags = self._lags(np.union1d(sides[0][1], sides[1][1]))
                 cols = self._corner_sums("V", lags, sides)
-            w[own] = direct_solve(cols[own], w[own])
-            w[later] -= cols[later] @ w[own]
+            w[own] = direct_solve(cols[mine], w[own])
+            w[later] -= cols[~mine] @ w[own]
             t0, count = t1, 0
         return w
+
+    def _dense(self, name) -> np.ndarray:
+        """The dense V, K or D from the shared lag table, which is dropped once V and D
+        are both formed: K (test-only) read later sorts its lags again."""
+        block = self._corner_sums(name, self._full_lags, self._sides())
+        if all(other == name or other in vars(self) for other in "VD"):
+            del self._full_lags
+        return block
+
+    def release(self, name: str) -> None:
+        """Forget the formed block ``name`` (V, K or D), if formed: its memory goes with
+        the last other reference to it, and a later read assembles it again."""
+        vars(self).pop(name, None)
 
     @cached_property
     def V(self) -> np.ndarray:
         """Single layer: (1/alpha) double integral of the heat kernel."""
-        return self._corner_sums("V", self._full_lags, self._sides())
+        return self._dense("V")
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -269,7 +300,7 @@ class OperatorMatrices:
         The kernel is odd in d, so same-side entries vanish identically; only
         the cross-side blocks are populated.  d/dn_y G = -n_y dG/dd.
         """
-        return self._corner_sums("K", self._full_lags, self._sides())
+        return self._dense("K")
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -280,7 +311,7 @@ class OperatorMatrices:
         realizes the finite-part value without any numerical regularization.
         The global sign makes the symmetric part positive definite.
         """
-        return self._corner_sums("D", self._full_lags, self._sides())
+        return self._dense("D")
 
 
 def _causal_product(a, b, m):

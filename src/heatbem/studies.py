@@ -5,7 +5,9 @@ error column from a direct solve (``OperatorMatrices.solve``: deterministic,
 solver-error free), and runs GMRES on ``OperatorMatrices.operator`` once per
 distinct preconditioned system for the iteration counts (where diag(V) is one
 scalar, diag's system is the unpreconditioned one); ``galerkin`` alone picks
-the FFT operators of a uniform mesh or the dense matrices.
+the FFT operators of a uniform mesh or the dense matrices.  Each system's kappa
+columns and GMRES run together, C^-1 V's first: D is then released, so a dense
+level holds V and one stage's temporaries through V's own stages.
 The adaptive driver uses a two-level hierarchical indicator: the L2 norm per
 element of the difference between the current solution and the solution on
 the uniformly bisected mesh.
@@ -153,8 +155,11 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
         if conv == "eig":
             return [np.array(cols)[:, :, None]]
         return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
-    V = mats.V / mats.V.diagonal()[:, None] if name == "diag" else mats.V
-    A = mats.D / np.outer(mats.mass, mats.mass) @ V if name == "calderon" else V
+    A = mats.V / mats.V.diagonal()[:, None] if name == "diag" else mats.V
+    if name == "calderon":
+        D = mats.D  # formed before the outer product is allocated
+        outer = np.outer(mats.mass, mats.mass)
+        A = np.divide(D, outer, out=outer) @ A  # one N x N temporary, not two
     if conv == "sv":
         return A
     by_size = {}  # slab size -> its slabs' rows
@@ -164,18 +169,18 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
 
 
 def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig,
-                   scalar_diag: bool) -> None:
-    """The requested kappa columns of ``rec``, each reduced from its spectral pieces;
-    where diag(V) is one scalar d (``scalar_diag``: every Toeplitz mesh), diag^-1 V =
-    V / d and, kappa being scale invariant, its columns are copied from V's."""
+                   name: str, scalar_diag: bool) -> None:
+    """The kappa columns of V, diag^-1 V or C^-1 V (``name``: V, diag or calderon) in
+    the run's conventions, each reduced from its spectral pieces; where diag(V) is one
+    scalar d (``scalar_diag``: every Toeplitz mesh), diag^-1 V = V / d and, kappa
+    being scale invariant, its columns are copied from V's, which come first."""
     conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
-    for name in ("V", *(p for p in ("diag", "calderon") if p in cfg.preconds)):
-        for conv in conventions:
-            if name == "diag" and scalar_diag:
-                kappa = getattr(rec, f"kappa_V_{conv}")
-            else:
-                kappa = condition_number(_spectral_pieces(mats, name, conv), conv)
-            setattr(rec, f"kappa_{name}_{conv}", kappa)
+    for conv in conventions:
+        if name == "diag" and scalar_diag:
+            kappa = getattr(rec, f"kappa_V_{conv}")
+        else:
+            kappa = condition_number(_spectral_pieces(mats, name, conv), conv)
+        setattr(rec, f"kappa_{name}_{conv}", kappa)
 
 
 def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
@@ -184,11 +189,16 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
 
     The flux and GMRES read V and D only through ``mats.solve`` and
     ``mats.operator``; the kappa cap decides only whether the kappa columns
-    are computed.  Where diag(V) is one scalar, the diag preconditioner is that
-    scalar's inverse, and GMRES's Givens residual estimates and breakdown tests
-    do not see a scalar right preconditioner: like the diag kappa columns,
-    ``it_diag`` is then the unpreconditioned count, and each distinct system is
-    solved once, whatever the order of ``cfg.preconds``.
+    are computed.  The stages of each system run together, D's readers (the
+    calderon kappa columns and GMRES) first; then D is released, so that V's
+    stages (V's and diag^-1 V's kappa columns, the none and diag GMRES) run
+    with V alone formed: the level holds V and one stage's temporaries, not
+    D's N x N block as well.  No cell depends on this order.  Where diag(V) is
+    one scalar, the diag preconditioner is that scalar's inverse, and GMRES's
+    Givens residual estimates and breakdown tests do not see a scalar right
+    preconditioner: like the diag kappa columns, ``it_diag`` is then the
+    unpreconditioned count, and each distinct system is solved once, whatever
+    the order of ``cfg.preconds``.
     """
     mats = assemble_all(mesh, problem.alpha)
     f = assemble_rhs(mesh, problem)
@@ -202,15 +212,19 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
 
     d = V.diagonal()
     scalar_diag = bool(np.all(d == d[0]))
-    if mesh.n_elements <= cfg.max_kappa_n:
-        _kappa_columns(rec, mats, cfg, scalar_diag)
     iterations = {}  # per distinct preconditioned system
-    for name in cfg.preconds:
-        key = "none" if name == "diag" and scalar_diag else name
-        if key not in iterations:
-            prec = _preconditioner(key, mats)
-            iterations[key] = gmres(V, f, tol=cfg.tol, preconditioner=prec).iterations
-        setattr(rec, f"it_{name}", iterations[key])
+    for name in ("calderon", "V", "diag"):  # D's readers first; V's kappa, which diag's may copy
+        precond = "none" if name == "V" else name
+        if mesh.n_elements <= cfg.max_kappa_n and (name == "V" or name in cfg.preconds):
+            _kappa_columns(rec, mats, cfg, name, scalar_diag)
+        if precond in cfg.preconds:
+            key = "none" if precond == "diag" and scalar_diag else precond
+            if key not in iterations:  # the preconditioner, and its hold on D, ends with the call
+                iterations[key] = gmres(V, f, tol=cfg.tol,
+                                        preconditioner=_preconditioner(key, mats)).iterations
+            setattr(rec, f"it_{precond}", iterations[key])
+        if name == "calderon":
+            mats.release("D")  # the stages left read V alone
     return rec, flux
 
 

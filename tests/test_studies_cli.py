@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import mirror_halves, second_bie_residual
-from test_galerkin import graded_mesh, nonuniform_mesh
+from test_galerkin import adaptive_ex2_final_mesh, graded_mesh, nonuniform_mesh
 
 from heatbem import cli, galerkin, studies
 from heatbem.analysis import StudyRecord, condition_number
@@ -270,25 +270,39 @@ class TestIndicator:
 
 
 class TestLazyAssembly:
-    def test_study_paths_build_only_the_blocks_they_read(self, monkeypatch):
-        built = []
+    @staticmethod
+    def record_assembly(monkeypatch):
+        """(matrices built by ``studies.assemble_all``, (matrices, name) per dense block
+        formed), both filled as the study runs."""
+        built, formed = [], []
+        dense = OperatorMatrices._dense
 
         def recording(mesh, alpha):
             built.append(galerkin.assemble_all(mesh, alpha))
             return built[-1]
 
+        def recording_dense(mats, name):
+            formed.append((mats, name))
+            return dense(mats, name)
+
         monkeypatch.setattr(studies, "assemble_all", recording)
+        monkeypatch.setattr(OperatorMatrices, "_dense", recording_dense)
+        return built, formed
+
+    def test_study_paths_build_only_the_blocks_they_read(self, monkeypatch):
+        built, formed = self.record_assembly(monkeypatch)
         cfg = ExperimentConfig(example=2)
         problem, series = build_problem(cfg)
         mesh = refine_adaptive(uniform_mesh(1.0, 2), [1.0] + [0.0] * 7)
         rec, flux = studies._level_record(mesh, problem, series, cfg, 0, None)
         two_level_indicator(problem, flux)
 
-        # functools.cached_property stores a block in the instance dict when built
         level, fine = built
         assert fine.mesh.n_elements == 2 * mesh.n_elements
-        assert {"V", "D"} <= set(vars(level)) and "K" not in vars(level)
-        assert not {"V", "K", "D"} & set(vars(fine))  # the march forms no block of the fine mesh
+        # V and D once each, K never; D is released after its last reader
+        assert sorted(name for mats, name in formed if mats is level) == ["D", "V"]
+        assert not any(mats is fine for mats, _ in formed)  # the march forms no fine block
+        assert "V" in vars(level) and not {"K", "D", "_full_lags"} & set(vars(level))
 
         # K read on demand is the eagerly assembled one, and feeds the residual
         np.testing.assert_array_equal(level.K, OperatorMatrices(mesh, problem.alpha).K)
@@ -296,6 +310,25 @@ class TestLazyAssembly:
             second_bie_residual(problem, flux, level),
             second_bie_residual(problem, flux),
         )
+
+    def test_last_adaptive_level_releases_d_and_the_lag_table(self, monkeypatch):
+        # adaptive_ex2's last level (N = 340) forms V and D densely.  With D and the
+        # lag table held to the end it peaked at 5.99 N^2 doubles, in the unpreconditioned
+        # GMRES; released after their last readers, the peak is D's assembly, 4.91 N^2
+        mesh = adaptive_ex2_final_mesh()
+        built, _ = self.record_assembly(monkeypatch)
+        cfg = ExperimentConfig(example=2)
+        problem, series = build_problem(cfg)
+        tracemalloc.start()
+        try:
+            studies._level_record(mesh, problem, series, cfg, 0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_elements == 340
+        assert peak < 5.4 * mesh.n_elements ** 2 * 8
+        (level,) = built
+        assert "V" in vars(level) and not {"D", "_full_lags"} & set(vars(level))
 
 
 class TestToeplitzLevels:
@@ -380,7 +413,8 @@ class TestToeplitzLevels:
         for lv in range(10):
             mats = assemble_all(uniform_mesh(1.0, lv), alpha)
             rec = StudyRecord(L=lv, N=mats.mesh.n_elements, l2_error=0.0)
-            studies._kappa_columns(rec, mats, cfg, scalar_diag=True)
+            for name in ("V", "diag", "calderon"):
+                studies._kappa_columns(rec, mats, cfg, name, scalar_diag=True)
             assert not {"V", "D"} & set(vars(mats))
             m = mats.mass
             for got, A in ((rec.kappa_V_sv, mats.V),
@@ -401,7 +435,8 @@ class TestToeplitzLevels:
         for lv in range(6):
             mats = assemble_all(uniform_mesh(1.0, lv), alpha)
             rec = StudyRecord(L=lv, N=mats.mesh.n_elements, l2_error=0.0)
-            studies._kappa_columns(rec, mats, cfg, scalar_diag=True)
+            for name in ("V", "diag", "calderon"):
+                studies._kappa_columns(rec, mats, cfg, name, scalar_diag=True)
             with mpmath.workdps(40):
                 v, d = ([self.mp_lower_toeplitz(c) for c in mats.operator(name).columns]
                         for name in "VD")
@@ -419,7 +454,8 @@ class TestToeplitzLevels:
         for lv in range(10):
             mats, n = assemble_all(uniform_mesh(1.0, lv), alpha), 2 ** lv
             rec = StudyRecord(L=lv, N=mats.mesh.n_elements, l2_error=0.0)
-            studies._kappa_columns(rec, mats, cfg, scalar_diag=True)
+            for name in ("V", "diag", "calderon"):
+                studies._kappa_columns(rec, mats, cfg, name, scalar_diag=True)
             assert not {"V", "D"} & set(vars(mats))
             with mpmath.workdps(40):
                 v, d = ([mpmath.mpf(A[0, 0]) + s * mpmath.mpf(A[0, n]) for s in (1, -1)]
@@ -709,6 +745,9 @@ class TestGoldenTables:
             # of rounding, so these cells pin the bits of the FFT product and of GMRES
             ("uniform_ex2_L9/table1", ["study-uniform", "--example", "2", "--levels", "9"]),
             ("table2", ["study-adaptive", "--example", "2", "--target-n", "40"]),
+            # the benchmark's adaptive command: levels up to N = 340, several march
+            # blocks and dense kappa columns
+            ("adaptive_ex2/table2", ["study-adaptive", "--example", "2", "--target-n", "278"]),
             # mirror meshes, 9 of the 11 not Toeplitz: the svd and the 2 x 2 slab
             # stacks of the formed matrices
             ("kappa/adaptive_ex1_both/table2",
