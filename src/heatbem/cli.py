@@ -162,6 +162,21 @@ def _dump_level(out: Path, mats, rhs, tag: str) -> None:
     write_matrix_text(out / f"rhs_{tag}.txt", rhs)
 
 
+def _write_mesh(out: Path, tag: str, mesh, flux=None) -> None:
+    """mesh_<tag>.txt and, given a flux, flux_<tag>.txt (each mesh line, then its
+    coefficient) in one pass over ``mesh_mod.element_lines``: each line and each
+    coefficient is formatted once, and no whole-file text or list of lines is built."""
+    lines = mesh_mod.element_lines(mesh)
+    with open(out / f"mesh_{tag}.txt", "w") as mesh_fh:
+        if flux is None:
+            mesh_fh.writelines(f"{line}\n" for line in lines)
+            return
+        with open(out / f"flux_{tag}.txt", "w") as flux_fh:
+            for line, w in zip(lines, flux.coefficients):
+                mesh_fh.write(f"{line}\n")
+                flux_fh.write(f"{line} {w:.17g}\n")
+
+
 def _cmd_study(args) -> int:
     adaptive = args.command == "study-adaptive"
     cfg = _build_config(args)
@@ -179,7 +194,7 @@ def _cmd_study(args) -> int:
     (out / f"{table}.md").write_text(markdown)
     (out / "meta.txt").write_text(meta_text(cfg, args.command, _READ_FIELDS[args.command]))
     for rec, m in zip(records, meshes):
-        (out / f"mesh_L{rec.L}.txt").write_text(mesh_mod.dumps(m))
+        _write_mesh(out, f"L{rec.L}", m)
         if args.dump_matrices:  # the studies keep no matrices: assemble again
             mats, rhs = assemble_all(m, problem.alpha), assemble_rhs(m, problem)
             _dump_level(out, mats, rhs, f"L{rec.L}")
@@ -204,13 +219,7 @@ def _cmd_solve(args) -> int:
     out = _out_dir(args)
     result = run_single_solve(cfg, points)
     tag = f"L{cfg.max_level}"
-    mesh_text = mesh_mod.dumps(result.mesh)
-    (out / f"mesh_{tag}.txt").write_text(mesh_text)
-    flux_lines = [
-        f"{line} {w:.17g}"
-        for line, w in zip(mesh_text.splitlines(), result.flux.coefficients.tolist())
-    ]
-    (out / f"flux_{tag}.txt").write_text("\n".join(flux_lines) + "\n")
+    _write_mesh(out, tag, result.mesh, result.flux)
     (out / "meta.txt").write_text(meta_text(cfg, "solve", _READ_FIELDS["solve"]))
     if args.dump_matrices:
         _dump_level(out, result.matrices, result.rhs, tag)

@@ -22,7 +22,7 @@ is live at a time.  One corner-sum routine gives the rows of both sides against
 the trial sides it is passed, from the first trial break on (earlier rows are
 zero): ``OperatorMatrices`` assembles V, K and D, each on first read, against
 both sides from one shared table of B against itself, which it drops once V and
-D are both formed; ``release`` forgets a formed block after its last reader.
+D are each formed or released; ``release`` forgets a block after its last reader.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 (i - j) h bitwise and every side block is lower-triangular Toeplitz.  There
 ``operator`` gives V or D as a ``MirrorToeplitz`` instead, one per name, built
@@ -126,9 +126,9 @@ class OperatorMatrices:
     """Dense V, K and D of one mesh, each assembled on first read, and the mass diagonal.
 
     The three share one lag table of the merged breaks against themselves; it is
-    dropped once V and D are both formed, so a level holds V and D alone, and K
-    (test-only) read after that sorts its lags again.  ``release`` forgets a formed
-    block: a study level releases D after its last reader.
+    dropped once V and D are each formed or released, so a level holds V and D
+    alone, and K (test-only) read after that sorts its lags again.  ``release``
+    forgets a block: a study level releases D after its last reader, formed or not.
     """
 
     def __init__(self, mesh: BoundaryMesh, alpha: float):
@@ -137,6 +137,7 @@ class OperatorMatrices:
         self.mesh = mesh
         self.alpha = float(alpha)
         self.mass = mesh.element_sizes.copy()  # mass diagonal; trace 2T
+        self._unformed = {"V", "D"}  # the blocks the lag table is still kept for
 
     @property
     def toeplitz(self) -> bool:
@@ -170,8 +171,9 @@ class OperatorMatrices:
         breaks = breaks[breaks >= col_breaks[0]]
         lag = breaks[:, None] - col_breaks[None, :]
         causal = lag > 0.0
+        lag = lag[causal]  # the causal lags alone: the |B| x |c| matrix goes before the sort
         # exact float equality only, no tolerance: lags that never repeat get no reuse
-        tau, inv = np.unique(lag[causal], return_inverse=True)  # causal lag -> distinct lag
+        tau, inv = np.unique(lag, return_inverse=True)  # causal lag -> distinct lag
         (a, b) = mesh.interval
         terms = {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
         return breaks, col_breaks, causal, inv, tau, terms
@@ -211,14 +213,14 @@ class OperatorMatrices:
             table = np.zeros(causal.shape)
             table[causal] = formula(key, tau, self.alpha, *terms[abs(key)])[inv]
             for (rows, row_b, _, n_row), (col, col_b, _, n_col) in pairs:
-                g = table[np.ix_(np.searchsorted(breaks, row_b),
-                                 np.searchsorted(col_breaks, col_b))]
+                at = (_positions(breaks, row_b), _positions(col_breaks, col_b))
+                g = table[at] if any(isinstance(i, slice) for i in at) else table[np.ix_(*at)]
                 block = out[rows, col]
                 np.subtract(g[1:, :-1], g[1:, 1:], out=block)
                 block -= g[:-1, :-1]
                 block += g[:-1, 1:]
                 op(block, factor(n_row, n_col), out=block)
-                del g  # one gathered block live at a time
+                del g  # one gathered block live at a time, if not a view
             del table  # and one table
         return out
 
@@ -276,17 +278,24 @@ class OperatorMatrices:
         return w
 
     def _dense(self, name) -> np.ndarray:
-        """The dense V, K or D from the shared lag table, which is dropped once V and D
-        are both formed: K (test-only) read later sorts its lags again."""
+        """The dense V, K or D from the shared lag table."""
         block = self._corner_sums(name, self._full_lags, self._sides())
-        if all(other == name or other in vars(self) for other in "VD"):
-            del self._full_lags
+        self._drop_lags(name)
         return block
 
+    def _drop_lags(self, name) -> None:
+        """``name`` is formed or released: drop the shared lag table once V and D both
+        are.  K (test-only), or a released block, read later sorts its lags again."""
+        self._unformed.discard(name)
+        if not self._unformed:
+            vars(self).pop("_full_lags", None)
+
     def release(self, name: str) -> None:
-        """Forget the formed block ``name`` (V, K or D), if formed: its memory goes with
-        the last other reference to it, and a later read assembles it again."""
+        """Forget the block ``name`` (V, K or D), formed or not: its memory goes with
+        the last other reference to it, a later read assembles it again, and the lag
+        table is not kept for it."""
         vars(self).pop(name, None)
+        self._drop_lags(name)
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -312,6 +321,13 @@ class OperatorMatrices:
         The global sign makes the symmetric part positive definite.
         """
         return self._dense("D")
+
+
+def _positions(sorted_breaks, part):
+    """The positions of ``part`` in ``sorted_breaks``: a slice where they form a range
+    (the table is then read as a view, not copied), else an index array."""
+    at = np.searchsorted(sorted_breaks, part)
+    return slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else at
 
 
 def _causal_product(a, b, m):
@@ -490,16 +506,17 @@ def evaluate_interior(x: float, t: float, flux: DiscreteFlux, problem: Problem) 
         raise ValueError(f"t={t} is not inside (0, {mesh.horizon}]")
     alpha = problem.alpha
 
-    d = x - mesh.x_all
-    single = float(
-        np.sum(
-            flux.coefficients
-            * (
-                primitive_I0(d, t - mesh.t_begin_all, alpha)
-                - primitive_I0(d, t - mesh.t_end_all, alpha)
-            )
-        )
-    ) / alpha
+    # per element I0(x - x_l, t - t_l1) - I0(x - x_l, t - t_l2), in element order; I0
+    # is evaluated once per breakpoint of each side, only at the positive lags
+    # (breaks[:m] < t), and is exactly 0 from breaks[m] on
+    layer, at = np.empty(mesh.n_elements), 0
+    for xs, breaks in ((a, mesh.left_breaks), (b, mesh.right_breaks)):
+        m = int(np.searchsorted(breaks, t))
+        prim = np.zeros(len(breaks))
+        prim[:m] = primitive_I0(x - xs, t - breaks[:m], alpha)
+        np.subtract(prim[:-1], prim[1:], out=layer[at:at + len(breaks) - 1])
+        at += len(breaks) - 1
+    single = float(np.sum(flux.coefficients * layer)) / alpha
 
     initial = 0.0
     if problem.u0 is not None:

@@ -168,9 +168,11 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # panel rules of adaptive_quadrature: the error estimate compares the
-# 10-point with the 20-point Gauss-Legendre rule
+# 10-point with the 20-point Gauss-Legendre rule; a panel evaluates both
+# rules' nodes in one integrand call
 _X1, _W1 = gauss_legendre(10)
 _X2, _W2 = gauss_legendre(20)
+_X12 = np.concatenate([_X1, _X2])
 
 
 def _vectorize_integrand(f):
@@ -206,8 +208,9 @@ def adaptive_quadrature(f, a, b, tol=1e-10, max_panels=20000):
     def eval_panel(lo: float, hi: float):
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        coarse = h * float(np.dot(_W1, fv(c + h * _X1)))
-        fine = h * float(np.dot(_W2, fv(c + h * _X2)))
+        values = fv(c + h * _X12)
+        coarse = h * float(np.dot(_W1, values[:len(_W1)]))
+        fine = h * float(np.dot(_W2, values[len(_W1):]))
         if not (np.isfinite(fine) and np.isfinite(coarse)):
             raise QuadratureError(
                 f"integrand not finite on panel [{lo:.17g}, {hi:.17g}]"

@@ -25,6 +25,7 @@ __all__ = [
     "refine_uniform",
     "refine_adaptive",
     "quasi_uniformity_constant",
+    "element_lines",
     "dumps",
     "loads",
 ]
@@ -207,16 +208,25 @@ def quasi_uniformity_constant(mesh: BoundaryMesh) -> float:
     return worst
 
 
-def dumps(mesh: BoundaryMesh) -> str:
-    """One line per element: ``side t_begin t_end`` with 17 significant digits.
+def element_lines(mesh: BoundaryMesh):
+    """Yield one line per element, without its newline: ``side t_begin t_end`` with 17
+    significant digits, in element order.
 
-    Each breakpoint is formatted once: an element's end is the next one's begin.
+    Each breakpoint is formatted once (an element's end is the next one's begin) and
+    each side's tag is looked up once; no line is kept after it is yielded.
     """
-    lines = []
     for side, breaks in ((Side.LEFT, mesh.left_breaks), (Side.RIGHT, mesh.right_breaks)):
-        text = [f"{t:.17g}" for t in breaks.tolist()]
-        lines += [f"{side.value} {t0} {t1}" for t0, t1 in zip(text, text[1:])]
-    return "\n".join(lines) + "\n"
+        tag, values = side.value, iter(breaks.tolist())
+        t0 = f"{next(values):.17g}"
+        for t in values:
+            t1 = f"{t:.17g}"
+            yield f"{tag} {t0} {t1}"
+            t0 = t1
+
+
+def dumps(mesh: BoundaryMesh) -> str:
+    """The mesh as text: the ``element_lines``, each ended by a newline."""
+    return "".join(f"{line}\n" for line in element_lines(mesh))
 
 
 def loads(text: str, level: int = 0) -> BoundaryMesh:

@@ -6,8 +6,9 @@ solver-error free), and runs GMRES on ``OperatorMatrices.operator`` once per
 distinct preconditioned system for the iteration counts (where diag(V) is one
 scalar, diag's system is the unpreconditioned one); ``galerkin`` alone picks
 the FFT operators of a uniform mesh or the dense matrices.  Each system's kappa
-columns and GMRES run together, C^-1 V's first: D is then released, so a dense
-level holds V and one stage's temporaries through V's own stages.
+columns and GMRES run together, C^-1 V's first: D is then released, formed or
+not, and the lag table with it, so a dense level holds V and one stage's
+temporaries through V's own stages.
 The adaptive driver uses a two-level hierarchical indicator: the L2 norm per
 element of the difference between the current solution and the solution on
 the uniformly bisected mesh.
@@ -190,10 +191,11 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
     The flux and GMRES read V and D only through ``mats.solve`` and
     ``mats.operator``; the kappa cap decides only whether the kappa columns
     are computed.  The stages of each system run together, D's readers (the
-    calderon kappa columns and GMRES) first; then D is released, so that V's
-    stages (V's and diag^-1 V's kappa columns, the none and diag GMRES) run
-    with V alone formed: the level holds V and one stage's temporaries, not
-    D's N x N block as well.  No cell depends on this order.  Where diag(V) is
+    calderon kappa columns and GMRES) first; then D is released, formed or
+    not, and the lag table with it, so that V's stages (V's and diag^-1 V's
+    kappa columns, the none and diag GMRES) run with V alone formed: the level
+    holds V and one stage's temporaries, not D's N x N block or the lag table
+    as well.  No cell depends on this order.  Where diag(V) is
     one scalar, the diag preconditioner is that scalar's inverse, and GMRES's
     Givens residual estimates and breakdown tests do not see a scalar right
     preconditioner: like the diag kappa columns, ``it_diag`` is then the

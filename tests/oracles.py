@@ -157,6 +157,17 @@ def entry_oracle(
     return total
 
 
+def single_layer_oracle(x: float, t: float, flux: DiscreteFlux, alpha: float) -> float:
+    """The single layer of the representation formula at (x, t), element by element:
+    (1/alpha) sum_l w_l [I0(x - x_l, t - t_l1) - I0(x - x_l, t - t_l2)], with I0 at
+    both time ends of every element (0 at nonpositive lags) and one sum over all N."""
+    mesh = flux.mesh
+    d = x - mesh.x_all
+    per_element = (primitive_I0(d, t - mesh.t_begin_all, alpha)
+                   - primitive_I0(d, t - mesh.t_end_all, alpha))
+    return float(np.sum(flux.coefficients * per_element)) / alpha
+
+
 def rhs_moment_oracle(mesh: BoundaryMesh, index: int, problem, tol=1e-9) -> float:
     """Nested-quadrature value of the initial-datum moment of one element.
 

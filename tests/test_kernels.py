@@ -242,6 +242,17 @@ class TestAdaptiveQuadrature:
     def test_empty_interval(self):
         assert adaptive_quadrature(lambda s: 1.0, 1.0, 1.0) == 0.0
 
+    def test_one_integrand_call_per_panel(self):
+        # a panel's 10- and 20-point nodes go to the integrand together
+        calls = []
+
+        def f(s):
+            calls.append(len(s))
+            return np.sin(40.0 * s)
+
+        adaptive_quadrature(f, 0.0, np.pi, tol=1e-12)
+        assert set(calls) == {30} and len(calls) % 2 == 1  # the first panel, two per split
+
     def test_budget_exhaustion_reported(self):
         with pytest.raises(QuadratureError):
             adaptive_quadrature(lambda s: s ** (-0.5), 0.0, 1.0, tol=1e-10, max_panels=8)

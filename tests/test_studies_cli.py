@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from oracles import mirror_halves, second_bie_residual
-from test_galerkin import adaptive_ex2_final_mesh, graded_mesh, nonuniform_mesh
+from test_galerkin import (
+    adaptive_ex2_final_mesh,
+    adaptive_ex2_meshes,
+    graded_mesh,
+    nonuniform_mesh,
+)
 
 from heatbem import cli, galerkin, studies
 from heatbem.analysis import StudyRecord, condition_number
@@ -25,7 +30,7 @@ from heatbem.galerkin import (
     evaluate_interior,
 )
 from heatbem.krylov import Preconditioner, direct_solve, gmres
-from heatbem.mesh import refine_adaptive, refine_uniform, uniform_mesh
+from heatbem.mesh import dumps, refine_adaptive, refine_uniform, uniform_mesh
 from heatbem.studies import (
     ConfigError,
     ExperimentConfig,
@@ -311,13 +316,12 @@ class TestLazyAssembly:
             second_bie_residual(problem, flux),
         )
 
-    def test_last_adaptive_level_releases_d_and_the_lag_table(self, monkeypatch):
-        # adaptive_ex2's last level (N = 340) forms V and D densely.  With D and the
-        # lag table held to the end it peaked at 5.99 N^2 doubles, in the unpreconditioned
-        # GMRES; released after their last readers, the peak is D's assembly, 4.91 N^2
+    def level_peak(self, monkeypatch, cfg):
+        """_level_record of adaptive_ex2's last level (N = 340) under ``cfg``: its
+        tracemalloc peak in N x N units of doubles, its matrices afterwards and the
+        names of the dense blocks it formed, in order."""
         mesh = adaptive_ex2_final_mesh()
-        built, _ = self.record_assembly(monkeypatch)
-        cfg = ExperimentConfig(example=2)
+        built, formed = self.record_assembly(monkeypatch)
         problem, series = build_problem(cfg)
         tracemalloc.start()
         try:
@@ -326,8 +330,25 @@ class TestLazyAssembly:
         finally:
             tracemalloc.stop()
         assert mesh.n_elements == 340
-        assert peak < 5.4 * mesh.n_elements ** 2 * 8
         (level,) = built
+        return peak / (mesh.n_elements ** 2 * 8), level, [name for _, name in formed]
+
+    def test_last_adaptive_level_releases_d_and_the_lag_table(self, monkeypatch):
+        # the level forms V and D densely.  With D and the lag table held to the end it
+        # peaked at 5.99 N^2 doubles, in the unpreconditioned GMRES; released after
+        # their last readers, the peak is D's assembly: 4.91 N^2, and 4.44 with the lag
+        # matrix freed before its sort and the left side's rows of the table read as a view
+        peak, level, _ = self.level_peak(monkeypatch, ExperimentConfig(example=2))
+        assert peak < 4.6
+        assert "V" in vars(level) and not {"D", "_full_lags"} & set(vars(level))
+
+    def test_unpreconditioned_level_drops_the_lag_table(self, monkeypatch):
+        # no stage reads D: releasing it drops the lag table (1.2 N^2) before the GMRES,
+        # which with the table held peaked at 4.99 N^2 doubles
+        cfg = ExperimentConfig(example=2, preconds=("none",), max_kappa_n=0)
+        peak, level, formed = self.level_peak(monkeypatch, cfg)
+        assert peak < 4.0
+        assert formed == ["V"]
         assert "V" in vars(level) and not {"D", "_full_lags"} & set(vars(level))
 
 
@@ -524,6 +545,42 @@ class TestEmission:
         assert uni.count("|") > 10
         with pytest.raises(ValueError):
             records_to_markdown(uniform_small[0], style="wide")
+
+
+    @staticmethod
+    def reference_files(mesh, coefficients):
+        """The mesh and flux files as whole texts, formatted element by element."""
+        tags = np.where(mesh.x_all == mesh.interval[0], "L", "R").tolist()
+        lines = [f"{tag} {t0:.17g} {t1:.17g}" for tag, t0, t1
+                 in zip(tags, mesh.t_begin_all.tolist(), mesh.t_end_all.tolist())]
+        flux = [f"{line} {w:.17g}" for line, w in zip(lines, coefficients.tolist())]
+        return "\n".join(lines) + "\n", "\n".join(flux) + "\n"
+
+    def test_streamed_mesh_and_flux_files(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for mesh in [uniform_mesh(1.0, level) for level in range(12)] + adaptive_ex2_meshes():
+            w = rng.standard_normal(mesh.n_elements) * 10.0 ** rng.integers(-300, 300, mesh.n_elements)
+            w[:2] = 0.0, -0.0
+            mesh_text, flux_text = self.reference_files(mesh, w)
+            assert dumps(mesh) == mesh_text
+            cli._write_mesh(tmp_path, "A", mesh, DiscreteFlux(w, mesh))
+            cli._write_mesh(tmp_path, "B", mesh)
+            assert (tmp_path / "mesh_A.txt").read_bytes() == mesh_text.encode()
+            assert (tmp_path / "flux_A.txt").read_bytes() == flux_text.encode()
+            assert (tmp_path / "mesh_B.txt").read_bytes() == mesh_text.encode()
+            assert not (tmp_path / "flux_B.txt").exists()
+
+    def test_l11_files_are_written_line_by_line(self, tmp_path):
+        # the whole text, its list of lines and the joined flux text peaked at 1.0 MB
+        mesh = uniform_mesh(1.0, 11)
+        flux = DiscreteFlux(np.random.default_rng(1).standard_normal(mesh.n_elements), mesh)
+        tracemalloc.start()
+        try:
+            cli._write_mesh(tmp_path, "L11", mesh, flux)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestSingleSolve:
