@@ -13,8 +13,8 @@ appears or disappears:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 3.3 s on 2 cores (median of 3 runs). ``adaptive_ex2_none`` takes
-about 1.1 to 1.2 s of it; no other command takes more than 0.4 s.
+Takes about 2.9 s on 2 cores (median of 5 runs). ``adaptive_ex2_none`` takes
+about 0.9 s of it; no other command takes more than 0.4 s.
 """
 
 import contextlib

@@ -14,11 +14,14 @@ rotations (Saad & Schultz, SIAM J. Sci. Stat. Comput. 1986), whose running
 residual estimate is exact in exact arithmetic.  The loop keeps omega, the last
 row of the product of the rotations so far: the new column's rotated diagonal
 entry is one dot product with it, and each rotation updates it with one scale
-and one store, so a step costs a fixed number of array operations.  The
-Hessenberg matrix is stored unrotated, one column per row; after the loop one
-pass rotates it to R in place, row pair by row pair, re-deriving each rotation
-in the loop's order so that R, its right-hand side and the solution are those
-of a column-by-column Givens update, bitwise.
+and one store, so a step costs a fixed number of array operations.  A solve
+that is asked only for its iteration count (``count_only``, the studies'
+tables) keeps only the current Hessenberg column and returns at the loop's
+exit.  A full solve stores the Hessenberg matrix unrotated, one column per
+row; after the loop one pass rotates it to R in place, row pair by row pair,
+re-deriving each rotation in the loop's order so that R, its right-hand side
+and the solution are those of a column-by-column Givens update, bitwise.  The
+two share one loop, so their counts and residual estimates agree bitwise.
 A: array or square operator with ``@``, e.g. a ``galerkin.MirrorToeplitz``
 that is never formed densely.  ``direct_solve`` solves one diagonal block of the
 causal march in ``galerkin.OperatorMatrices.solve``.
@@ -85,7 +88,7 @@ class Preconditioner:
 class SolveReport:
     """Outcome of one GMRES solve."""
 
-    solution: np.ndarray
+    solution: np.ndarray | None  # None for a count_only solve
     iterations: int
     relative_residual_history: list[float]
     converged: bool
@@ -151,6 +154,8 @@ def gmres(
     tol: float = 1e-8,
     max_iter: int | None = None,
     preconditioner: Preconditioner | None = None,
+    *,
+    count_only: bool = False,
 ) -> SolveReport:
     """Full-memory GMRES on A x = b with right preconditioning.
 
@@ -159,6 +164,13 @@ def gmres(
     residual ||b - A x|| / ||b|| drops below ``tol`` (the Givens estimate,
     which for right preconditioning is the true residual up to roundoff; the
     returned history ends with the explicitly recomputed true value).
+
+    ``count_only``: run the same iterations but build no solution.  Only the
+    current Hessenberg column is kept, and the loop's exit returns at once:
+    ``solution`` is None, the history ends with the Givens estimate and
+    ``converged`` says whether that estimate reached ``tol``.  ``iterations``,
+    ``breakdown`` and the history before its last entry are bitwise those of
+    the full solve.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -173,7 +185,7 @@ def gmres(
         if np.any(b):
             raise NumericalError("||b|| underflows to 0 for a nonzero right-hand side")
         return SolveReport(
-            solution=np.zeros(n),
+            solution=None if count_only else np.zeros(n),
             iterations=0,
             relative_residual_history=[0.0],
             converged=True,
@@ -181,12 +193,14 @@ def gmres(
 
     history = [1.0]  # x0 = 0 always
     if 1.0 <= tol:
-        return SolveReport(np.zeros(n), 0, history, True)
+        return SolveReport(None if count_only else np.zeros(n), 0, history, True)
 
     cap = min(max_iter, _FIRST_CHUNK)  # columns the storage has room for
     basis = np.empty((cap + 1, n))
     basis[0] = b / norm_b
-    H = np.empty((cap, cap + 1))  # row j: column j of the Hessenberg matrix, unrotated
+    # row j: column j of the Hessenberg matrix, unrotated; a count keeps one row, the
+    # current column
+    H = np.empty((1 if count_only else cap, cap + 1))
     omega = np.empty(max_iter + 1)  # last row of the product of the rotations so far
     omega[0] = 1.0
     residual = norm_b  # last entry of the rotated norm_b e_1
@@ -199,18 +213,19 @@ def gmres(
             # no view of the storage outlives a step, so this frees the old one; growing
             # H first left the adaptive study's peak RSS 0.3 MB lower than basis first
             cap += min(cap, max_iter - cap)
-            H = _grow(H, (cap, cap + 1))
+            H = _grow(H, (1 if count_only else cap, cap + 1))
             basis = _grow(basis, (cap + 1, n))
         w = A @ prec.apply(basis[j])
-        H[j] = 0.0  # the passes' h add up from zero, and the row stays zero past j + 1
-        _cgs2(basis[: j + 1], w, H[j, : j + 1])
-        h_next = float(np.linalg.norm(w))
-        H[j, j + 1] = h_next
-        h_scale = max(h_scale, float(np.max(np.abs(H[j, : j + 2]))))
+        r = 0 if count_only else j  # the row of H that holds column j
+        H[r] = 0.0  # the passes' h add up from zero, and a stored row stays zero past j + 1
+        _cgs2(basis[: j + 1], w, H[r, : j + 1])
+        h_next = math.sqrt(w.dot(w))  # bitwise np.linalg.norm(w)
+        H[r, j + 1] = h_next
+        h_scale = max(h_scale, float(np.max(np.abs(H[r, : j + 2]))))
 
         # the new column's diagonal entry once the earlier rotations reach it; this
         # rotation feeds only the residual estimate: R is re-derived after the loop
-        t = float(omega[: j + 1].dot(H[j, : j + 1]))
+        t = float(omega[: j + 1].dot(H[r, : j + 1]))
         denom = math.hypot(t, h_next)
         if denom <= 1e-14 * max(h_scale, 1e-300):
             # column adds nothing solvable: discard it and stop
@@ -229,6 +244,10 @@ def gmres(
             breakdown = True
             break
         basis[j + 1] = w / h_next
+
+    if count_only:
+        converged = history[-1] <= tol
+        return SolveReport(None, m, history, converged, breakdown and not converged)
 
     if m:
         y = np.linalg.solve(H[:m, :m].T, _triangularize(H, m, norm_b))

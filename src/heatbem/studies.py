@@ -4,7 +4,9 @@ Each refinement level assembles the operators once, takes the flux for the
 error column from a direct solve (``OperatorMatrices.solve``: deterministic,
 solver-error free), and runs GMRES on ``OperatorMatrices.operator`` once per
 distinct preconditioned system for the iteration counts (where diag(V) is one
-scalar, diag's system is the unpreconditioned one); ``galerkin`` alone picks
+scalar, diag's system is the unpreconditioned one).  These solves count their
+iterations only (``gmres(..., count_only=True)``): they build no solution,
+which ``run_single_solve`` alone does.  ``galerkin`` alone picks
 the FFT operators of a uniform mesh or the dense matrices.  Each system's kappa
 columns and GMRES run together, C^-1 V's first: D is then released, formed or
 not, and the lag table with it, so a dense level holds V and one stage's
@@ -222,7 +224,7 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
         if precond in cfg.preconds:
             key = "none" if precond == "diag" and scalar_diag else precond
             if key not in iterations:  # the preconditioner, and its hold on D, ends with the call
-                iterations[key] = gmres(V, f, tol=cfg.tol,
+                iterations[key] = gmres(V, f, tol=cfg.tol, count_only=True,
                                         preconditioner=_preconditioner(key, mats)).iterations
             setattr(rec, f"it_{precond}", iterations[key])
         if name == "calderon":

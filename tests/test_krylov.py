@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_galerkin import graded_mesh, nonuniform_mesh
+from test_galerkin import adaptive_ex2_final_mesh, graded_mesh, nonuniform_mesh
 
 from heatbem.galerkin import Problem, assemble_all, assemble_rhs
 from heatbem.krylov import (
@@ -304,6 +304,71 @@ class TestBlockGramSchmidt:
         assert report.iterations == n
         storage = 2 * (n + 1) * n * 8
         assert peak < storage + n * n * 8
+
+
+class TestCountOnly:
+    """``count_only`` runs the full solve's iterations and builds no solution."""
+
+    @staticmethod
+    def assert_same_count(A, b, **kw):
+        full = gmres(A, b, **kw)
+        count = gmres(A, b, count_only=True, **kw)
+        assert count.solution is None
+        assert (count.iterations, count.breakdown) == (full.iterations, full.breakdown)
+        # the full history ends with the true residual, the count's with the estimate
+        got, ref = (np.array(r.relative_residual_history) for r in (count, full))
+        assert np.array_equal(got[:-1].view(np.int64), ref[:-1].view(np.int64))
+        assert len(got) == len(ref)
+        assert count.converged == (got[-1] <= kw.get("tol", 1e-8))
+        return count, full
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_same_iterations_and_history_as_the_full_solve(self, uniform):
+        # graded mesh: dense V and D; uniform L7: V and D are MirrorToeplitz operators
+        mesh = uniform_mesh(1.0, 7) if uniform else graded_mesh(2.0 ** -19)
+        mats = assemble_all(mesh, 1.0)
+        f = assemble_rhs(mesh, Problem(u0=example2_initial_datum))
+        V = mats.operator("V")
+        for prec in (None, Preconditioner.identity(),
+                     Preconditioner.diagonal(V.diagonal()),
+                     Preconditioner.calderon(mats.mass, mats.operator("D"))):
+            count, full = self.assert_same_count(V, f, preconditioner=prec)
+            assert count.converged and full.converged
+            assert count.iterations > 1
+
+    def test_breakdown(self):
+        count, _ = self.assert_same_count(np.diag([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert count.breakdown and not count.converged
+
+    def test_stops_at_max_iter(self):
+        mats, f = example1_system(3)
+        count, _ = self.assert_same_count(mats.V, f, max_iter=2)
+        assert count.iterations == 2 and not count.converged and not count.breakdown
+
+    def test_zero_rhs(self):
+        report = gmres(np.eye(4), np.zeros(4), count_only=True)
+        assert report.converged and report.iterations == 0 and report.solution is None
+
+    def test_last_adaptive_level_holds_no_hessenberg_storage(self):
+        # N = 340, 331 iterations: the basis grows from 257 to 341 rows, and its two
+        # copies (1.78 N^2 doubles) are the count's peak.  The full solve also holds
+        # the 340 x 341 Hessenberg storage (2.78 N^2); a view of the old storage kept
+        # across a doubling would take it to 3.35
+        mesh = adaptive_ex2_final_mesh()
+        V = assemble_all(mesh, 1.0).V
+        f = assemble_rhs(mesh, Problem(u0=example2_initial_datum))
+        peaks = {}
+        for count_only in (True, False):
+            tracemalloc.start()
+            try:
+                report = gmres(V, f, count_only=count_only)
+                peaks[count_only] = tracemalloc.get_traced_memory()[1] / (8 * 340 ** 2)
+            finally:
+                tracemalloc.stop()
+            assert report.iterations == 331
+        assert mesh.n_elements == 340
+        assert peaks[True] < 2.0
+        assert peaks[False] < 2.9
 
 
 class TestPreconditioner:

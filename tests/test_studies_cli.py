@@ -489,7 +489,7 @@ class TestToeplitzLevels:
 
     def test_peak_at_the_kappa_cap(self, monkeypatch):
         # eig reads the diagonals of the halves and sv their Hankel views, both from the
-        # halves' columns: no V, K or D is formed at the cap, and the peak (0.222 units
+        # halves' columns: no V, K or D is formed at the cap, and the peak (0.206 units
         # either way) is GMRES's Krylov basis
         for kappa, bound in (("both", 0.25), ("eig", 0.25)):
             peak, mats = self.traced_record(9, monkeypatch, kappa_convention=kappa)
@@ -798,6 +798,11 @@ class TestGoldenTables:
         "table, argv",
         [
             ("table1", ["study-uniform", "--levels", "3", "--kappa", "both"]),
+            # the benchmark's uniform command: perfbench/gate.py holds it_none at L0-9
+            # and it_calderon at L4-9 to the paper's, and a 1e-16 relative move of the
+            # right-hand side took L7's it_none from 50 to 51
+            ("uniform_kappa/table1",
+             ["study-uniform", "--example", "1", "--levels", "9", "--kappa", "both"]),
             # it_none (and it_diag, copied from it) at L7-9 moves by one under a change
             # of rounding, so these cells pin the bits of the FFT product and of GMRES
             ("uniform_ex2_L9/table1", ["study-uniform", "--example", "2", "--levels", "9"]),
