@@ -13,8 +13,9 @@ appears or disappears:
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Takes about 2.9 s on 2 cores (median of 5 runs). ``adaptive_ex2_none`` takes
-about 0.9 s of it; no other command takes more than 0.4 s.
+Takes about 6 s on 2 cores (5.8 to 6.9 s, 3 runs). ``adaptive_large`` takes
+about 2.3 s of it and ``adaptive_ex2_none`` about 0.9 s; no other command takes
+more than 0.5 s.
 """
 
 import contextlib
@@ -55,6 +56,10 @@ COMMANDS = {
     # formed matrices
     "adaptive_ex1_both": ["study-adaptive", "--example", "1", "--target-n", "278",
                           "--kappa", "both"],
+    # dense V and D up to N = 2858 (2437 merged breaks) and bisected meshes up to
+    # N_f = 3926: many column chunks per side and march blocks; no kappa columns
+    "adaptive_large": ["study-adaptive", "--example", "2", "--target-n", "2500",
+                       "--precond", "calderon", "--max-kappa-n", "0"],
 }
 
 

@@ -18,11 +18,14 @@ trial breakpoint c_j, causal exactly when positive, and d is 0 or +-(b - a).
 The exp/erfc factors of each |d| are evaluated once per distinct causal lag
 (lags repeat on uniform and dyadic meshes) and give T[i, j] = F2(d, B_i - c_j);
 a side block is the second difference of T on its sides' breakpoints, and one T
-is live at a time.  One corner-sum routine gives the rows of both sides against
-the trial sides it is passed, from the first trial break on (earlier rows are
-zero): ``OperatorMatrices`` assembles V, K and D, each on first read, against
-both sides from one shared table of B against itself, which it drops once V and
-D are each formed or released; ``release`` forgets a block after its last reader.
+is live at a time.  One corner-sum routine gives the rows of both sides, from a
+given break of both sides on (earlier rows are zero), against the trial sides it
+is passed.  ``OperatorMatrices`` assembles V, K and D, each on first read, from
+it against every row, one column chunk of at most MARCH_BLOCK elements of one
+side at a time: no array has an entry per pair of breaks.  The chunks look their
+lags up (``searchsorted``) in the sorted distinct lags of B against itself, which
+V, K and D share with their exp/erfc factors until V and D are each formed or
+released; ``release`` forgets a block after its last reader.
 When both sides share the grid B_i = i h with h a power of two, B_i - B_j is
 (i - j) h bitwise and every side block is lower-triangular Toeplitz.  There
 ``operator`` gives V or D as a ``MirrorToeplitz`` instead, one per name, built
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -88,7 +91,7 @@ QUAD_MAX_ORDER = 64
 GRADING_DEPTH = 40  # geometric panels toward each interval endpoint, all kept at tiny t
 LAYER_CUTOFF = 0.1  # a block keeps the breaks >= LAYER_CUTOFF sqrt(t_min / alpha) from an end
 RHS_ROW_BLOCK = 64  # side breakpoints per primitive call and per panel set of the RHS moments
-MARCH_BLOCK = 64  # least elements per column block of the causal march in ``solve``
+MARCH_BLOCK = 64  # least elements per column block of the march, most per side of a dense chunk
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,14 @@ class DiscreteFlux:
 class OperatorMatrices:
     """Dense V, K and D of one mesh, each assembled on first read, and the mass diagonal.
 
-    The three share one lag table of the merged breaks against themselves; it is
-    dropped once V and D are each formed or released, so a level holds V and D
-    alone, and K (test-only) read after that sorts its lags again.  ``release``
-    forgets a block: a study level releases D after its last reader, formed or not.
+    Each is built one column chunk at a time, at most MARCH_BLOCK elements of one
+    side against every row.  The three share the sorted distinct lags of the merged
+    breaks against themselves and their exp/erfc factors; a block takes its formula
+    at those lags before its chunks, and the last of V and D to be formed or
+    released drops them, so that block is built beside the distinct lags and its
+    own values alone, and K (test-only) read after that sorts the lags again.
+    ``release`` forgets a block: a study level releases D after its last reader,
+    formed or not.
     """
 
     def __init__(self, mesh: BoundaryMesh, alpha: float):
@@ -137,7 +144,7 @@ class OperatorMatrices:
         self.mesh = mesh
         self.alpha = float(alpha)
         self.mass = mesh.element_sizes.copy()  # mass diagonal; trace 2T
-        self._unformed = {"V", "D"}  # the blocks the lag table is still kept for
+        self._unformed = {"V", "D"}  # the blocks the distinct lags are still kept for
 
     @property
     def toeplitz(self) -> bool:
@@ -158,31 +165,29 @@ class OperatorMatrices:
                 and np.array_equal(mesh.left_breaks, np.arange(mesh.n_left + 1) * h)):
             return None
         first = (slice(0, 1), mesh.left_breaks[:2], mesh.interval[0], -1.0)
-        lags = self._lags(first[1])
-        return {name: MirrorToeplitz(*self._corner_sums(name, lags, (first,)).reshape(2, -1))
+        return {name: MirrorToeplitz(*self._corner_sums(name, 0.0, (first,)).reshape(2, -1))
                 for name in "VD"}
 
-    def _lags(self, col_breaks):
-        """The causal lags B_i - c_j of the merged breaks B from c_0 on against the trial
-        breaks c, and the exp/erfc factors of both distances once per distinct lag.
-        Earlier rows would be all zero: no B_i < c_0 follows any trial break."""
-        mesh = self.mesh
-        breaks = np.union1d(mesh.left_breaks, mesh.right_breaks)
-        breaks = breaks[breaks >= col_breaks[0]]
-        lag = breaks[:, None] - col_breaks[None, :]
-        causal = lag > 0.0
-        lag = lag[causal]  # the causal lags alone: the |B| x |c| matrix goes before the sort
-        # exact float equality only, no tolerance: lags that never repeat get no reuse
-        tau, inv = np.unique(lag, return_inverse=True)  # causal lag -> distinct lag
-        (a, b) = mesh.interval
-        terms = {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
-        return breaks, col_breaks, causal, inv, tau, terms
+    def _terms(self, tau):
+        """The exp/erfc factors of both distances |d| at the lags tau."""
+        (a, b) = self.mesh.interval
+        return {dist: _causal_terms(dist, tau, self.alpha) for dist in (0.0, abs(b - a))}
 
     @cached_property
-    def _full_lags(self):
-        """The lags of the merged breaks against themselves, shared by dense V, K and D
-        until ``_dense`` drops them."""
-        return self._lags(np.union1d(self.mesh.left_breaks, self.mesh.right_breaks))
+    def _distinct_lags(self):
+        """(tau, terms) of the merged breaks B against themselves: the sorted distinct
+        causal lags B_i - B_j, gathered MARCH_BLOCK columns at a time, and their exp/erfc
+        factors, shared by dense V, K and D until ``_dense`` drops them."""
+        breaks = self._breaks
+        lags = (breaks[:, None] - breaks[None, k:k + MARCH_BLOCK]
+                for k in range(0, len(breaks), MARCH_BLOCK))
+        tau = np.unique(np.concatenate([np.unique(lag[lag > 0.0]) for lag in lags]))
+        return tau, self._terms(tau)
+
+    @cached_property
+    def _breaks(self):
+        """The merged breaks B of both sides, sorted."""
+        return np.union1d(self.mesh.left_breaks, self.mesh.right_breaks)
 
     def _sides(self, t0=0.0, t1=math.inf):
         """The left and right sides' elements within [t0, t1] (all by default), each
@@ -192,36 +197,62 @@ class OperatorMatrices:
         n = len(left) - 1
         return ((slice(0, n), left, a, -1.0), (slice(n, None), right, b, 1.0))
 
-    def _corner_sums(self, name, lags, cols) -> np.ndarray:
-        """The rows of V, K or D against the trial sides ``cols`` (both sides give the
-        dense matrix): corner sums of every side block, then op(block, factor).  The
-        rows are the elements from the first trial break on, a break of both sides:
-        those of the lag table (earlier rows are zero)."""
-        formula, op, factor, odd = self._form(name)
-        breaks, col_breaks, causal, inv, tau, terms = lags
-        rows = self._sides(breaks[0])
-        out = np.zeros((sum(len(side[1]) - 1 for side in rows),
-                        sum(len(col[1]) - 1 for col in cols)))
-        blocks = {}  # table key -> the (row side, col side) blocks read from its table
+    @staticmethod
+    def _blocks(odd, rows, cols):
+        """Table key -> the (row side, col side) blocks read from its table, for an odd
+        (K) or even (V, D) primitive."""
+        blocks = {}
         for row in rows:
             for col in cols:
                 d = row[2] - col[2]
                 if not (odd and d == 0.0):  # an odd primitive vanishes within a side
                     # an even primitive shares the table of d and -d
                     blocks.setdefault(d if odd else abs(d), []).append((row, col))
-        for key, pairs in blocks.items():
-            table = np.zeros(causal.shape)
-            table[causal] = formula(key, tau, self.alpha, *terms[abs(key)])[inv]
-            for (rows, row_b, _, n_row), (col, col_b, _, n_col) in pairs:
+        return blocks
+
+    def _corner_sums(self, name, start, cols, shared=None, out=None) -> np.ndarray:
+        """The rows of V, K or D from the break ``start`` on against the trial sides
+        ``cols`` (each: its columns, breakpoints, x, outward normal), in ``out`` if
+        given, else new zeros: corner sums of every side block, then op(block, factor).
+        ``start`` must be a break of both sides at or before the first trial break: no
+        element then straddles it, and the rows before it, which meet no positive lag,
+        are zero.  The causal lags are looked up in the distinct lags tau of ``shared``
+        = (tau, {table key: the formula at tau}), or by default sorted here."""
+        formula, op, factor, odd = self._form(name)
+        mesh, first = self.mesh, min(col[1][0] for col in cols)
+        if not (start <= first and start in mesh.left_breaks and start in mesh.right_breaks):
+            raise ValueError(f"rows cannot start at t = {start!r}: no break of both sides "
+                             f"at or before the first trial break {first!r}")
+        breaks = self._breaks[self._breaks >= start]
+        col_breaks = reduce(np.union1d, [col[1] for col in cols])
+        lag = breaks[:, None] - col_breaks[None, :]
+        causal = lag > 0.0
+        lag = lag[causal]  # the causal lags alone: the |B| x |c| matrix goes before the sort
+        if shared is None:
+            # exact float equality only, no tolerance: lags that never repeat get no reuse
+            tau, inv = np.unique(lag, return_inverse=True)  # causal lag -> distinct lag
+            terms = self._terms(tau)
+        else:
+            tau, values = shared
+            inv = np.searchsorted(tau, lag)  # every lag is one of tau, exactly
+        del lag
+        rows = self._sides(start)
+        if out is None:
+            out = np.zeros((sum(len(side[1]) - 1 for side in rows),
+                            sum(len(col[1]) - 1 for col in cols)))
+        table = np.zeros(causal.shape)  # its acausal zeros serve every key
+        for key, pairs in self._blocks(odd, rows, cols).items():
+            table[causal] = (values[key] if shared else
+                             formula(key, tau, self.alpha, *terms[abs(key)]))[inv]
+            for (rows_at, row_b, _, n_row), (col, col_b, _, n_col) in pairs:
                 at = (_positions(breaks, row_b), _positions(col_breaks, col_b))
                 g = table[at] if any(isinstance(i, slice) for i in at) else table[np.ix_(*at)]
-                block = out[rows, col]
+                block = out[rows_at, col]
                 np.subtract(g[1:, :-1], g[1:, 1:], out=block)
                 block -= g[:-1, :-1]
                 block += g[:-1, 1:]
                 op(block, factor(n_row, n_col), out=block)
                 del g  # one gathered block live at a time, if not a view
-            del table  # and one table
         return out
 
     def _form(self, name):
@@ -269,31 +300,42 @@ class OperatorMatrices:
             if "V" in vars(self):
                 cols = self.V[np.ix_(rows, own)]
             else:
-                sides = self._sides(t0, t1)
-                lags = self._lags(np.union1d(sides[0][1], sides[1][1]))
-                cols = self._corner_sums("V", lags, sides)
+                cols = self._corner_sums("V", t0, self._sides(t0, t1))
             w[own] = direct_solve(cols[mine], w[own])
             w[later] -= cols[~mine] @ w[own]
             t0, count = t1, 0
         return w
 
     def _dense(self, name) -> np.ndarray:
-        """The dense V, K or D from the shared lag table."""
-        block = self._corner_sums(name, self._full_lags, self._sides())
+        """The dense V, K or D, one column chunk of at most MARCH_BLOCK elements of one
+        side against every row at a time, from the shared distinct lags.  Their formula
+        values are taken first: the last of V and D to be formed holds the distinct lags
+        and those values alone, not the exp/erfc factors."""
+        (formula, _, _, odd), sides = self._form(name), self._sides()
+        tau, terms = self._distinct_lags
         self._drop_lags(name)
-        return block
+        values = {key: formula(key, tau, self.alpha, *terms[abs(key)])
+                  for key in self._blocks(odd, sides, sides)}
+        del terms
+        out = np.zeros((self.mesh.n_elements,) * 2)
+        for col, breaks, x, normal in sides:
+            for k in range(0, len(breaks) - 1, MARCH_BLOCK):
+                part = breaks[k:k + MARCH_BLOCK + 1]
+                self._corner_sums(name, 0.0, ((slice(None), part, x, normal),), (tau, values),
+                                  out[:, col][:, k:k + len(part) - 1])
+        return out
 
     def _drop_lags(self, name) -> None:
-        """``name`` is formed or released: drop the shared lag table once V and D both
-        are.  K (test-only), or a released block, read later sorts its lags again."""
+        """``name`` is formed or released: drop the shared distinct lags once V and D
+        both are.  K (test-only), or a released block, read later sorts them again."""
         self._unformed.discard(name)
         if not self._unformed:
-            vars(self).pop("_full_lags", None)
+            vars(self).pop("_distinct_lags", None)
 
     def release(self, name: str) -> None:
         """Forget the block ``name`` (V, K or D), formed or not: its memory goes with
-        the last other reference to it, a later read assembles it again, and the lag
-        table is not kept for it."""
+        the last other reference to it, a later read assembles it again, and the
+        distinct lags are not kept for it."""
         vars(self).pop(name, None)
         self._drop_lags(name)
 

@@ -7,10 +7,12 @@ distinct preconditioned system for the iteration counts (where diag(V) is one
 scalar, diag's system is the unpreconditioned one).  These solves count their
 iterations only (``gmres(..., count_only=True)``): they build no solution,
 which ``run_single_solve`` alone does.  ``galerkin`` alone picks
-the FFT operators of a uniform mesh or the dense matrices.  Each system's kappa
-columns and GMRES run together, C^-1 V's first: D is then released, formed or
-not, and the lag table with it, so a dense level holds V and one stage's
-temporaries through V's own stages.
+the FFT operators of a uniform mesh or the dense matrices.  Each system's GMRES
+and kappa columns run together, C^-1 V's first: the Calderon GMRES reads D, and
+C^-1 V's kappa columns, D's last reader, release it, scale it by the mass in place
+and multiply V, one product for every kappa convention; D is then released,
+formed or not, and the shared distinct lags with it, so a dense level holds V and
+one stage's temporaries through V's own stages.
 The adaptive driver uses a two-level hierarchical indicator: the L2 norm per
 element of the difference between the current solution and the solution on
 the uniformly bisected mesh.
@@ -27,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import L2_GAUSS_ORDER, StudyRecord, condition_number, eoc, l2_error
 from .galerkin import (
+    MARCH_BLOCK,
     DiscreteFlux,
     OperatorMatrices,
     Problem,
@@ -136,7 +139,25 @@ def _preconditioner(name: str, mats: OperatorMatrices) -> Preconditioner:
     raise ConfigError(f"unknown preconditioner {name!r}")
 
 
-def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
+def _formed(mats: OperatorMatrices, name: str) -> np.ndarray:
+    """The formed V, diag^-1 V or ("calderon") C^-1 V of a mesh that is not Toeplitz.
+    C^-1 V is D's last reader: D is released, scaled by the mass in place, MARCH_BLOCK
+    rows at a time (the divisions of ``np.divide(D, np.outer(m, m))``; an array read
+    from ``mats.D`` before is scaled with it), and multiplies V, so the product takes
+    no N x N temporary beside D, V and itself."""
+    if name == "diag":
+        return mats.V / mats.V.diagonal()[:, None]
+    if name != "calderon":
+        return mats.V
+    D, m = mats.D, mats.mass
+    mats.release("D")
+    for r in range(0, len(m), MARCH_BLOCK):
+        rows = D[r:r + MARCH_BLOCK]
+        np.divide(rows, np.outer(m[r:r + MARCH_BLOCK], m), out=rows)
+    return D @ mats.V
+
+
+def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str, A=None):
     """Pieces of V, diag^-1 V or ("calderon") C^-1 V whose spectra together are the
     matrix's, for ``condition_number`` in convention ``conv``.
 
@@ -145,8 +166,8 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
     diag^-1 V is V over a scalar.  sv reads each half's row reversal, the symmetric
     Hankel view H[i, j] = c[n - 1 - i - j] (0 where i + j >= n), sigma = |lambda(H)|;
     eig reads the halves' diagonals as one stack of 1 x 1 blocks.  Every other mesh
-    forms the matrix: sv reads it whole, eig its slab blocks, one (k, s, s) stack per
-    slab size.
+    reads the formed matrix ``A`` (by default ``_formed``): sv whole, eig its slab
+    blocks, one (k, s, s) stack per slab size.
     """
     mesh, n = mats.mesh, mats.mesh.n_left
     if mats.toeplitz:
@@ -158,11 +179,8 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
         if conv == "eig":
             return [np.array(cols)[:, :, None]]
         return (sliding_window_view(np.r_[c[::-1], np.zeros(n - 1)], n) for c in cols)
-    A = mats.V / mats.V.diagonal()[:, None] if name == "diag" else mats.V
-    if name == "calderon":
-        D = mats.D  # formed before the outer product is allocated
-        outer = np.outer(mats.mass, mats.mass)
-        A = np.divide(D, outer, out=outer) @ A  # one N x N temporary, not two
+    if A is None:
+        A = _formed(mats, name)
     if conv == "sv":
         return A
     by_size = {}  # slab size -> its slabs' rows
@@ -174,15 +192,18 @@ def _spectral_pieces(mats: OperatorMatrices, name: str, conv: str):
 def _kappa_columns(rec: StudyRecord, mats: OperatorMatrices, cfg: ExperimentConfig,
                    name: str, scalar_diag: bool) -> None:
     """The kappa columns of V, diag^-1 V or C^-1 V (``name``: V, diag or calderon) in
-    the run's conventions, each reduced from its spectral pieces; where diag(V) is one
-    scalar d (``scalar_diag``: every Toeplitz mesh), diag^-1 V = V / d and, kappa
-    being scale invariant, its columns are copied from V's, which come first."""
+    the run's conventions, each reduced from its spectral pieces, all from one formed
+    matrix off the Toeplitz meshes; where diag(V) is one scalar d (``scalar_diag``:
+    every Toeplitz mesh), diag^-1 V = V / d and, kappa being scale invariant, its
+    columns are copied from V's, which come first."""
     conventions = ("sv", "eig") if cfg.kappa_convention == "both" else (cfg.kappa_convention,)
+    if name == "diag" and scalar_diag:
+        for conv in conventions:
+            setattr(rec, f"kappa_diag_{conv}", getattr(rec, f"kappa_V_{conv}"))
+        return
+    A = None if mats.toeplitz else _formed(mats, name)  # one product for both conventions
     for conv in conventions:
-        if name == "diag" and scalar_diag:
-            kappa = getattr(rec, f"kappa_V_{conv}")
-        else:
-            kappa = condition_number(_spectral_pieces(mats, name, conv), conv)
+        kappa = condition_number(_spectral_pieces(mats, name, conv, A), conv)
         setattr(rec, f"kappa_{name}_{conv}", kappa)
 
 
@@ -192,15 +213,17 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
 
     The flux and GMRES read V and D only through ``mats.solve`` and
     ``mats.operator``; the kappa cap decides only whether the kappa columns
-    are computed.  The stages of each system run together, D's readers (the
-    calderon kappa columns and GMRES) first; then D is released, formed or
-    not, and the lag table with it, so that V's stages (V's and diag^-1 V's
-    kappa columns, the none and diag GMRES) run with V alone formed: the level
-    holds V and one stage's temporaries, not D's N x N block or the lag table
-    as well.  No cell depends on this order.  Where diag(V) is
-    one scalar, the diag preconditioner is that scalar's inverse, and GMRES's
-    Givens residual estimates and breakdown tests do not see a scalar right
-    preconditioner: like the diag kappa columns, ``it_diag`` is then the
+    are computed.  The stages of each system run together, its GMRES before its
+    kappa columns, and D's readers first: the Calderon GMRES, then C^-1 V's kappa
+    columns, which release D, divide it by the mass in place, MARCH_BLOCK rows at
+    a time, and multiply V, so the product takes no N x N temporary beside D, V
+    and itself.  Then D is released, formed or not, and the shared distinct lags
+    with it, so that V's stages (the none and diag GMRES, V's and diag^-1 V's
+    kappa columns) run with V alone formed: the level holds V and one stage's
+    temporaries, not D's N x N block as well.  No cell depends on this order.
+    Where diag(V) is one scalar, the diag preconditioner is that scalar's inverse,
+    and GMRES's Givens residual estimates and breakdown tests do not see a scalar
+    right preconditioner: like the diag kappa columns, ``it_diag`` is then the
     unpreconditioned count, and each distinct system is solved once, whatever
     the order of ``cfg.preconds``.
     """
@@ -219,14 +242,14 @@ def _level_record(mesh: BoundaryMesh, problem: Problem, series: SineSeries,
     iterations = {}  # per distinct preconditioned system
     for name in ("calderon", "V", "diag"):  # D's readers first; V's kappa, which diag's may copy
         precond = "none" if name == "V" else name
-        if mesh.n_elements <= cfg.max_kappa_n and (name == "V" or name in cfg.preconds):
-            _kappa_columns(rec, mats, cfg, name, scalar_diag)
         if precond in cfg.preconds:
             key = "none" if precond == "diag" and scalar_diag else precond
             if key not in iterations:  # the preconditioner, and its hold on D, ends with the call
                 iterations[key] = gmres(V, f, tol=cfg.tol, count_only=True,
                                         preconditioner=_preconditioner(key, mats)).iterations
             setattr(rec, f"it_{precond}", iterations[key])
+        if mesh.n_elements <= cfg.max_kappa_n and (name == "V" or name in cfg.preconds):
+            _kappa_columns(rec, mats, cfg, name, scalar_diag)  # C^-1 V's releases D
         if name == "calderon":
             mats.release("D")  # the stages left read V alone
     return rec, flux

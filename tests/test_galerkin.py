@@ -308,6 +308,8 @@ class TestBreakpointTable:
         "adaptive_2^-19": lambda: graded_mesh(2.0 ** -19),
         "interval_-0.5_1.5": lambda: graded_mesh(2.0 ** -6, (-0.5, 1.5)),
         "random_breaks": random_mesh,
+        # 76 and 110 elements: two column chunks per side, neither a range of the other
+        "bisected_2^-19": two_block_mesh,
         # k/3 - j/3 and k/5 - j/5 are near-equal, not equal, in binary: a lag
         # merge by tolerance would move bits here
         "thirds_fifths": lambda: BoundaryMesh(
@@ -387,6 +389,24 @@ class TestBreakpointTable:
         assert max(lags_seen(graded)) < causal_break_pairs(graded)
         unequal = random_mesh()
         assert lags_seen(unequal) == [causal_break_pairs(unequal)] * 2
+
+    def test_rows_start_only_at_a_break_of_both_sides(self):
+        # rows cut at a break of one side alone would drop the part of the other side's
+        # element before it; a cut after the first trial break would drop causal rows
+        mesh = two_block_mesh()
+        mats = OperatorMatrices(mesh, ALPHA)
+        one_side = np.setdiff1d(mesh.left_breaks, mesh.right_breaks)[0]
+        shared = np.intersect1d(mesh.left_breaks, mesh.right_breaks)[1:3]
+        for start, cols in ((one_side, mats._sides(one_side)),
+                            (shared[1], mats._sides(shared[0]))):
+            with pytest.raises(ValueError, match="no break of both sides"):
+                mats._corner_sums("V", start, cols)
+        # a shared break at or before the first trial break gives V's own rows bitwise
+        for start in shared:
+            rows = np.flatnonzero(mesh.t_begin_all >= start)
+            cols = rows[mesh.t_begin_all[rows] >= shared[1]]
+            got = mats._corner_sums("V", start, mats._sides(shared[1]))
+            assert np.array_equal(got, mats.V[np.ix_(rows, cols)]), start
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_mirror_operator_matches_dense(self, alpha):
@@ -520,9 +540,9 @@ class TestAssemblyMemory:
     @pytest.mark.parametrize("make", [one_break_fewer, lambda: uniform_mesh(1.0, 9)],
                              ids=["one_break_fewer_L9", "uniform_L9"])
     def test_build_peak_and_retained_memory(self, make):
-        # V and D are one N x N unit each; the build adds one breakpoint table
-        # and one gathered block, a quarter unit each here, and keeps only the
-        # causal mask and the lag map beyond V and D.
+        # V and D are one N x N unit each; the build adds the distinct lags and one
+        # column chunk's lags and tables (peaks of 2.13 and 2.10 units here, 2.70 and
+        # 2.54 through a table over breakpoint pairs) and keeps none of them.
         peak, held = self.build_peak_and_held(make())
         assert peak <= 3.0
         assert held <= 0.25
@@ -541,7 +561,24 @@ class TestAssemblyMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * mesh.n_elements * 8
-        assert not {"V", "D", "_full_lags"} & set(vars(mats))
+        assert not {"V", "D", "_distinct_lags"} & set(vars(mats))
+
+    def test_d_beside_a_formed_v(self):
+        # adaptive_ex2's last level reads D with V formed and the distinct lags held.
+        # Through a lag table over breakpoint pairs the read traced 2.22 N^2 doubles
+        # beyond those; in column chunks it traces 1.77: D, its formula at the distinct
+        # lags and one chunk's lags and tables (the bound is 7% above that)
+        mesh = adaptive_ex2_final_mesh()
+        mats = assemble_all(mesh, ALPHA)
+        mats.V
+        tracemalloc.start()
+        try:
+            mats.D
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.9 * mesh.n_elements ** 2 * 8
+        assert not {"_distinct_lags"} & set(vars(mats))
 
 
 class TestCausalMarch:

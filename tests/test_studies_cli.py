@@ -307,7 +307,7 @@ class TestLazyAssembly:
         # V and D once each, K never; D is released after its last reader
         assert sorted(name for mats, name in formed if mats is level) == ["D", "V"]
         assert not any(mats is fine for mats, _ in formed)  # the march forms no fine block
-        assert "V" in vars(level) and not {"K", "D", "_full_lags"} & set(vars(level))
+        assert "V" in vars(level) and not {"K", "D", "_distinct_lags"} & set(vars(level))
 
         # K read on demand is the eagerly assembled one, and feeds the residual
         np.testing.assert_array_equal(level.K, OperatorMatrices(mesh, problem.alpha).K)
@@ -336,11 +336,36 @@ class TestLazyAssembly:
     def test_last_adaptive_level_releases_d_and_the_lag_table(self, monkeypatch):
         # the level forms V and D densely.  With D and the lag table held to the end it
         # peaked at 5.99 N^2 doubles, in the unpreconditioned GMRES; released after
-        # their last readers, the peak is D's assembly: 4.91 N^2, and 4.44 with the lag
-        # matrix freed before its sort and the left side's rows of the table read as a view
+        # their last readers, the peak was D's assembly: 4.91 N^2, and 4.44 with the lag
+        # matrix freed before its sort and the left side's rows of the table read as a
+        # view.  Built in column chunks, with no table over breakpoint pairs, and with
+        # C^-1 V formed in D's storage, the peak is 3.02 N^2: V, D and C^-1 V
         peak, level, _ = self.level_peak(monkeypatch, ExperimentConfig(example=2))
-        assert peak < 4.6
-        assert "V" in vars(level) and not {"D", "_full_lags"} & set(vars(level))
+        assert peak < 3.2
+        assert "V" in vars(level) and not {"D", "_distinct_lags"} & set(vars(level))
+
+    def test_both_conventions_read_one_formed_matrix_per_system(self, monkeypatch):
+        formed, real = [], studies._formed
+        monkeypatch.setattr(studies, "_formed",
+                            lambda mats, name: formed.append(name) or real(mats, name))
+        cfg = ExperimentConfig(example=2, kappa_convention="both")
+        problem, series = build_problem(cfg)
+        mesh = adaptive_ex2_meshes()[8]
+        rec, _ = studies._level_record(mesh, problem, series, cfg, 0, None)
+        assert sorted(formed) == ["V", "calderon", "diag"]
+        assert None not in (rec.kappa_calderon_sv, rec.kappa_calderon_eig,
+                            rec.kappa_diag_sv, rec.kappa_diag_eig)
+
+    def test_calderon_product_in_ds_storage_is_bitwise_the_outer_product_one(self):
+        # two_block_mesh: N = 186, three row chunks of the in-place division
+        mesh = refine_uniform(graded_mesh(2.0 ** -19))
+        mats, ref = assemble_all(mesh, 1.0), assemble_all(mesh, 1.0)
+        m = ref.mass
+        expected = np.divide(ref.D, np.outer(m, m)) @ ref.V
+        got = studies._formed(mats, "calderon")
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert "D" not in vars(mats)
 
     def test_unpreconditioned_level_drops_the_lag_table(self, monkeypatch):
         # no stage reads D: releasing it drops the lag table (1.2 N^2) before the GMRES,
@@ -349,7 +374,7 @@ class TestLazyAssembly:
         peak, level, formed = self.level_peak(monkeypatch, cfg)
         assert peak < 4.0
         assert formed == ["V"]
-        assert "V" in vars(level) and not {"D", "_full_lags"} & set(vars(level))
+        assert "V" in vars(level) and not {"D", "_distinct_lags"} & set(vars(level))
 
 
 class TestToeplitzLevels:
